@@ -19,7 +19,12 @@ from .store import DatasetManifest, EmbeddingMatrix, ManifestRecord
 
 log = logging.getLogger(__name__)
 
-KNN_BACKENDS = ("exact", "approximate")
+# Rows per dedup block, kept rows per dedup GEMM, and queries per top-m
+# block: they bound scratch memory to block x chunk (or block x pool)
+# float64 values and do not change any output.
+_DEDUP_BLOCK = 256
+_DEDUP_CHUNK = 2048
+_TOPM_BLOCK = 64
 
 
 @dataclass
@@ -27,20 +32,12 @@ class CurationConfig:
     dedup_threshold: float = 0.95
     retrieval_m: int = 4
     quality_threshold: float | None = None
-    knn_backend: str = "exact"
-    # inverted-list parameters, used only by the approximate backend
-    ivf_lists: int = 16
-    ivf_probes: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.dedup_threshold <= 1.0:
             raise ConfigError(f"dedup_threshold must be in (0, 1], got {self.dedup_threshold}")
         if self.retrieval_m < 1:
             raise ConfigError(f"retrieval_m must be >= 1, got {self.retrieval_m}")
-        if self.knn_backend not in KNN_BACKENDS:
-            raise ConfigError(f"knn_backend must be one of {KNN_BACKENDS}, got {self.knn_backend!r}")
-        if self.ivf_lists < 1 or self.ivf_probes < 1:
-            raise ConfigError("ivf_lists and ivf_probes must be >= 1")
 
 
 @dataclass
@@ -51,19 +48,6 @@ class CurationResult:
     counts: dict = field(default_factory=dict)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DataError(f"cosine_similarity needs equal-length vectors, got {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-30 or nb < 1e-30:
-        raise DataError("cosine_similarity undefined for zero vectors")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
 def _require_normalized(m: EmbeddingMatrix, what: str) -> None:
     if not m.normalized:
         raise DataError(f"{what} must be row-normalized before curation")
@@ -72,67 +56,52 @@ def _require_normalized(m: EmbeddingMatrix, what: str) -> None:
 def deduplicate(pool: EmbeddingMatrix, threshold: float) -> np.ndarray:
     """Greedy first-wins duplicate removal over a normalized pool.
 
-    Scans rows in ascending order and keeps row i iff its cosine similarity
-    to every previously kept row stays below ``threshold``. Deterministic by
-    construction; returns the kept indices sorted ascending.
+    Keeps row i iff its cosine similarity to every lower-indexed kept row
+    stays below ``threshold``. Rows are taken ``_DEDUP_BLOCK`` at a time:
+    one GEMM per ``_DEDUP_CHUNK`` kept rows drops the block rows an earlier
+    kept row already covers, and the survivors' Gram matrix settles
+    first-wins inside the block. Deterministic by construction; returns the
+    kept indices sorted ascending.
     """
     _require_normalized(pool, "dedup pool")
-    data = pool.data.astype(np.float64)
-    kept: list[int] = []
     kept_rows = np.empty((pool.n, pool.d), dtype=np.float64)  # filled prefix only
-    for i in range(pool.n):
-        if kept:
-            sims = kept_rows[: len(kept)] @ data[i]
-            if float(sims.max()) >= threshold:
-                continue
-        kept_rows[len(kept)] = data[i]
-        kept.append(i)
-    return np.asarray(kept, dtype=np.int64)
+    kept: list[np.ndarray] = []
+    n_kept = 0
+    for start in range(0, pool.n, _DEDUP_BLOCK):
+        block = pool.data[start : start + _DEDUP_BLOCK].astype(np.float64)
+        alive = np.arange(block.shape[0])
+        for c0 in range(0, n_kept, _DEDUP_CHUNK):
+            sims = block[alive] @ kept_rows[c0 : min(c0 + _DEDUP_CHUNK, n_kept)].T
+            alive = alive[~(sims.max(axis=1) >= threshold)]
+        rows = block[alive]
+        clash = np.triu(rows @ rows.T >= threshold, k=1)
+        keep = np.ones(alive.size, dtype=bool)
+        for j in np.flatnonzero(clash.any(axis=1)):
+            if keep[j]:
+                keep[clash[j]] = False
+        rows = rows[keep]
+        kept_rows[n_kept : n_kept + rows.shape[0]] = rows
+        n_kept += rows.shape[0]
+        kept.append(start + alive[keep])
+    return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
 
 
 def _exact_topm(queries: np.ndarray, candidates: np.ndarray, m: int) -> np.ndarray:
     """Indices (into ``candidates``) of the m highest-dot rows per query.
 
-    Ties resolve to the lower candidate index via a stable sort on the
-    negated similarities.
+    Works ``_TOPM_BLOCK`` queries at a time. A partition finds each query's
+    m-th largest score; the candidates at or above it are ordered by score
+    descending, then index ascending, so ties resolve to the lower index.
     """
-    sims = queries @ candidates.T
-    order = np.argsort(-sims, axis=1, kind="stable")
-    return order[:, :m]
-
-
-def _ivf_topm(
-    queries: np.ndarray, candidates: np.ndarray, m: int, config: CurationConfig, seed: int = 0
-) -> np.ndarray:
-    """Inverted-list approximate search: cluster the candidates, probe the
-    closest lists per query, then search those exactly."""
-    n = candidates.shape[0]
-    nlist = min(config.ivf_lists, n)
-    rng = np.random.default_rng(seed)
-    centroids = candidates[rng.choice(n, size=nlist, replace=False)].copy()
-    for _ in range(5):  # a few Lloyd rounds are enough for routing
-        assign = np.argmax(candidates @ centroids.T, axis=1)
-        for c in range(nlist):
-            members = candidates[assign == c]
-            if members.shape[0]:
-                mean = members.mean(axis=0)
-                norm = np.linalg.norm(mean)
-                if norm > 1e-12:
-                    centroids[c] = mean / norm
-    assign = np.argmax(candidates @ centroids.T, axis=1)
-    lists = [np.flatnonzero(assign == c) for c in range(nlist)]
-
-    nprobe = min(config.ivf_probes, nlist)
-    out = np.empty((queries.shape[0], m), dtype=np.int64)
-    for qi, q in enumerate(queries):
-        probe_order = np.argsort(-(centroids @ q), kind="stable")[:nprobe]
-        cand = np.concatenate([lists[c] for c in probe_order])
-        if cand.size < m:
-            cand = np.arange(n)
-        cand = np.sort(cand)  # ascending index order makes ties deterministic
-        sims = candidates[cand] @ q
-        top = np.argsort(-sims, kind="stable")[:m]
-        out[qi] = cand[top]
+    n_q, n_c = queries.shape[0], candidates.shape[0]
+    out = np.empty((n_q, m), dtype=np.int64)
+    for q0 in range(0, n_q, _TOPM_BLOCK):
+        sims = queries[q0 : q0 + _TOPM_BLOCK] @ candidates.T
+        mth = np.partition(sims, n_c - m, axis=1)[:, n_c - m]
+        rows, cols = np.nonzero(sims >= mth[:, None])
+        order = np.lexsort((cols, -sims[rows, cols], rows))
+        first = np.searchsorted(rows, np.arange(sims.shape[0]))
+        out[q0 : q0 + sims.shape[0]] = cols[order[first[:, None] + np.arange(m)]]
     return out
 
 
@@ -141,13 +110,11 @@ def knn_retrieve(
     pool: EmbeddingMatrix,
     kept: np.ndarray,
     m: int,
-    config: CurationConfig | None = None,
 ) -> np.ndarray:
     """Retrieve, for every curated row, its m nearest kept pool rows by cosine.
 
-    Returns the deduplicated union of all retrieved pool indices, sorted
-    ascending. The exact backend is the reference; the approximate backend
-    trades recall for fewer comparisons and is validated against exact.
+    Exact search; returns the deduplicated union of all retrieved pool
+    indices, sorted ascending.
     """
     _require_normalized(curated, "curated matrix")
     _require_normalized(pool, "pool matrix")
@@ -159,24 +126,8 @@ def knn_retrieve(
     if m > kept.size:
         raise ConfigError(f"m={m} exceeds the {kept.size} kept pool rows")
     queries = curated.data.astype(np.float64)
-    candidates = pool.data.astype(np.float64)[kept]
-    backend = config.knn_backend if config is not None else "exact"
-    if backend == "approximate":
-        local = _ivf_topm(queries, candidates, m, config)
-    else:
-        local = _exact_topm(queries, candidates, m)
-    return np.unique(kept[local])
-
-
-def quality_filter(manifest: DatasetManifest, threshold: float) -> np.ndarray:
-    """Positions (into ``manifest.records``) whose quality score >= threshold."""
-    keep = []
-    for pos, rec in enumerate(manifest.records):
-        if rec.quality_score is None:
-            raise DataError(f"sample {rec.sample_id!r} has no quality score")
-        if rec.quality_score >= threshold:
-            keep.append(pos)
-    return np.asarray(keep, dtype=np.int64)
+    candidates = pool.data[kept].astype(np.float64)
+    return np.unique(kept[_exact_topm(queries, candidates, m)])
 
 
 def build_augmented_curated(
@@ -270,7 +221,7 @@ def curate(
     """Full curation pass: dedup, retrieve against the deduplicated pool,
     filter, and assemble the combined embedding matrix."""
     kept = deduplicate(pool, config.dedup_threshold)
-    retrieved = knn_retrieve(curated, pool, kept, config.retrieval_m, config)
+    retrieved = knn_retrieve(curated, pool, kept, config.retrieval_m)
     result = build_augmented_curated(
         curated_manifest, pool_manifest, kept, retrieved, config
     )

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from fairssl.errors import DataError
+
 
 def bruteforce_contrastive(Z: np.ndarray, pair: np.ndarray, tau: float) -> float:
     """Direct summation: -sum_i log(exp(z_i.z_j(i)/tau) / sum_{a!=i} exp(z_i.z_a/tau))."""
@@ -64,6 +66,41 @@ def sorted_topk_mean(values: np.ndarray, k: int) -> float:
     """Mean of the k largest values via explicit sorting."""
     ordered = sorted(values, reverse=True)
     return float(sum(ordered[:k]) / k)
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise DataError(f"cosine_similarity needs equal-length vectors, got {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < 1e-30 or nb < 1e-30:
+        raise DataError("cosine_similarity undefined for zero vectors")
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def greedy_dedup(data: np.ndarray, threshold: float) -> np.ndarray:
+    """Per-row first-wins scan: keep row i iff its dot with every previously
+    kept row stays below ``threshold``. Returns kept indices ascending."""
+    data = np.asarray(data, dtype=np.float64)
+    kept: list[int] = []
+    kept_rows = np.empty_like(data)  # filled prefix only
+    for i in range(data.shape[0]):
+        if kept:
+            sims = kept_rows[: len(kept)] @ data[i]
+            if float(sims.max()) >= threshold:
+                continue
+        kept_rows[len(kept)] = data[i]
+        kept.append(i)
+    return np.asarray(kept, dtype=np.int64)
+
+
+def stable_topm(queries: np.ndarray, candidates: np.ndarray, m: int) -> np.ndarray:
+    """Top-m dot-product indices per query from a full stable argsort, so
+    ties go to the lower candidate index."""
+    return np.argsort(-(queries @ candidates.T), axis=1, kind="stable")[:, :m]
 
 
 def exhaustive_knn(queries: np.ndarray, candidates: np.ndarray, m: int) -> list[list[int]]:

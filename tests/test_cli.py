@@ -44,6 +44,9 @@ class TestConfig:
             config_from_dict({"seed": 1, "trainer": {"no_such_option": 2}})
         with pytest.raises(ConfigError, match="unknown"):
             config_from_dict({"seed": 1, "bogus_section": {}})
+        for removed in ("knn_backend", "ivf_lists", "ivf_probes"):  # keys of the old approximate search
+            with pytest.raises(ConfigError, match="unknown"):
+                config_from_dict({"seed": 1, "curation": {removed: 1}})
 
     def test_overrides(self):
         data = apply_overrides({"seed": 1}, ["trainer.batch_size=8", "loss.temperature=0.5"])
