@@ -28,8 +28,8 @@ rng = np.random.default_rng(5)
 order = rng.permutation(eval_set.embeddings.n)
 train_sel, test_sel = order[:700], order[700:]
 
-probe = train_probe(features[train_sel], eval_set.target[train_sel], l2=1e-4, seed=0)
-print(f"probe converged: grad norm {probe.grad_norm:.2e} after {probe.iterations} iterations")
+probe = train_probe(features[train_sel], eval_set.target[train_sel], l2=1e-4)
+print(f"probe converged: grad norm {probe.grad_norm:.2e} after {probe.iterations} Newton steps")
 
 preds = probe.predict(features[test_sel])
 report = build_report(preds, eval_set.target[test_sel], eval_set.groups[test_sel])

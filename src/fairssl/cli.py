@@ -35,6 +35,13 @@ _COMMANDS = {
     "pipeline": run_pipeline,
 }
 
+# reports echoed to stdout, in order, once the stage has written them
+_ECHO = {
+    "probe": ("fairness_report_txt",),
+    "evaluate": ("fairness_report_json",),
+    "pipeline": ("fairness_report_txt", "fairness_report_json"),
+}
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -85,7 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     cfg: PipelineConfig | None = None
     try:
         cfg = _resolve_config(args)
-        _COMMANDS[args.command](cfg)
+        artifacts = _COMMANDS[args.command](cfg)
+        for name in _ECHO.get(args.command, ()):
+            print(artifacts[name].read_text(), end="")
     except ConfigError as exc:
         if cfg is not None:
             write_failure_manifest(cfg, args.command, exc)

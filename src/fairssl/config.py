@@ -62,7 +62,6 @@ class ModelConfig:
 
 @dataclass
 class ProbeConfig:
-    attribute: str | None = None  # defaults to the first bank attribute
     l2: float = 1e-4
     train_fraction: float = 0.5
 

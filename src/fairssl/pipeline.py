@@ -82,8 +82,14 @@ def _write_history(path: Path, history: list[dict]) -> None:
 
 
 def write_run_manifest(
-    cfg: PipelineConfig, command: str, inputs: dict[str, Path], artifacts: dict[str, Path]
+    cfg: PipelineConfig,
+    command: str,
+    inputs: dict[str, Path],
+    artifacts: dict[str, Path],
+    metrics: dict | None = None,
 ) -> Path:
+    """Record a finished stage. ``metrics`` holds deterministic diagnostics
+    that are not artifacts (so they are not hashed)."""
     manifest = {
         "command": command,
         "status": "ok",
@@ -94,6 +100,8 @@ def write_run_manifest(
         "inputs": {name: _sha256(p) for name, p in sorted(inputs.items())},
         "artifacts": {name: _sha256(p) for name, p in sorted(artifacts.items())},
     }
+    if metrics is not None:
+        manifest["metrics"] = metrics
     path = cfg.out_dir() / f"run_manifest_{command.replace('-', '_')}.json"
     _write_json(path, manifest)
     return path
@@ -302,7 +310,7 @@ def run_probe(cfg: PipelineConfig, checkpoint_name: str = "final_checkpoint") ->
     order = rng.permutation(len(ids))
     n_train = int(cfg.probe.train_fraction * len(ids))
     train_sel, test_sel = order[:n_train], order[n_train:]
-    probe = train_probe(features[train_sel], labels_arr[train_sel], l2=cfg.probe.l2, seed=cfg.seed)
+    probe = train_probe(features[train_sel], labels_arr[train_sel], l2=cfg.probe.l2)
     preds = probe.predict(features[test_sel])
 
     artifacts = {
@@ -318,8 +326,12 @@ def run_probe(cfg: PipelineConfig, checkpoint_name: str = "final_checkpoint") ->
     report = build_report(preds, labels_arr[test_sel], groups_arr[test_sel])
     artifacts["fairness_report_json"].write_text(report.to_json() + "\n")
     artifacts["fairness_report_txt"].write_text(report.to_text_table() + "\n")
-    print(report.to_text_table())
-    write_run_manifest(cfg, "probe", inputs, artifacts)
+    metrics = {
+        "probe_iterations": probe.iterations,
+        "probe_grad_norm": probe.grad_norm,
+        "probe_loss": probe.final_loss,
+    }
+    write_run_manifest(cfg, "probe", inputs, artifacts, metrics)
     return artifacts
 
 
@@ -353,7 +365,6 @@ def run_evaluate(cfg: PipelineConfig, predictions_path: Path | None = None) -> d
     }
     artifacts["fairness_report_json"].write_text(report.to_json() + "\n")
     artifacts["fairness_report_txt"].write_text(report.to_text_table() + "\n")
-    print(report.to_json())
     write_run_manifest(cfg, "evaluate", inputs, artifacts)
     return artifacts
 

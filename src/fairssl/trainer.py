@@ -517,7 +517,11 @@ def meta_stage(
     # The validation head is meaningless until it is fit to the proxy task;
     # a convex fit on the frozen-stage features does that deterministically.
     feats, _ = forward_features(params, X[val_idx].astype(np.float64))
-    probe = train_probe(feats, val_y, l2=1e-3, seed=cfg.seed)
+    probe = train_probe(feats, val_y, l2=1e-3)
+    log.info(
+        "validation head fit: probe_iterations=%d probe_grad_norm=%.3e probe_loss=%.6f",
+        probe.iterations, probe.grad_norm, probe.final_loss,
+    )
     params.head.weight[...] = probe.weight
     params.head.bias[...] = probe.bias
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from fairssl.errors import DataError
+from fairssl.evaluation import ProbeModel
 
 
 def bruteforce_contrastive(Z: np.ndarray, pair: np.ndarray, tau: float) -> float:
@@ -178,3 +179,48 @@ def confusion_rates(pred, labels, groups):
             "pos_rate": (tp + fp) / total,
         }
     return stats
+
+
+def gd_probe(features, labels, l2: float = 1e-4, seed: int = 0, max_iter: int = 20000,
+             tol: float = 1e-6) -> ProbeModel:
+    """Reference probe fit: full-batch gradient descent with Armijo
+    backtracking from a seeded random start, stopped at gradient norm ``tol``
+    or after ``max_iter`` iterations (whichever comes first, without error)."""
+    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    y = np.asarray(labels, dtype=np.int64).ravel()
+    n = X.shape[0]
+    rows = np.arange(n)
+
+    def objective(W, b):
+        logits = X @ W.T + b
+        shift = logits.max(axis=1, keepdims=True)
+        ex = np.exp(logits - shift)
+        denom = ex.sum(axis=1, keepdims=True)
+        log_probs = (logits - shift) - np.log(denom)
+        loss = float(-log_probs[rows, y].mean() + 0.5 * l2 * np.sum(W * W))
+        d = ex / denom
+        d[rows, y] -= 1.0
+        d /= n
+        return loss, d.T @ X + l2 * W, d.sum(axis=0)
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0x70726F62]))
+    W = 0.01 * rng.standard_normal((int(y.max()) + 1, X.shape[1]))
+    b = np.zeros(W.shape[0])
+    loss, gW, gb = objective(W, b)
+    step = 1.0
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        gnorm = float(np.sqrt(np.sum(gW * gW) + np.sum(gb * gb)))
+        if gnorm <= tol:
+            break
+        for _ in range(60):
+            new_loss, gW_new, gb_new = objective(W - step * gW, b - step * gb)
+            if new_loss <= loss - 0.5 * step * gnorm * gnorm:
+                W, b, loss, gW, gb = W - step * gW, b - step * gb, new_loss, gW_new, gb_new
+                step *= 2.0
+                break
+            step *= 0.5
+        else:
+            raise AssertionError("reference line search stalled")
+    gnorm = float(np.sqrt(np.sum(gW * gW) + np.sum(gb * gb)))
+    return ProbeModel(W, b, final_loss=loss, grad_norm=gnorm, iterations=iterations)

@@ -6,7 +6,7 @@ import yaml
 from fairssl.cli import main
 from fairssl.config import apply_overrides, config_from_dict, load_config
 from fairssl.errors import ConfigError
-from fairssl.pipeline import run_curate
+from fairssl.pipeline import run_curate, run_probe
 from fairssl.store import DatasetManifest
 from fairssl.synthetic import generate_world
 
@@ -47,6 +47,8 @@ class TestConfig:
         for removed in ("knn_backend", "ivf_lists", "ivf_probes"):  # keys of the old approximate search
             with pytest.raises(ConfigError, match="unknown"):
                 config_from_dict({"seed": 1, "curation": {removed: 1}})
+        with pytest.raises(ConfigError, match="unknown"):  # never read by the probe
+            config_from_dict({"seed": 1, "probe": {"attribute": "gender"}})
 
     def test_overrides(self):
         data = apply_overrides({"seed": 1}, ["trainer.batch_size=8", "loss.temperature=0.5"])
@@ -164,6 +166,28 @@ class TestStages:
         out = capsys.readouterr().out
         report = json.loads(out)
         assert set(report) >= {"avg_acc", "ser", "eod", "dpd", "min_grp_acc", "max_grp_acc"}
+
+    def test_probe_prints_only_from_the_cli(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        for stage in ("curate", "pseudolabel", "pretrain", "train-meta"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+
+        run_probe(load_config(cfg_path))
+        assert capsys.readouterr().out == ""
+        metrics = json.loads((out / "run_manifest_probe.json").read_text())["metrics"]
+        assert set(metrics) == {"probe_iterations", "probe_grad_norm", "probe_loss"}
+        assert 0 < metrics["probe_iterations"] <= 30
+        assert metrics["probe_grad_norm"] <= 1e-8
+
+        assert main(["probe", "--config", str(cfg_path)]) == 0
+        printed = capsys.readouterr().out
+        assert "Avg. Acc" in printed
+        assert printed == (out / "fairness_report.txt").read_text()
+        rerun = json.loads((out / "run_manifest_probe.json").read_text())["metrics"]
+        assert rerun == metrics
 
     def test_stage_order_enforced(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fairssl.errors import DataError
+from fairssl import evaluation
+from fairssl.errors import DataError, NumericError
 from fairssl.evaluation import (
     build_report,
     degree_of_bias,
@@ -12,7 +15,7 @@ from fairssl.evaluation import (
     train_probe,
 )
 
-from oracles import confusion_rates
+from oracles import confusion_rates, gd_probe
 
 
 class TestProbe:
@@ -20,27 +23,103 @@ class TestProbe:
         n = 60
         X = np.vstack([rng.normal(-2, 0.3, (n, 2)), rng.normal(2, 0.3, (n, 2))])
         y = np.repeat([0, 1], n)
-        probe = train_probe(X, y, l2=1e-4, seed=0)
+        probe = train_probe(X, y, l2=1e-4)
         assert np.mean(probe.predict(X) == y) == 1.0
         assert probe.grad_norm <= 1e-6
 
     def test_random_labels_give_chance_level(self, rng):
         X = rng.standard_normal((1000, 8))
         y = rng.integers(0, 2, 1000)
-        probe = train_probe(X, y, l2=1e-3, seed=0)
+        probe = train_probe(X, y, l2=1e-3)
         acc = 100.0 * np.mean(probe.predict(X) == y)
         assert abs(acc - 50.0) < 5.0 + 5.0  # training acc can exceed chance slightly
 
     def test_convexity_two_restarts_same_loss(self, rng):
         X = rng.standard_normal((200, 4))
         y = (X[:, 0] + 0.3 * rng.standard_normal(200) > 0).astype(int)
-        p1 = train_probe(X, y, l2=1e-3, seed=1)
-        p2 = train_probe(X, y, l2=1e-3, seed=999)
-        assert abs(p1.final_loss - p2.final_loss) < 1e-6
+        p1 = gd_probe(X, y, l2=1e-3, seed=1)
+        p2 = gd_probe(X, y, l2=1e-3, seed=999)
+        newton = train_probe(X, y, l2=1e-3)
+        assert abs(p1.final_loss - newton.final_loss) < 1e-6
+        assert abs(p2.final_loss - newton.final_loss) < 1e-6
 
     def test_single_class_rejected(self, rng):
         with pytest.raises(DataError):
-            train_probe(rng.standard_normal((10, 3)), np.zeros(10), seed=0)
+            train_probe(rng.standard_normal((10, 3)), np.zeros(10))
+
+    def test_negative_label_rejected(self, rng):
+        with pytest.raises(DataError, match="non-negative"):
+            train_probe(rng.standard_normal((10, 3)), np.arange(10) % 2 - 1)
+
+    def test_absent_middle_class_converges(self, rng):
+        # class 1 never occurs: its bias runs off to -inf, so the gradient only
+        # decays geometrically; the solver must still meet its tolerance
+        X = rng.standard_normal((300, 4))
+        y = rng.choice([0, 2], 300)
+        probe = train_probe(X, y, l2=1e-3)
+        assert probe.iterations < evaluation._NEWTON_MAX_STEPS
+        assert probe.grad_norm <= evaluation._GRAD_TOL * max(1.0, np.abs(X).max())
+        assert probe.weight.shape == (3, 4)
+        assert not np.any(probe.predict(X) == 1)
+
+    def test_step_cap_raises_instead_of_returning(self, rng, monkeypatch):
+        X = rng.standard_normal((200, 3))
+        y = (X[:, 0] + 0.5 * rng.standard_normal(200) > 0).astype(int)
+        monkeypatch.setattr(evaluation, "_NEWTON_MAX_STEPS", 2)
+        with pytest.raises(NumericError, match="did not converge"):
+            train_probe(X, y, l2=1e-4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, rng, bad):
+        X = rng.standard_normal((40, 3))
+        X[7, 2] = bad
+        with pytest.raises(NumericError, match="NaN or infinite"):
+            train_probe(X, np.arange(40) % 2)
+
+    def test_unregularised_collinear_columns(self, rng):
+        # l2 = 0 with collinear columns: the Hessian is singular beyond the bias
+        # shift; the minimum-norm solution weighs the 2*x0 column twice as much
+        # as x0 instead of drifting along the null directions
+        base = rng.standard_normal((300, 2))
+        X = np.column_stack([base, 2.0 * base[:, 0], base[:, 0] + base[:, 1]])
+        y = (base[:, 0] - 0.5 * base[:, 1] + rng.standard_normal(300) > 0).astype(int)
+        probe = train_probe(X, y, l2=0.0)
+        assert probe.grad_norm <= 1e-8
+        assert abs(probe.bias.sum()) <= 1e-12
+        assert probe.weight[:, 2] == pytest.approx(2.0 * probe.weight[:, 0], rel=1e-6)
+        reference = gd_probe(X, y, l2=0.0)
+        assert probe.final_loss <= reference.final_loss + 1e-9
+        assert np.array_equal(probe.predict(X), reference.predict(X))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        classes=st.sampled_from([2, 3, 4]),
+        l2=st.sampled_from([1e-4, 1e-3, 1e-2]),
+        log_scale=st.floats(-1.0, 1.0),
+        separable=st.booleans(),
+        n=st.integers(30, 90),
+        d=st.integers(3, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_newton_matches_gradient_descent(self, classes, l2, log_scale, separable, n, d, seed):
+        rng = np.random.default_rng(seed)
+        X = 10.0**log_scale * rng.standard_normal((n, d))
+        directions = np.linalg.qr(rng.standard_normal((d, classes)))[0].T
+        scores = X @ directions.T / 10.0**log_scale
+        if not separable:
+            scores = scores + rng.gumbel(size=scores.shape)
+        y = np.argmax(scores, axis=1)
+        assume(np.unique(y).size == classes)
+        probe = train_probe(X, y, l2=l2)
+        assert probe.iterations <= 30
+        assert probe.grad_norm <= 1e-8
+        assert abs(probe.bias.sum()) <= 1e-10 * max(1.0, np.abs(probe.bias).max())
+        reference = gd_probe(X, y, l2=l2)
+        assert probe.final_loss <= reference.final_loss + 1e-9
+        if reference.grad_norm <= 1e-6:
+            # on nearly separable problems at large scale the reference can stop
+            # at its iteration cap far from the optimum; only its loss bounds ours
+            assert np.array_equal(probe.predict(X), reference.predict(X))
 
 
 class TestGroupAccuracy:
