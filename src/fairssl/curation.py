@@ -19,12 +19,12 @@ from .store import DatasetManifest, EmbeddingMatrix, ManifestRecord
 
 log = logging.getLogger(__name__)
 
-# Rows per dedup block, kept rows per dedup GEMM, and queries per top-m
-# block: they bound scratch memory to block x chunk (or block x pool)
-# float64 values and do not change any output.
+# Rows per dedup block, kept rows per dedup GEMM, and bytes per top-m score
+# block: they bound scratch memory and do not change any output. At about
+# 4 MiB, peak memory does not hinge on whether the allocator reuses blocks.
 _DEDUP_BLOCK = 256
 _DEDUP_CHUNK = 2048
-_TOPM_BLOCK = 64
+_TOPM_BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -89,14 +89,16 @@ def deduplicate(pool: EmbeddingMatrix, threshold: float) -> np.ndarray:
 def _exact_topm(queries: np.ndarray, candidates: np.ndarray, m: int) -> np.ndarray:
     """Indices (into ``candidates``) of the m highest-dot rows per query.
 
-    Works ``_TOPM_BLOCK`` queries at a time. A partition finds each query's
-    m-th largest score; the candidates at or above it are ordered by score
-    descending, then index ascending, so ties resolve to the lower index.
+    Works on blocks of queries whose scores fill ``_TOPM_BLOCK_BYTES``. A
+    partition finds each query's m-th largest score; the candidates at or
+    above it are ordered by score descending, then index ascending, so ties
+    resolve to the lower index.
     """
     n_q, n_c = queries.shape[0], candidates.shape[0]
     out = np.empty((n_q, m), dtype=np.int64)
-    for q0 in range(0, n_q, _TOPM_BLOCK):
-        sims = queries[q0 : q0 + _TOPM_BLOCK] @ candidates.T
+    block = max(1, _TOPM_BLOCK_BYTES // (8 * n_c))
+    for q0 in range(0, n_q, block):
+        sims = queries[q0 : q0 + block] @ candidates.T
         mth = np.partition(sims, n_c - m, axis=1)[:, n_c - m]
         rows, cols = np.nonzero(sims >= mth[:, None])
         order = np.lexsort((cols, -sims[rows, cols], rows))

@@ -156,24 +156,6 @@ def _positives_for_attribute(batch: MultiviewedBatch, attribute: int) -> np.ndar
     return pos
 
 
-def supcon_anchor_stats(
-    batch: MultiviewedBatch, attribute: int, temperature: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-anchor terms and coefficient matrix for one attribute's labels."""
-    s, lse, q = _scaled_similarities(batch.views, temperature)
-    pos_mask = _positives_for_attribute(batch, attribute)
-    return _anchor_stats(s, lse, q, pos_mask)
-
-
-def supcon_loss(
-    batch: MultiviewedBatch, attribute: int, temperature: float
-) -> tuple[float, np.ndarray]:
-    """Label-aware contrastive objective: positives are all views sharing the
-    anchor's label for the given attribute."""
-    terms, R = supcon_anchor_stats(batch, attribute, temperature)
-    return float(terms.sum()), _grad_from_coeffs(batch.views, R, temperature)
-
-
 def multi_attribute_anchor_stats(
     batch: MultiviewedBatch, attributes: list[int], temperature: float
 ) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
@@ -214,16 +196,6 @@ def weighted_grad_from_stats(
     for R in R_list:
         acc += _grad_from_coeffs(Z, w * R, temperature)
     return acc / len(R_list)
-
-
-def multi_attribute_supcon(
-    batch: MultiviewedBatch, attributes: list[int], temperature: float
-) -> tuple[float, np.ndarray]:
-    """Mean of the per-attribute label-aware losses over usable attributes."""
-    terms, R_list, _ = multi_attribute_anchor_stats(batch, attributes, temperature)
-    weights = np.ones(batch.num_views)
-    grad = weighted_grad_from_stats(batch.views, R_list, weights, temperature)
-    return float(terms.sum()), grad
 
 
 def topk_average(values: np.ndarray, k: int) -> tuple[float, np.ndarray]:

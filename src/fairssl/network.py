@@ -9,6 +9,14 @@ the normalized projection, the encoder features, and the head logits.
 which the meta-weighting stage uses to obtain all per-sample gradient inner
 products at the cost of roughly one extra forward pass.
 
+Flat layout: ``ModelParams.flat`` is one float64 vector holding every
+parameter in checkpoint order ``[W0, b0, W1, b1, ...]``; each layer's
+``weight``/``bias`` is a view into it, so write values in place (rebinding
+the attribute detaches it from the vector). ``GradientBundle.flat`` has the
+same layout: ``backward`` writes trainable layers' gradients into their
+spans and leaves frozen spans zero, and ``trainer.AdamW`` keeps its moments
+in the same layout, updating runs of trainable spans in place.
+
 Checkpoint layout (little-endian)::
 
     magic "FSCK" | u32 version=1 | u32 layer_count |
@@ -22,6 +30,7 @@ import fnmatch
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +71,27 @@ class Layer:
         return self.weight.shape[0]
 
 
+class Span(NamedTuple):
+    """A layer in a flat vector: weights in [start, split), biases in [split, stop)."""
+
+    start: int
+    split: int
+    stop: int
+    shape: tuple[int, int]  # weight (out, in)
+
+
+def _layout(names, shapes) -> dict[str, Span]:
+    """Consecutive spans for layers with the given weight shapes."""
+    layout, stop = {}, 0
+    for name, (n_out, n_in) in zip(names, shapes):
+        layout[name] = Span(stop, stop + n_out * n_in, stop + n_out * n_in + n_out, (n_out, n_in))
+        stop = layout[name].stop
+    return layout
+
+
 class ModelParams:
-    """Encoder + projection + head parameters with per-layer freeze flags."""
+    """Encoder + projection + head parameters with per-layer freeze flags,
+    stored in ``flat``; ``layout`` maps layer names to their spans in it."""
 
     def __init__(self, encoder: list[Layer], projection: list[Layer], head: Layer):
         if len(projection) != 3:
@@ -78,9 +106,19 @@ class ModelParams:
             raise DataError(
                 f"head expects {head.in_dim} features, encoder produces {encoder[-1].out_dim}"
             )
+        layers = encoder + projection + [head]
+        if len(set(map(id, layers))) != len(layers):
+            raise DataError("a layer object appears more than once")
         self.encoder = encoder
         self.projection = projection
         self.head = head
+        self.layout = _layout(self.layer_names(), [layer.weight.shape for layer in layers])
+        self.flat = np.empty(self.layout["head"].stop, dtype=np.float64)
+        for span, layer in zip(self.layout.values(), layers):
+            self.flat[span.start : span.split] = layer.weight.ravel()
+            self.flat[span.split : span.stop] = layer.bias
+            layer.weight = self.flat[span.start : span.split].reshape(span.shape)
+            layer.bias = self.flat[span.split : span.stop]
 
     @classmethod
     def create(
@@ -144,8 +182,8 @@ class ModelParams:
         return [(name, self.layer(name)) for name in self.layer_names()]
 
     def copy(self) -> "ModelParams":
-        def dup(layer: Layer) -> Layer:
-            return Layer(layer.weight.copy(), layer.bias.copy(), layer.activation, layer.frozen)
+        def dup(layer: Layer) -> Layer:  # the new instance copies values into its own vector
+            return Layer(layer.weight, layer.bias, layer.activation, layer.frozen)
 
         return ModelParams(
             [dup(l) for l in self.encoder], [dup(l) for l in self.projection], dup(self.head)
@@ -181,53 +219,41 @@ def set_frozen(params: ModelParams, selector: str | list[str], frozen: bool = Tr
 
 
 class GradientBundle:
-    """One gradient buffer per layer, mirroring the parameter shapes.
+    """Gradients in the flat layout of ``ModelParams.flat``.
 
-    Buffers for frozen layers are kept but forced to zero, so optimizers can
-    iterate uniformly.
+    Built from a flat vector and its layout, or from per-layer
+    ``(dw, db)`` pairs, which are laid out in the order given. Indexing by
+    layer name returns views into ``flat``. Frozen layers hold zeros.
     """
 
-    def __init__(self, grads: dict[str, tuple[np.ndarray, np.ndarray]]):
-        self.grads = grads
+    def __init__(self, grads: np.ndarray | dict, layout: dict[str, Span] | None = None):
+        if layout is None:
+            layout = _layout(grads, [np.shape(dw) for dw, _ in grads.values()])
+            grads = np.concatenate([np.ravel(a) for pair in grads.values() for a in pair], dtype=np.float64)
+        self.flat, self.layout = grads, layout
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "GradientBundle":
-        return cls(
-            {
-                name: (np.zeros_like(layer.weight), np.zeros_like(layer.bias))
-                for name, layer in params.named_layers()
-            }
-        )
+        return cls(np.zeros_like(params.flat), params.layout)
 
     def __getitem__(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        return self.grads[name]
-
-    def items(self):
-        return self.grads.items()
+        span = self.layout[name]
+        return self.flat[span.start : span.split].reshape(span.shape), self.flat[span.split : span.stop]
 
     def dot(self, other: "GradientBundle") -> float:
-        total = 0.0
-        for name, (dw, db) in self.grads.items():
-            ow, ob = other.grads[name]
-            total += float(np.vdot(dw, ow)) + float(np.vdot(db, ob))
-        return total
+        return float(self.flat @ other.flat)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.dot(self)))
+        return float(np.linalg.norm(self.flat))
 
     def scaled(self, c: float) -> "GradientBundle":
-        return GradientBundle({n: (dw * c, db * c) for n, (dw, db) in self.grads.items()})
+        return GradientBundle(self.flat * c, self.layout)
 
     def add_(self, other: "GradientBundle") -> None:
-        for name, (dw, db) in other.grads.items():
-            self.grads[name][0][...] += dw
-            self.grads[name][1][...] += db
+        self.flat += other.flat
 
     def is_finite(self) -> bool:
-        return all(
-            np.all(np.isfinite(dw)) and np.all(np.isfinite(db))
-            for dw, db in self.grads.values()
-        )
+        return bool(np.isfinite(self.flat).all())
 
 
 @dataclass
@@ -314,16 +340,23 @@ def _chain_backward(
     inputs: list[np.ndarray],
     pres: list[np.ndarray],
     d_out: np.ndarray,
-    grads: dict,
+    bundle: GradientBundle,
     prefix: str,
+    input_grad: bool,
 ) -> np.ndarray:
-    for i in reversed(range(len(layers))):
+    """Write each trainable layer's gradient into ``bundle``; return the
+    gradient at the chain input if ``input_grad``, else stop below the
+    lowest trainable layer."""
+    stop = 0 if input_grad else next((i for i, l in enumerate(layers) if not l.frozen), len(layers))
+    for i in reversed(range(stop, len(layers))):
         layer = layers[i]
         d_pre = d_out * (pres[i] > 0.0) if layer.activation == "relu" else d_out
-        dw, db = grads[f"{prefix}.{i}"]
-        dw += d_pre.T @ inputs[i]
-        db += d_pre.sum(axis=0)
-        d_out = d_pre @ layer.weight
+        if not layer.frozen:
+            dw, db = bundle[f"{prefix}.{i}"]
+            np.matmul(d_pre.T, inputs[i], out=dw)
+            np.sum(d_pre, axis=0, out=db)
+        if input_grad or i > stop:
+            d_out = d_pre @ layer.weight
     return d_out
 
 
@@ -338,10 +371,9 @@ def backward(
 
     Upstream gradients may arrive at the normalized projection output, the
     encoder features, the head logits, or any combination; contributions are
-    summed. Frozen layers come back with zero buffers.
+    summed. Frozen layers come back as zeros and cost no gradient GEMM.
     """
     bundle = GradientBundle.zeros_like(params)
-    grads = bundle.grads
     n = tape.x.shape[0]
     d_feat_total = np.zeros((n, params.feature_dim), dtype=np.float64)
 
@@ -349,9 +381,10 @@ def backward(
         d_logits = np.atleast_2d(np.asarray(d_logits, dtype=np.float64))
         if d_logits.shape != (n, params.head.out_dim):
             raise DataError(f"d_logits shape {d_logits.shape} does not match tape")
-        dw, db = grads["head"]
-        dw += d_logits.T @ tape.features
-        db += d_logits.sum(axis=0)
+        if not params.head.frozen:
+            dw, db = bundle["head"]
+            np.matmul(d_logits.T, tape.features, out=dw)
+            np.sum(d_logits, axis=0, out=db)
         d_feat_total += d_logits @ params.head.weight
 
     if d_projection is not None:
@@ -362,7 +395,8 @@ def backward(
         radial = np.sum(tape.z * dz, axis=1, keepdims=True)
         dv = (dz - tape.z * radial) / tape.norms[:, None]
         d_feat_total += _chain_backward(
-            params.projection, tape.projection_inputs, tape.projection_pre, dv, grads, "projection"
+            params.projection, tape.projection_inputs, tape.projection_pre, dv, bundle,
+            "projection", input_grad=True,
         )
 
     if d_features is not None:
@@ -372,12 +406,9 @@ def backward(
         d_feat_total += df
 
     _chain_backward(
-        params.encoder, tape.encoder_inputs, tape.encoder_pre, d_feat_total, grads, "encoder"
+        params.encoder, tape.encoder_inputs, tape.encoder_pre, d_feat_total, bundle,
+        "encoder", input_grad=False,
     )
-    for name, layer in params.named_layers():
-        if layer.frozen:
-            grads[name][0][...] = 0.0
-            grads[name][1][...] = 0.0
     return bundle
 
 
@@ -421,24 +452,13 @@ _ACTIVATION_CODE = {name: i for i, name in enumerate(_ACTIVATIONS)}
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Serialize parameters as float32; loading restores the stored values exactly."""
-    sections = (
-        [("encoder", l) for l in params.encoder]
-        + [("projection", l) for l in params.projection]
-        + [("head", params.head)]
-    )
-    chunks = [_FILE_HEADER.pack(MAGIC, FORMAT_VERSION, len(sections))]
-    for section, layer in sections:
-        chunks.append(
-            _LAYER_HEADER.pack(
-                _SECTION_CODE[section],
-                _ACTIVATION_CODE[layer.activation],
-                1 if layer.frozen else 0,
-                layer.in_dim,
-                layer.out_dim,
-            )
-        )
-        chunks.append(np.ascontiguousarray(layer.weight, dtype="<f4").tobytes())
-        chunks.append(np.ascontiguousarray(layer.bias, dtype="<f4").tobytes())
+    chunks = [_FILE_HEADER.pack(MAGIC, FORMAT_VERSION, len(params.layout))]
+    for name, layer in params.named_layers():
+        section = _SECTION_CODE[name.partition(".")[0]]
+        activation = _ACTIVATION_CODE[layer.activation]
+        chunks.append(_LAYER_HEADER.pack(section, activation, layer.frozen, layer.in_dim, layer.out_dim))
+        span = params.layout[name]
+        chunks.append(params.flat[span.start : span.stop].astype("<f4").tobytes())  # weights, biases
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -464,16 +484,11 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         nbytes = 4 * (in_dim * out_dim + out_dim)
         if offset + nbytes > len(raw):
             raise FileSizeError(f"{path}: truncated layer payload")
-        w = (
-            np.frombuffer(raw, dtype="<f4", count=in_dim * out_dim, offset=offset)
-            .reshape(out_dim, in_dim)
-            .astype(np.float64)
-        )
-        offset += 4 * in_dim * out_dim
-        b = np.frombuffer(raw, dtype="<f4", count=out_dim, offset=offset).astype(np.float64)
-        offset += 4 * out_dim
+        payload = np.frombuffer(raw, dtype="<f4", count=nbytes // 4, offset=offset).astype(np.float64)
+        offset += nbytes
+        w = payload[: in_dim * out_dim].reshape(out_dim, in_dim)
         try:
-            layer = Layer(w, b, _ACTIVATIONS[act], bool(frozen))
+            layer = Layer(w, payload[in_dim * out_dim :], _ACTIVATIONS[act], bool(frozen))
             section = _SECTIONS[sec]
         except IndexError:
             raise FormatError(f"{path}: unknown section/activation code") from None

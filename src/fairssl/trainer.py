@@ -128,8 +128,10 @@ class LrSchedule:
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay.
 
-    Frozen layers are skipped entirely: their parameters and moment buffers
-    never change.
+    Moments and scratch space are flat vectors in the layout of
+    ``ModelParams.flat``; a step updates each run of adjacent trainable
+    layers in place, with the per-element operations of a per-tensor loop in
+    the same order. Frozen layers' parameters and moments never change.
     """
 
     def __init__(
@@ -147,10 +149,7 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.moments = {
-            name: tuple(np.zeros_like(t) for t in (layer.weight, layer.bias, layer.weight, layer.bias))
-            for name, layer in params.named_layers()
-        }
+        self.m, self.v, self._a, self._b = (np.zeros_like(params.flat) for _ in range(4))
 
     @property
     def current_lr(self) -> float:
@@ -158,30 +157,39 @@ class AdamW:
 
     def step(self, params: ModelParams, grads: GradientBundle) -> None:
         if not grads.is_finite():
-            bad = [
-                name
-                for name, (dw, db) in grads.items()
-                if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db)))
-            ]
+            bad = [n for n, s in grads.layout.items() if not np.isfinite(grads.flat[s.start : s.stop]).all()]
             raise NumericError(f"non-finite gradient in layers {bad}; aborting optimizer step")
         lr = self.schedule.lr(self.step_count)
         t = self.step_count + 1
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        for name, layer in params.named_layers():
-            if layer.frozen:
-                continue
-            mw, mb, vw, vb = self.moments[name]
-            dw, db = grads[name]
-            for param, grad, m, v in ((layer.weight, dw, mw, vw), (layer.bias, db, mb, vb)):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad * grad
-                update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-                param -= lr * update
-                if self.weight_decay and param is layer.weight:
-                    param -= lr * self.weight_decay * param
+        trainable = [params.layout[name] for name, layer in params.named_layers() if not layer.frozen]
+        runs: list[list[int]] = []  # [start, stop) of maximal runs of adjacent trainable spans
+        for span in trainable:
+            if runs and runs[-1][1] == span.start:
+                runs[-1][1] = span.stop
+            else:
+                runs.append([span.start, span.stop])
+        buffers = (params.flat, grads.flat, self.m, self.v, self._a, self._b)
+        for start, stop in runs:
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
+            # p -= lr ((m / bias1) / (sqrt(v / bias2) + eps)), rounded as written
+            p, g, m, v, a, b = (x[start:stop] for x in buffers)
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            np.divide(m, bias1, out=a)
+            a /= b
+            p -= np.multiply(lr, a, out=a)
+        if self.weight_decay:
+            for span in trainable:
+                w, a = params.flat[span.start : span.split], self._a[span.start : span.split]
+                w -= np.multiply(lr * self.weight_decay, w, out=a)
         self.step_count += 1
 
 
@@ -424,9 +432,8 @@ def meta_step(
     dZ = weighted_grad_from_stats(Z, R_list, anchor_w, loss_cfg.temperature)
     bundle = backward(params, tape, d_projection=dZ)
     if cfg.train_head_in_meta:
-        hw, hb = g_v["head"]
-        bundle["head"][0][...] += hw
-        bundle["head"][1][...] += hb
+        head = params.layout["head"]
+        bundle.flat[head.start : head.stop] += g_v.flat[head.start : head.stop]
     optimizer.step(params, bundle)
     return metrics
 
@@ -522,6 +529,9 @@ def meta_stage(
         "validation head fit: probe_iterations=%d probe_grad_norm=%.3e probe_loss=%.6f",
         probe.iterations, probe.grad_norm, probe.final_loss,
     )
+    if probe.weight.shape != params.head.weight.shape:
+        raise ConfigError(f"model.num_classes is {params.head.out_dim} but the validation "
+                          f"pseudo-labels have {probe.weight.shape[0]} classes")
     params.head.weight[...] = probe.weight
     params.head.bias[...] = probe.bias
 

@@ -1,7 +1,12 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and
+library-shaped helpers that only tests use.
 
-Everything here is deliberately written as plain double loops over the
-defining formulas, sharing no code with the library paths it checks.
+The oracles are deliberately written as plain double loops over the
+defining formulas, sharing no code with the library paths they check. The
+exceptions are marked: the single-attribute and multi-attribute supcon
+wrappers (built from the library's anchor machinery, and checked against
+the brute-force sums here) and the per-layer AdamW step that the flat
+optimizer must match bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +17,15 @@ import numpy as np
 
 from fairssl.errors import DataError
 from fairssl.evaluation import ProbeModel
+from fairssl.losses import (
+    MultiviewedBatch,
+    _anchor_stats,
+    _grad_from_coeffs,
+    _positives_for_attribute,
+    _scaled_similarities,
+    multi_attribute_anchor_stats,
+    weighted_grad_from_stats,
+)
 
 
 def bruteforce_contrastive(Z: np.ndarray, pair: np.ndarray, tau: float) -> float:
@@ -61,6 +75,27 @@ def bruteforce_supcon_anchor_terms(Z: np.ndarray, labels: np.ndarray, tau: float
             inner += math.log(math.exp(float(np.dot(Z[i], Z[p])) / tau) / den)
         out[i] = -inner / len(positives)
     return out
+
+
+def supcon_loss(
+    batch: MultiviewedBatch, attribute: int, temperature: float
+) -> tuple[float, np.ndarray]:
+    """Label-aware contrastive objective: positives are all views sharing the
+    anchor's label for the given attribute. Library machinery, test-only."""
+    s, lse, q = _scaled_similarities(batch.views, temperature)
+    terms, R = _anchor_stats(s, lse, q, _positives_for_attribute(batch, attribute))
+    return float(terms.sum()), _grad_from_coeffs(batch.views, R, temperature)
+
+
+def multi_attribute_supcon(
+    batch: MultiviewedBatch, attributes: list[int], temperature: float
+) -> tuple[float, np.ndarray]:
+    """Mean of the per-attribute label-aware losses over usable attributes.
+    Library machinery, test-only."""
+    terms, R_list, _ = multi_attribute_anchor_stats(batch, attributes, temperature)
+    weights = np.ones(batch.num_views)
+    grad = weighted_grad_from_stats(batch.views, R_list, weights, temperature)
+    return float(terms.sum()), grad
 
 
 def sorted_topk_mean(values: np.ndarray, k: int) -> float:
@@ -224,3 +259,29 @@ def gd_probe(features, labels, l2: float = 1e-4, seed: int = 0, max_iter: int = 
             raise AssertionError("reference line search stalled")
     gnorm = float(np.sqrt(np.sum(gW * gW) + np.sum(gb * gb)))
     return ProbeModel(W, b, final_loss=loss, grad_norm=gnorm, iterations=iterations)
+
+
+def layered_adamw(params, grads, moments: dict, t: int, lr: float, weight_decay: float = 0.0,
+                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Reference AdamW step number ``t`` (from 1): a loop over layers and
+    tensors with a fresh temporary per operation, as the optimizer was
+    before the flat layout. ``moments`` maps layer names to per-tensor
+    (m_w, m_b, v_w, v_b) buffers, created on first use. Frozen layers are
+    skipped."""
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
+    for name, layer in params.named_layers():
+        if layer.frozen:
+            continue
+        zeros = tuple(np.zeros_like(x) for x in (layer.weight, layer.bias, layer.weight, layer.bias))
+        mw, mb, vw, vb = moments.setdefault(name, zeros)
+        dw, db = grads[name]
+        for param, grad, m, v in ((layer.weight, dw, mw, vw), (layer.bias, db, mb, vb)):
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            update = (m / bias1) / (np.sqrt(v / bias2) + eps)
+            param -= lr * update
+            if weight_decay and param is layer.weight:
+                param -= lr * weight_decay * param

@@ -19,8 +19,6 @@ from fairssl.losses import (
     MultiviewedBatch,
     contrastive_loss,
     multi_attribute_anchor_stats,
-    multi_attribute_supcon,
-    supcon_loss,
     topk_average,
     validation_topk_loss,
     weighted_grad_from_stats,
@@ -57,7 +55,9 @@ from oracles import (
     exhaustive_knn,
     fd_gradient,
     fd_param_gradients,
+    multi_attribute_supcon,
     sorted_topk_mean,
+    supcon_loss,
 )
 
 

@@ -108,6 +108,22 @@ class TestCliExitCodes:
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
 
+    def test_head_class_mismatch_exits_2(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        three = ["--set", "model.num_classes=3"]  # the pseudo-labels are binary
+        for stage in ("curate", "pseudolabel", "pretrain"):
+            assert main([stage, "--config", str(cfg_path), *three]) == 0
+        capsys.readouterr()
+        assert main(["train-meta", "--config", str(cfg_path), *three]) == 2
+        err = capsys.readouterr().err
+        assert "model.num_classes is 3" in err and "have 2 classes" in err
+        assert "Traceback" not in err
+        marker = json.loads((out / "run_manifest_train_meta.json").read_text())
+        assert marker["status"] == "failed"
+        assert "model.num_classes" in marker["error"]
+
     def test_corrupt_data_exits_3_and_flags_failure(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir
         import struct

@@ -299,12 +299,18 @@ class TestDedupMatchesPerRowScan:
         assert self.check(pool, 0.9) == list(range(n))
 
 
+def topm_blocks_of(rows, candidates):
+    """Patch the top-m byte budget so that each block holds ``rows`` queries."""
+    return mock.patch.object(curation, "_TOPM_BLOCK_BYTES", rows * 8 * candidates.shape[0])
+
+
 class TestTopmMatchesFullSort:
     def test_exhaustive_knn_on_ties(self, rng):
         candidates = sign_rows(rng.integers(0, 2**SIGN_D, size=300) & 0x0F0F)
-        queries = sign_rows(rng.integers(0, 2**SIGN_D, size=2 * curation._TOPM_BLOCK + 9))
+        queries = sign_rows(rng.integers(0, 2**SIGN_D, size=2 * 64 + 9))
         m = 7
-        local = _exact_topm(queries, candidates, m)
+        with topm_blocks_of(64, candidates):
+            local = _exact_topm(queries, candidates, m)
         assert [row.tolist() for row in local] == exhaustive_knn(queries, candidates, m)
         # m cuts through a group of equal scores for some queries
         ranked = -np.sort(-(queries @ candidates.T), axis=1)
@@ -316,7 +322,7 @@ class TestTopmMatchesFullSort:
         queries = np.round(rng.standard_normal((150, 8)) * 2) / 2
         expected = stable_topm(queries, candidates, m)
         assert np.array_equal(_exact_topm(queries, candidates, m), expected)
-        with mock.patch.object(curation, "_TOPM_BLOCK", 5):
+        with topm_blocks_of(5, candidates):
             assert np.array_equal(_exact_topm(queries, candidates, m), expected)
 
     def test_every_candidate(self, rng):
@@ -370,7 +376,7 @@ def test_topm_ties_to_lower_index_property(bases, cand_picks, query_picks, m_fra
     candidates = sign_rows(codes_from(bases, cand_picks))
     queries = sign_rows(codes_from(bases, query_picks))
     m = 1 + int(m_frac * (candidates.shape[0] - 1))
-    with mock.patch.object(curation, "_TOPM_BLOCK", block):
+    with topm_blocks_of(block, candidates):
         local = _exact_topm(queries, candidates, m)
     assert np.array_equal(local, stable_topm(queries, candidates, m))
     sims = queries @ candidates.T
@@ -400,6 +406,16 @@ def traced_peak(fn):
 def test_dedup_memory_bounded(rng, make_unit_rows):
     pool = EmbeddingMatrix(make_unit_rows(rng, 20000, 64).astype(np.float32), normalized=True)
     assert traced_peak(lambda: deduplicate(pool, 0.95)) < MEMORY_LIMIT
+
+
+def test_knn_retrieve_scratch_independent_of_query_count(rng, make_unit_rows):
+    # beyond the float64 candidate matrix (15.4 MB here) only a few
+    # 4 MiB top-m blocks may be alive at once, however many queries there are
+    pool = EmbeddingMatrix(make_unit_rows(rng, 30000, 64).astype(np.float32), normalized=True)
+    curated = EmbeddingMatrix(make_unit_rows(rng, 400, 64).astype(np.float32), normalized=True)
+    candidate_bytes = pool.n * pool.d * 8
+    peak = traced_peak(lambda: knn_retrieve(curated, pool, np.arange(pool.n), 4))
+    assert peak < candidate_bytes + 16 * 2**20
 
 
 def test_knn_retrieve_memory_bounded(rng, make_unit_rows):

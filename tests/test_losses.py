@@ -7,8 +7,6 @@ from fairssl.losses import (
     MultiviewedBatch,
     contrastive_loss,
     multi_attribute_anchor_stats,
-    multi_attribute_supcon,
-    supcon_loss,
     topk_average,
     validation_topk_loss,
 )
@@ -20,7 +18,9 @@ from oracles import (
     bruteforce_supcon,
     fd_gradient,
     fd_param_gradients,
+    multi_attribute_supcon,
     sorted_topk_mean,
+    supcon_loss,
 )
 
 

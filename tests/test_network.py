@@ -159,6 +159,77 @@ class TestBackward:
             assert_grad_close(bundle[name][1], numeric[name][1], what=f"{name}.bias")
 
 
+    @pytest.mark.parametrize(
+        "frozen",
+        [["encoder.0"], ["encoder.*"], ["encoder.1", "projection.1"], ["projection.*", "head"]],
+    )
+    def test_frozen_layers_exact_zeros_rest_bit_identical(self, rng, frozen):
+        params = small_params(seed=7)
+        x = rng.standard_normal((5, 6))
+        _, z, tape = forward_embed(params, x)
+        upstream = dict(
+            d_projection=rng.standard_normal(z.shape),
+            d_features=rng.standard_normal((5, 5)),
+            d_logits=rng.standard_normal((5, 2)),
+        )
+        full = backward(params, tape, **upstream)
+        set_frozen(params, frozen)
+        part = backward(params, tape, **upstream)
+        for name, layer in params.named_layers():
+            for a, b in zip(part[name], full[name]):
+                if layer.frozen:
+                    assert not a.any(), name
+                else:
+                    assert np.array_equal(a, b), name
+
+
+class TestFlatLayout:
+    def test_layer_views_and_flat_vector_alias(self):
+        params = small_params(seed=2)
+        span = params.layout["projection.1"]
+        params.projection[1].weight[2, 3] = 7.5
+        assert params.flat[span.start + 2 * params.projection[1].in_dim + 3] == 7.5
+        params.flat[span.split + 1] = -4.0
+        assert params.projection[1].bias[1] == -4.0
+        assert params.layout["head"].stop == params.flat.size
+
+    def test_copy_shares_no_memory(self):
+        params = small_params(seed=2)
+        dup = params.copy()
+        assert np.array_equal(dup.flat, params.flat)
+        assert not np.shares_memory(dup.flat, params.flat)
+        for (_, a), (_, b) in zip(params.named_layers(), dup.named_layers()):
+            assert np.shares_memory(b.weight, dup.flat) and np.shares_memory(b.bias, dup.flat)
+            assert not np.shares_memory(a.weight, dup.flat)
+        dup.flat[:] = 0.0
+        assert params.flat.any()
+
+    def test_checkpoint_round_trip_is_float32_rounding(self, tmp_path):
+        params = small_params(seed=5)
+        save_checkpoint(params, tmp_path / "a.fsck")
+        loaded = load_checkpoint(tmp_path / "a.fsck")
+        assert np.array_equal(loaded.flat, params.flat.astype(np.float32).astype(np.float64))
+        assert loaded.layout == params.layout
+
+    def test_gradient_layout_matches_params(self, rng):
+        params = small_params(seed=4)
+        _, z, tape = forward_embed(params, rng.standard_normal((3, 6)))
+        bundle = backward(params, tape, d_projection=rng.standard_normal(z.shape))
+        assert bundle.layout == params.layout
+        per_layer = [np.concatenate([bundle[n][0].ravel(), bundle[n][1]]) for n in params.layer_names()]
+        assert np.array_equal(bundle.flat, np.concatenate(per_layer))
+        from_pairs = GradientBundle({n: (l.weight, l.bias) for n, l in params.named_layers()})
+        assert from_pairs.layout == params.layout
+        assert np.array_equal(from_pairs.flat, params.flat)
+
+    def test_shared_layer_object_rejected(self):
+        d = 3
+        shared = Layer(np.eye(d), np.zeros(d))
+        with pytest.raises(DataError, match="more than once"):
+            ModelParams([Layer(np.eye(d), np.zeros(d))], [shared, Layer(np.eye(d), np.zeros(d)), shared],
+                        Layer(np.eye(d), np.zeros(d)))
+
+
 class TestJvp:
     def test_matches_directional_finite_difference(self, rng):
         params = small_params(seed=2)

@@ -20,6 +20,8 @@ from fairssl.trainer import (
     stratified_batches,
 )
 
+from oracles import layered_adamw
+
 
 def tiny_params(seed=0, d=6):
     return ModelParams.create(d, [8, 5], [6, 6, 4], num_classes=2, seed=seed)
@@ -123,6 +125,32 @@ class TestAdamW:
         opt = AdamW(params, LrSchedule(0.1))
         with pytest.raises(NumericError, match="head"):
             opt.step(params, grads)
+
+    def test_flat_step_matches_layered_oracle_bit_for_bit(self, rng):
+        params = tiny_params(seed=3)
+        set_frozen(params, ["projection.1"])
+        reference = params.copy()
+        schedule = LrSchedule(0.05, warmup_steps=20, total_steps=240)
+        opt = AdamW(params, schedule, weight_decay=0.3)
+        moments: dict = {}
+        for step in range(240):
+            if step == 120:  # a layer frozen mid-run keeps its parameters and moments
+                for p in (params, reference):
+                    set_frozen(p, ["encoder.1"])
+            _, z, tape = forward_embed(params, rng.standard_normal((6, 6)))
+            grads = backward(params, tape, d_projection=z * rng.standard_normal((6, 1)))
+            grads.flat *= 10.0 ** rng.integers(-3, 3)
+            lr = schedule.lr(step)
+            opt.step(params, grads)
+            layered_adamw(reference, grads, moments, step + 1, lr, weight_decay=0.3)
+            assert np.array_equal(params.flat, reference.flat), f"step {step}"
+        assert "projection.1" not in moments
+        for name, (mw, mb, vw, vb) in moments.items():
+            span = params.layout[name]
+            assert np.array_equal(opt.m[span.start : span.stop], np.concatenate([mw.ravel(), mb]))
+            assert np.array_equal(opt.v[span.start : span.stop], np.concatenate([vw.ravel(), vb]))
+        frozen = params.layout["projection.1"]
+        assert not opt.m[frozen.start : frozen.stop].any()
 
     def test_frozen_layer_untouched_even_with_decay(self):
         params = tiny_params()
