@@ -2,8 +2,8 @@
 
 One config drives every pipeline stage; all randomness flows from its
 mandatory global seed. Overrides arrive as ``section.key=value`` strings
-(values parsed as YAML scalars), and the resolved config hashes to a stable
-digest recorded in run manifests.
+(values parsed as YAML scalars), and the resolved config, less its paths,
+hashes to a stable digest recorded in run manifests.
 """
 
 from __future__ import annotations
@@ -93,7 +93,11 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
+        """Digest of every setting but ``paths``: where a run reads and writes
+        does not change it (run manifests hash the inputs themselves)."""
+        settings = self.to_dict()
+        del settings["paths"]
+        canonical = json.dumps(settings, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def require_paths(self, *names: str) -> dict[str, Path]:

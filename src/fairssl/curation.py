@@ -5,6 +5,38 @@ deduplication of the pool, nearest-neighbor retrieval of pool samples that
 resemble the (small, balanced) curated set, and optional quality-score
 filtering. Retrieval mirrors the curated set's distribution onto the pool,
 which is what makes the result usable for training without labels.
+
+Both searches are exact and decide on float64 scores, but score in float32
+first and rescore in float64 only the pairs a float32 score cannot settle.
+The screen margin delta bounds |s32 - s64| for every pair, where s32 is the
+float32 GEMM score of the rows rounded to float32 and s64 the float64 score.
+With d columns, u = 2**-24, v = 2**-53 and gamma(w) = d*w / (1 - d*w), and
+for rows x, y (Higham, *Accuracy and Stability of Numerical Algorithms*,
+section 3.1; any summation order):
+
+- s64 is within gamma(v) * sum|x_i y_i| of the exact dot x.y;
+- rounding float64 rows to float32 moves the dot by at most
+  (2u + u**2) * sum|x_i y_i| (nothing for float32 rows, such as the pool);
+- the float32 GEMM adds at most gamma(u) * (1 + u)**2 * sum|x_i y_i|.
+
+As sum|x_i y_i| <= |x| |y| <= P, the largest row-norm product, these add
+up to (gamma(u) + 4u + gamma(v)) * P to first order, and
+delta = 2 * (gamma(u) + 4u + gamma(v)) * P. The factor 2 covers the
+second-order terms, the float32 rounding of P and the float64 rounding of
+threshold +- delta; float32 underflow adds at most d * 2**-150, which it
+covers too while P >= 2**-126 (unit rows have P ~ 1). For d = 64 and unit
+rows delta is about 8.1e-6.
+
+- Dedup: a row whose best float32 score against a chunk of kept rows is
+  above threshold + delta has a float64 score at or above the threshold
+  (a duplicate); below threshold - delta, it has none (it survives). Rows
+  in between are rescored against that chunk in float64.
+- Top-m: the m-th largest score moves by at most delta, so every float64
+  pick scores at least t - 2*delta in float32, t being the m-th largest
+  float32 score. That shortlist is rescored in float64 and ordered.
+
+So outputs equal a plain float64 scan's, given that BLAS computes a pair's
+float64 dot the same way whatever other rows share the GEMM.
 """
 
 from __future__ import annotations
@@ -19,12 +51,13 @@ from .store import DatasetManifest, EmbeddingMatrix, ManifestRecord
 
 log = logging.getLogger(__name__)
 
-# Rows per dedup block, kept rows per dedup GEMM, and bytes per top-m score
-# block: they bound scratch memory and do not change any output. At about
-# 4 MiB, peak memory does not hinge on whether the allocator reuses blocks.
+# Rows per dedup block, kept rows per dedup GEMM, and bytes per top-m block
+# of float32 scores: they bound scratch memory and do not change any output.
+# 2 MiB holds as many queries as the 4 MiB of float64 scores used before;
+# 4 MiB of float32 scores raised peak memory by 10 MiB on an 8k-row pool.
 _DEDUP_BLOCK = 256
 _DEDUP_CHUNK = 2048
-_TOPM_BLOCK_BYTES = 4 * 2**20
+_TOPM_BLOCK_BYTES = 2 * 2**20
 
 
 @dataclass
@@ -53,55 +86,90 @@ def _require_normalized(m: EmbeddingMatrix, what: str) -> None:
         raise DataError(f"{what} must be row-normalized before curation")
 
 
+def _screen_margin(d: int, norm_product: float) -> float:
+    """The screen margin delta for d columns and largest row-norm product
+    ``norm_product``; the module docstring derives it."""
+
+    def gamma(w: float) -> float:
+        return d * w / (1.0 - d * w)
+
+    return 2.0 * (gamma(2.0**-24) + 4 * 2.0**-24 + gamma(2.0**-53)) * norm_product
+
+
+def _max_norm(x: np.ndarray) -> float:
+    """Largest row norm, summed in the dtype of ``x``."""
+    return float(np.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0)))
+
+
 def deduplicate(pool: EmbeddingMatrix, threshold: float) -> np.ndarray:
     """Greedy first-wins duplicate removal over a normalized pool.
 
     Keeps row i iff its cosine similarity to every lower-indexed kept row
     stays below ``threshold``. Rows are taken ``_DEDUP_BLOCK`` at a time:
-    one GEMM per ``_DEDUP_CHUNK`` kept rows drops the block rows an earlier
-    kept row already covers, and the survivors' Gram matrix settles
-    first-wins inside the block. Deterministic by construction; returns the
-    kept indices sorted ascending.
+    one float32 GEMM per ``_DEDUP_CHUNK`` kept rows drops the block rows an
+    earlier kept row already covers, rescoring in float64 the rows whose
+    best float32 score lies within the screen margin of ``threshold``; the
+    survivors' float64 Gram matrix settles first-wins inside the block.
+    Deterministic by construction; returns the kept indices sorted
+    ascending.
     """
     _require_normalized(pool, "dedup pool")
-    kept_rows = np.empty((pool.n, pool.d), dtype=np.float64)  # filled prefix only
+    delta = _screen_margin(pool.d, _max_norm(pool.data) ** 2)
+    kept_rows = np.empty((pool.n, pool.d), dtype=np.float32)  # filled prefix only
     kept: list[np.ndarray] = []
     n_kept = 0
     for start in range(0, pool.n, _DEDUP_BLOCK):
-        block = pool.data[start : start + _DEDUP_BLOCK].astype(np.float64)
+        block = pool.data[start : start + _DEDUP_BLOCK]
+        block64 = block.astype(np.float64)
         alive = np.arange(block.shape[0])
         for c0 in range(0, n_kept, _DEDUP_CHUNK):
-            sims = block[alive] @ kept_rows[c0 : min(c0 + _DEDUP_CHUNK, n_kept)].T
-            alive = alive[~(sims.max(axis=1) >= threshold)]
-        rows = block[alive]
+            chunk = kept_rows[c0 : min(c0 + _DEDUP_CHUNK, n_kept)]
+            best = (chunk @ block[alive].T).max(axis=0).astype(np.float64)
+            unsure = np.abs(best - threshold) <= delta
+            if unsure.any():
+                exact = block64[alive[unsure]] @ chunk.astype(np.float64).T
+                best[unsure] = exact.max(axis=1)
+            alive = alive[~(best >= threshold)]
+        rows = block64[alive]
         clash = np.triu(rows @ rows.T >= threshold, k=1)
         keep = np.ones(alive.size, dtype=bool)
         for j in np.flatnonzero(clash.any(axis=1)):
             if keep[j]:
                 keep[clash[j]] = False
-        rows = rows[keep]
-        kept_rows[n_kept : n_kept + rows.shape[0]] = rows
-        n_kept += rows.shape[0]
-        kept.append(start + alive[keep])
+        alive = alive[keep]
+        kept_rows[n_kept : n_kept + alive.size] = block[alive]
+        n_kept += alive.size
+        kept.append(start + alive)
     return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
 
 
 def _exact_topm(queries: np.ndarray, candidates: np.ndarray, m: int) -> np.ndarray:
     """Indices (into ``candidates``) of the m highest-dot rows per query.
 
-    Works on blocks of queries whose scores fill ``_TOPM_BLOCK_BYTES``. A
-    partition finds each query's m-th largest score; the candidates at or
-    above it are ordered by score descending, then index ascending, so ties
-    resolve to the lower index.
+    Works on blocks of queries whose float32 scores fill
+    ``_TOPM_BLOCK_BYTES``. A partition finds each query's m-th largest
+    float32 score ``t``; every candidate scoring at least ``t - 2*delta``
+    is rescored in float64 and the shortlist is ordered by score
+    descending, then index ascending, so ties resolve to the lower index.
     """
     n_q, n_c = queries.shape[0], candidates.shape[0]
+    q32 = np.asarray(queries, dtype=np.float32)
+    c32 = np.asarray(candidates, dtype=np.float32)
+    q64 = np.asarray(queries, dtype=np.float64)
+    delta = _screen_margin(queries.shape[1], _max_norm(q32) * _max_norm(c32))
     out = np.empty((n_q, m), dtype=np.int64)
-    block = max(1, _TOPM_BLOCK_BYTES // (8 * n_c))
+    block = max(1, _TOPM_BLOCK_BYTES // (4 * n_c))
     for q0 in range(0, n_q, block):
-        sims = queries[q0 : q0 + block] @ candidates.T
+        sims = q32[q0 : q0 + block] @ c32.T
         mth = np.partition(sims, n_c - m, axis=1)[:, n_c - m]
-        rows, cols = np.nonzero(sims >= mth[:, None])
-        order = np.lexsort((cols, -sims[rows, cols], rows))
+        # t - 2*delta, rounded down to float32 so the shortlist can only grow
+        floor = (mth.astype(np.float64) - 2.0 * delta).astype(np.float32)
+        floor = np.nextafter(floor, np.float32(-np.inf))
+        # flat indices: a 2-D nonzero is several times slower here
+        rows, cols = np.divmod(np.flatnonzero(sims >= floor[:, None]), n_c)
+        shortlist, at = np.unique(cols, return_inverse=True)
+        exact = q64[q0 : q0 + block] @ np.asarray(candidates[shortlist], dtype=np.float64).T
+        order = np.lexsort((cols, -exact[rows, at], rows))
         first = np.searchsorted(rows, np.arange(sims.shape[0]))
         out[q0 : q0 + sims.shape[0]] = cols[order[first[:, None] + np.arange(m)]]
     return out
@@ -127,9 +195,7 @@ def knn_retrieve(
         raise ConfigError(f"m must be >= 1, got {m}")
     if m > kept.size:
         raise ConfigError(f"m={m} exceeds the {kept.size} kept pool rows")
-    queries = curated.data.astype(np.float64)
-    candidates = pool.data[kept].astype(np.float64)
-    return np.unique(kept[_exact_topm(queries, candidates, m)])
+    return np.unique(kept[_exact_topm(curated.data, pool.data[kept], m)])
 
 
 def build_augmented_curated(

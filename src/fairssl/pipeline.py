@@ -27,9 +27,15 @@ from .curation import curate
 from .errors import ConfigError, DataError
 from .evaluation import build_report, train_probe
 from .network import ModelParams, forward_features, load_checkpoint, save_checkpoint
-from .pseudolabel import PseudoLabelTable, TemplateBank, build_pseudolabel_table, select_validation_subset
+from .pseudolabel import (
+    PseudoLabelTable,
+    TemplateBank,
+    build_pseudolabel_table,
+    names_path,
+    select_validation_subset,
+)
 from .seeding import substream
-from .store import DatasetManifest, load_embeddings, normalize_rows, save_embeddings
+from .store import DatasetManifest, load_embeddings, normalize_rows, read_jsonl, save_embeddings
 from .trainer import meta_stage, pretrain_stage
 
 log = logging.getLogger(__name__)
@@ -174,8 +180,9 @@ def run_pseudolabel(cfg: PipelineConfig) -> dict[str, Path]:
         images = normalize_rows(images)
     bank = TemplateBank.load(inputs["template_bank"])
     table = build_pseudolabel_table(images, bank, cfg.pseudolabel.scale)
-    artifacts = {"pseudolabels": _artifact(cfg, "pseudolabels")}
-    table.save(artifacts["pseudolabels"])
+    table_path = _artifact(cfg, "pseudolabels")
+    artifacts = {"pseudolabels": table_path, "pseudolabel_names": names_path(table_path)}
+    table.save(table_path)
     write_run_manifest(cfg, "pseudolabel", inputs, artifacts)
     return artifacts
 
@@ -222,6 +229,7 @@ def run_pretrain(cfg: PipelineConfig) -> dict[str, Path]:
     inputs = {
         "augmented_embeddings": _artifact(cfg, "augmented_embeddings"),
         "pseudolabels": _artifact(cfg, "pseudolabels"),
+        "pseudolabel_names": names_path(_artifact(cfg, "pseudolabels")),
     }
     write_run_manifest(cfg, "pretrain", inputs, artifacts)
     return artifacts
@@ -262,23 +270,11 @@ def run_train_meta(cfg: PipelineConfig) -> dict[str, Path]:
     inputs = {
         "augmented_embeddings": _artifact(cfg, "augmented_embeddings"),
         "pseudolabels": _artifact(cfg, "pseudolabels"),
+        "pseudolabel_names": names_path(_artifact(cfg, "pseudolabels")),
         "pretrain_checkpoint": checkpoint,
     }
     write_run_manifest(cfg, "train-meta", inputs, artifacts)
     return artifacts
-
-
-def _load_eval_labels(path: Path) -> dict[str, int]:
-    labels = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            labels[str(obj["id"])] = int(obj["label"])
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: bad label record: {exc}") from exc
-    return labels
 
 
 def run_probe(cfg: PipelineConfig, checkpoint_name: str = "final_checkpoint") -> dict[str, Path]:
@@ -289,7 +285,7 @@ def run_probe(cfg: PipelineConfig, checkpoint_name: str = "final_checkpoint") ->
     embeddings = load_embeddings(inputs["eval_embeddings"])
     manifest = DatasetManifest.load(inputs["eval_manifest"])
     manifest.validate_rows(embeddings.n)
-    label_by_id = _load_eval_labels(inputs["eval_labels"])
+    label_by_id = dict(read_jsonl(inputs["eval_labels"], {"id": str, "label": int}))
 
     ids, rows, labels, groups = [], [], [], []
     for rec in manifest.records:
@@ -343,14 +339,7 @@ def run_evaluate(cfg: PipelineConfig, predictions_path: Path | None = None) -> d
     group_by_id = {rec.sample_id: rec.group_label for rec in manifest.records}
 
     preds, labels, groups = [], [], []
-    for lineno, line in enumerate(predictions_path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            sid, p, lab = str(obj["id"]), int(obj["pred"]), int(obj["label"])
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"{predictions_path}:{lineno}: bad prediction record: {exc}") from exc
+    for sid, p, lab in read_jsonl(predictions_path, {"id": str, "pred": int, "label": int}):
         if sid not in group_by_id:
             raise DataError(f"prediction names unknown sample id {sid!r}")
         if group_by_id[sid] is None:

@@ -11,6 +11,10 @@ stages.
 Table file layout (little-endian)::
 
     magic "FSPL" | u32 version=1 | u64 n | u32 a | n*a * (u8 label, f32 confidence)
+
+The attribute names live in a JSON sidecar next to the table (see
+:func:`names_path`), a list of strings in column order. A table is not
+complete without it.
 """
 
 from __future__ import annotations
@@ -98,6 +102,11 @@ class TemplateBank:
         return cls(attributes)
 
 
+def names_path(path: str | Path) -> Path:
+    """The attribute-name sidecar of the pseudo-label table at ``path``."""
+    return Path(str(path) + ".attrs.json")
+
+
 @dataclass
 class PseudoLabelTable:
     """n x a binary labels with confidences in [0.5, 1]."""
@@ -138,14 +147,15 @@ class PseudoLabelTable:
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(entries.tobytes())
-        Path(str(path) + ".attrs.json").write_text(
-            json.dumps(self.attribute_names, sort_keys=True)
-        )
+        names_path(path).write_text(json.dumps(self.attribute_names, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "PseudoLabelTable":
         path = Path(path)
-        raw = path.read_bytes()
+        try:
+            raw = path.read_bytes()
+        except OSError as exc:
+            raise DataError(f"cannot read pseudo-label table {path}: {exc}") from exc
         if len(raw) < _HEADER.size:
             raise FormatError(f"{path}: file shorter than header")
         magic, version, n, a = _HEADER.unpack_from(raw)
@@ -157,11 +167,17 @@ class PseudoLabelTable:
         if len(raw) != expected:
             raise FileSizeError(f"{path}: expected {expected} bytes, found {len(raw)}")
         entries = np.frombuffer(raw, dtype=_ENTRY_DTYPE, offset=_HEADER.size).reshape(n, a)
-        attrs_path = Path(str(path) + ".attrs.json")
-        if attrs_path.exists():
-            names = list(json.loads(attrs_path.read_text()))
-        else:
-            names = [f"attr{i}" for i in range(a)]
+        sidecar = names_path(path)
+        try:
+            names = json.loads(sidecar.read_bytes())
+        except FileNotFoundError as exc:
+            raise FormatError(f"{path}: attribute-name sidecar {sidecar} is missing") from exc
+        except OSError as exc:
+            raise DataError(f"cannot read {sidecar}: {exc}") from exc
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise FormatError(f"{sidecar}: invalid JSON: {exc}") from exc
+        if type(names) is not list or not all(type(name) is str for name in names):
+            raise FormatError(f"{sidecar}: expected a JSON list of attribute names")
         return cls(entries["label"].copy(), entries["conf"].copy(), names)
 
 

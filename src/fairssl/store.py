@@ -11,11 +11,13 @@ Binary layout (little-endian)::
 
 Flag bit 0 marks a row-normalized matrix. Manifest records are one JSON
 object per line with keys ``id``, ``row``, ``source`` and optional
-``quality`` and ``group``.
+``quality`` and ``group``; :func:`read_jsonl` reads them and every other
+JSON-lines file of the pipeline.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass, replace
@@ -191,33 +193,81 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
-        path = Path(path)
-        records = []
+        rows = read_jsonl(path, _MANIFEST_FIELDS, optional=("quality", "group"))
+        return cls([ManifestRecord(*row) for row in rows])
+
+
+_MANIFEST_FIELDS = {"id": str, "row": int, "source": str, "quality": float, "group": int}
+# JSON types a field of each declared type accepts; bool is not an int here
+_JSON_TYPES = {str: (str,), int: (int,), float: (float, int)}
+_decode_json = json.JSONDecoder().raw_decode
+
+
+def read_jsonl(
+    path: str | Path, fields: dict[str, type], optional: tuple[str, ...] = ()
+) -> list[tuple]:
+    """Read a JSON-lines file into one tuple of field values per non-blank line.
+
+    ``fields`` maps each key, in tuple order, to ``str``, ``int`` or
+    ``float`` (a float field also takes an integer and returns it as a
+    float). Keys named in ``optional`` may be absent or null and read as
+    None; other keys are ignored. Undecodable bytes, invalid JSON, a line
+    that is not an object, and a missing, null or wrong-typed field raise
+    FormatError naming ``path:line``.
+    """
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
+    keys = tuple(fields)
+    # every accepted tuple of value types, mapped to the positions that
+    # hold an integer in a float field
+    choices = [
+        _JSON_TYPES[kind] + ((type(None),) if key in optional else ())
+        for key, kind in fields.items()
+    ]
+    accepted = {
+        types: tuple(
+            i for i, t in enumerate(types) if t is int and fields[keys[i]] is float
+        )
+        for types in itertools.product(*choices)
+    }
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip(" \t\r")  # JSON whitespace
+        if not line:
+            continue
         try:
-            text = path.read_text()
-        except OSError as exc:
-            raise DataError(f"cannot read manifest {path}: {exc}") from exc
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                records.append(
-                    ManifestRecord(
-                        sample_id=str(obj["id"]),
-                        row_index=int(obj["row"]),
-                        source=str(obj["source"]),
-                        quality_score=(
-                            float(obj["quality"]) if obj.get("quality") is not None else None
-                        ),
-                        group_label=(
-                            int(obj["group"]) if obj.get("group") is not None else None
-                        ),
-                    )
-                )
-            except KeyError as exc:
-                raise FormatError(f"{path}:{lineno}: missing key {exc}") from exc
-        return cls(records)
+            obj, end = _decode_json(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if end != len(line):
+            raise FormatError(f"{path}:{lineno}: invalid JSON: extra data at column {end + 1}")
+        if type(obj) is not dict:
+            raise FormatError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+        values = tuple(map(obj.get, keys))
+        widen = accepted.get(tuple(map(type, values)))
+        if widen is None:
+            raise FormatError(f"{path}:{lineno}: {_field_problem(obj, fields, optional)}")
+        if widen:
+            values = tuple(float(v) if i in widen else v for i, v in enumerate(values))
+        rows.append(values)
+    return rows
+
+
+def _field_problem(obj: dict, fields: dict[str, type], optional: tuple[str, ...]) -> str:
+    """Describe the first field of ``obj`` that :func:`read_jsonl` rejects."""
+    for key, kind in fields.items():
+        value = obj.get(key)
+        if value is None:
+            if key not in optional:
+                return f"{key!r} is null" if key in obj else f"missing key {key!r}"
+        elif type(value) not in _JSON_TYPES[kind]:
+            return f"{key!r} must be {kind.__name__}, got {type(value).__name__} {value!r}"
+    raise AssertionError(f"no rejected field in {obj!r}")

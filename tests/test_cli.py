@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -66,6 +67,22 @@ class TestConfig:
         c = config_from_dict({"seed": 2})
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    def test_hash_ignores_where_the_run_lives(self, tmp_path):
+        def cfg(root, seed=1):
+            return config_from_dict({
+                "seed": seed,
+                "paths": {
+                    "curated_embeddings": str(root / "world" / "curated.fssl"),
+                    "template_bank": str(root / "bank.json"),
+                    "out_dir": str(root / "runs" / "out"),
+                },
+            })
+
+        a, b = cfg(tmp_path / "here"), cfg(tmp_path / "elsewhere" / "deeper")
+        assert a.paths != b.paths
+        assert a.config_hash() == b.config_hash()
+        assert cfg(tmp_path / "here", seed=2).config_hash() != a.config_hash()
 
     def test_relative_paths_resolved_against_config(self, tmp_path):
         (tmp_path / "data").mkdir()
@@ -223,3 +240,18 @@ class TestStages:
         assert set(manifest["inputs"]) >= {"curated_embeddings", "template_bank"}
         for name, digest in manifest["artifacts"].items():
             assert len(digest) == 64
+        names = out / "pseudolabels.fspl.attrs.json"
+        assert manifest["artifacts"]["pseudolabel_names"] == hashlib.sha256(names.read_bytes()).hexdigest()
+        stage = json.loads((out / "run_manifest_pseudolabel.json").read_text())
+        assert stage["artifacts"]["pseudolabel_names"] == manifest["artifacts"]["pseudolabel_names"]
+
+    def test_malformed_predictions_exit_3_with_line(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "probe_predictions.jsonl").write_text('{"id": "eval-000000", "pred": 1, "label": 0}\n[1, 2]\n')
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        assert main(["evaluate", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "probe_predictions.jsonl:2: expected a JSON object" in err
+        assert "Traceback" not in err

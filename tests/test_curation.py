@@ -300,8 +300,9 @@ class TestDedupMatchesPerRowScan:
 
 
 def topm_blocks_of(rows, candidates):
-    """Patch the top-m byte budget so that each block holds ``rows`` queries."""
-    return mock.patch.object(curation, "_TOPM_BLOCK_BYTES", rows * 8 * candidates.shape[0])
+    """Patch the top-m byte budget so that each block holds ``rows`` queries
+    (float32 scores)."""
+    return mock.patch.object(curation, "_TOPM_BLOCK_BYTES", rows * 4 * candidates.shape[0])
 
 
 class TestTopmMatchesFullSort:
@@ -329,6 +330,68 @@ class TestTopmMatchesFullSort:
         candidates = np.round(rng.standard_normal((30, 4)))
         queries = np.round(rng.standard_normal((3, 4)))
         assert np.array_equal(_exact_topm(queries, candidates, 30), stable_topm(queries, candidates, 30))
+
+
+class TestFloat32Screen:
+    """Scores near a decision are settled in float64, as a plain float64
+    scan settles them."""
+
+    @pytest.mark.parametrize("d", [12, 32, 64])
+    @pytest.mark.parametrize("threshold", [0.95, 1.0])
+    def test_dedup_pairs_around_threshold(self, rng, make_unit_rows, d, threshold):
+        delta = curation._screen_margin(d, 1.0)
+        offsets = [s * k * delta for k in (0.25, 1.0, 3.0) for s in (-1, 1)]
+        offsets = [o for o in offsets if threshold + o < 1.0]
+        rows = []
+        for b in make_unit_rows(rng, 40, d):
+            for o in offsets:
+                u = rng.standard_normal(d)
+                u -= (u @ b) * b
+                u /= np.linalg.norm(u)
+                c = threshold + o
+                rows += [b, c * b + np.sqrt(1 - c * c) * u]
+            rows += [b, b]  # a float32 unit row's float64 self-dot rounds to either side of 1
+        pool = as_pool(rows)
+        x = pool.data.astype(np.float64)
+        placed = np.einsum("ij,ij->i", x[0::2], x[1::2]) - threshold
+        assert np.any(np.abs(placed) < delta) and np.any(np.abs(placed) > 2 * delta)
+        expected = greedy_dedup(pool.data, threshold)
+        assert np.array_equal(deduplicate(pool, threshold), expected)
+        with mock.patch.multiple(curation, _DEDUP_BLOCK=3, _DEDUP_CHUNK=64):
+            # nearly every pair now meets in a cross-block GEMM
+            assert np.array_equal(deduplicate(pool, threshold), expected)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_topm_cut_between_scores_closer_than_margin(self, rng, make_unit_rows, m):
+        # per query: m - 1 clear leaders, then two rows placed at the same
+        # cosine, so that rounding alone separates their scores; the better
+        # one in float64 goes to the higher index
+        d, n_q = 64, 120
+        queries = make_unit_rows(rng, n_q, d).astype(np.float32)
+        q64 = queries.astype(np.float64)
+        candidates = [make_unit_rows(rng, 300, d).astype(np.float32)]
+        for q in q64:
+            near = []
+            for c in [0.99 - 0.01 * k for k in range(m - 1)] + [0.9, 0.9]:
+                u = rng.standard_normal(d)
+                u -= (u @ q) * q
+                near.append(c * q + np.sqrt(1 - c * c) * u / np.linalg.norm(u))
+            near = np.asarray(near, dtype=np.float32)
+            if near[-2].astype(np.float64) @ q > near[-1].astype(np.float64) @ q:
+                near[-2:] = near[-2:][::-1].copy()
+            candidates.append(near)
+        candidates = np.vstack(candidates)
+        c64 = candidates.astype(np.float64)
+        expected = stable_topm(q64, c64, m)
+        exact = -np.sort(-(q64 @ c64.T), axis=1)
+        assert np.all(exact[:, m - 1] - exact[:, m] < curation._screen_margin(d, 1.0))
+        # float32 alone ranks some of the pairs the wrong way round
+        sims32 = queries @ candidates.T
+        lo = 300 + (m + 1) * np.arange(n_q) + m - 1
+        assert np.any(sims32[np.arange(n_q), lo] > sims32[np.arange(n_q), lo + 1])
+        assert np.array_equal(_exact_topm(queries, candidates, m), expected)
+        with topm_blocks_of(7, candidates):
+            assert np.array_equal(_exact_topm(queries, candidates, m), expected)
 
 
 # rows drawn from a few base codes with up to two flipped signs: many pairs

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fairssl.errors import DataError, SelectionError
+from fairssl.errors import DataError, FormatError, SelectionError
 from fairssl.pseudolabel import (
     AttributeTemplates,
     PseudoLabelTable,
@@ -11,6 +11,7 @@ from fairssl.pseudolabel import (
     attribute_probabilities,
     build_pseudolabel_table,
     label_attribute,
+    names_path,
     select_validation_subset,
     zero_shot_label,
 )
@@ -191,6 +192,21 @@ class TestTableIO:
         assert np.array_equal(back.labels, labels)
         assert back.confidences.tobytes() == confs.tobytes()
         assert back.attribute_names == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("sidecar", [None, b"[not json", b"\xff", b'{"a": 1}', b'["a", 2]', b'"ab"'])
+    def test_sidecar_missing_or_malformed(self, tmp_path, sidecar):
+        table = PseudoLabelTable(
+            np.zeros((2, 2), dtype=np.uint8), np.full((2, 2), 0.75, dtype=np.float32), ["a", "b"]
+        )
+        path = tmp_path / "t.fspl"
+        table.save(path)
+        names = names_path(path)
+        if sidecar is None:
+            names.unlink()
+        else:
+            names.write_bytes(sidecar)
+        with pytest.raises(FormatError, match="attrs.json"):
+            PseudoLabelTable.load(path)
 
     def test_truncation(self, tmp_path, rng):
         table = PseudoLabelTable(

@@ -8,6 +8,7 @@ from fairssl.store import (
     ManifestRecord,
     load_embeddings,
     normalize_rows,
+    read_jsonl,
     save_embeddings,
 )
 
@@ -144,3 +145,49 @@ def test_strip_group_labels():
     assert manifest.has_group_labels()
     assert not stripped.has_group_labels()
     assert stripped.records[0].sample_id == "a"
+
+
+GOOD_LINE = b'{"id": "a", "row": 0, "source": "curated"}'
+
+
+@pytest.mark.parametrize(
+    "bad, problem",
+    [
+        (b'{"id": "b", "row": "x", "source": "curated"}', "'row' must be int"),
+        (b"[1, 2]", "expected a JSON object"),
+        (b'{"id": "b", "row": null, "source": "curated"}', "'row' is null"),
+        (b'{"id": "b", "row": 1, "source": "curated", "note": "\xff"}', "not UTF-8"),
+        (b'{"id": "b", "row": 1', "invalid JSON"),
+        (b'{"id": "b", "row": 1, "source": "curated"} {}', "extra data"),
+        (b'{"id": "b", "source": "curated"}', "missing key 'row'"),
+        (b'{"id": "b", "row": true, "source": "curated"}', "'row' must be int"),
+        (b'{"id": 7, "row": 1, "source": "curated"}', "'id' must be str"),
+        (b'{"id": "b", "row": 1, "source": "curated", "quality": "high"}', "'quality' must be float"),
+        (b'{"id": "b", "row": 1, "source": "curated", "group": 1.5}', "'group' must be int"),
+    ],
+)
+def test_malformed_manifest_line_names_path_and_line(tmp_path, bad, problem):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(GOOD_LINE + b"\n\n" + bad + b"\n")
+    with pytest.raises(FormatError, match=rf"m\.jsonl:3: .*{problem}"):
+        DatasetManifest.load(path)
+
+
+def test_read_jsonl_optional_and_widened_fields(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text(
+        '  {"id": "a", "row": 0, "source": "curated", "quality": 1, "extra": [1]}\r\n'
+        "\n"
+        '{"id": "b", "row": 1, "source": "retrieved", "quality": null, "group": 2}\n'
+    )
+    rows = read_jsonl(path, {"id": str, "quality": float, "group": int}, optional=("quality", "group"))
+    assert rows == [("a", 1.0, None), ("b", None, 2)]
+    assert type(rows[0][1]) is float
+    records = DatasetManifest.load(path).records
+    assert records[0] == ManifestRecord("a", 0, "curated", quality_score=1.0)
+    assert records[1] == ManifestRecord("b", 1, "retrieved", group_label=2)
+
+
+def test_read_jsonl_missing_file_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="absent.jsonl"):
+        read_jsonl(tmp_path / "absent.jsonl", {"id": str})
