@@ -12,7 +12,7 @@ augmented dataset. The point to watch: the retrieved set mirrors the
 import numpy as np
 
 from fairssl.curation import CurationConfig, curate
-from fairssl.store import DatasetManifest, EmbeddingMatrix, ManifestRecord, normalize_rows
+from fairssl.store import SOURCES, DatasetManifest, EmbeddingMatrix, normalize_rows
 
 rng = np.random.default_rng(0)
 
@@ -29,17 +29,17 @@ dup_idx = rng.choice(n_pool, 250, replace=False)
 pool_raw[dup_idx] = pool_raw[rng.choice(n_pool, 250)]
 
 pool = normalize_rows(EmbeddingMatrix(pool_raw.astype(np.float32)))
-pool_manifest = DatasetManifest(
-    [ManifestRecord(f"pool-{i}", i, "uncurated", quality_score=float(rng.uniform(0.3, 1.0)))
-     for i in range(n_pool)]
+pool_manifest = DatasetManifest.from_columns(
+    [f"pool-{i}" for i in range(n_pool)], np.arange(n_pool), "uncurated",
+    quality=rng.uniform(0.3, 1.0, size=n_pool),
 )
 
 # The curated reference set is small and balanced across the clusters.
 cur_groups = np.repeat([0, 1], 40)
 curated_raw = centers[cur_groups] + rng.normal(0, 0.5, (80, dim))
 curated = normalize_rows(EmbeddingMatrix(curated_raw.astype(np.float32)))
-curated_manifest = DatasetManifest(
-    [ManifestRecord(f"cur-{i}", i, "curated") for i in range(80)]
+curated_manifest = DatasetManifest.from_columns(
+    [f"cur-{i}" for i in range(80)], np.arange(80), "curated"
 )
 
 config = CurationConfig(dedup_threshold=0.995, retrieval_m=4, quality_threshold=0.4)
@@ -53,5 +53,5 @@ props = np.bincount(pool_groups[result.retrieved], minlength=2) / result.retriev
 print(f"\npool cluster mix:      {1 - pool_groups.mean():.2f} / {pool_groups.mean():.2f}")
 print(f"retrieved cluster mix: {props[0]:.2f} / {props[1]:.2f}  (mirrors the reference set)")
 print(f"\naugmented dataset: {combined.n} rows x {combined.d} dims")
-print("sources:", {s: sum(r.source == s for r in result.augmented_manifest.records)
+print("sources:", {s: int(np.sum(result.augmented_manifest.sources == SOURCES.index(s)))
                    for s in ("curated", "retrieved")})

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .store import (  # noqa: F401
     DatasetManifest,
     EmbeddingMatrix,
-    ManifestRecord,
     load_embeddings,
     normalize_rows,
     save_embeddings,

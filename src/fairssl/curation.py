@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .store import DatasetManifest, EmbeddingMatrix, ManifestRecord
+from .store import SOURCES, DatasetManifest, EmbeddingMatrix
 
 log = logging.getLogger(__name__)
 
@@ -212,71 +212,53 @@ def build_augmented_curated(
     to address the combined matrix the caller assembles in the same order.
     """
     retrieved = np.asarray(retrieved, dtype=np.int64)
-    kept_set = set(np.asarray(kept_uncurated, dtype=np.int64).tolist())
-    strays = [int(i) for i in retrieved if int(i) not in kept_set]
-    if strays:
-        raise DataError(f"retrieved rows not in the deduplicated pool: {strays[:5]}")
+    kept_uncurated = np.asarray(kept_uncurated, dtype=np.int64)
+    strays = retrieved[~np.isin(retrieved, kept_uncurated)]
+    if strays.size:
+        raise DataError(f"retrieved rows not in the deduplicated pool: {strays[:5].tolist()}")
     if np.unique(retrieved).size != retrieved.size:
         raise DataError("retrieved index list contains duplicates")
-    pool_by_row = {rec.row_index: rec for rec in pool_manifest.records}
-    missing = [int(i) for i in retrieved if int(i) not in pool_by_row]
-    if missing:
-        raise DataError(f"retrieved pool rows missing from manifest: {missing[:5]}")
+    missing = retrieved[~np.isin(retrieved, pool_manifest.rows)]
+    if missing.size:
+        raise DataError(f"retrieved pool rows missing from manifest: {missing[:5].tolist()}")
+    by_row = np.argsort(pool_manifest.rows)  # rows are unique: one match each
+    at = by_row[np.searchsorted(pool_manifest.rows, retrieved, sorter=by_row)]
 
-    filtered = retrieved
-    n_quality_dropped = 0
     if config.quality_threshold is not None:
-        passing = []
-        for i in retrieved:
-            rec = pool_by_row[int(i)]
-            if rec.quality_score is None:
-                raise DataError(f"sample {rec.sample_id!r} has no quality score")
-            if rec.quality_score >= config.quality_threshold:
-                passing.append(int(i))
-        n_quality_dropped = retrieved.size - len(passing)
-        filtered = np.asarray(passing, dtype=np.int64)
+        unscored = np.flatnonzero(~pool_manifest.has_quality[at])
+        if unscored.size:
+            raise DataError(f"sample {pool_manifest.ids[at[unscored[0]]]!r} has no quality score")
+        at = at[pool_manifest.quality[at] >= config.quality_threshold]
+    at = at[np.argsort(pool_manifest.rows[at])]
 
-    curated_ids = {rec.sample_id for rec in curated_manifest.records}
-    records: list[ManifestRecord] = []
-    for new_row, rec in enumerate(curated_manifest.records):
-        records.append(
-            ManifestRecord(
-                sample_id=rec.sample_id,
-                row_index=new_row,
-                source="curated",
-                quality_score=rec.quality_score,
-            )
-        )
-    for offset, pool_row in enumerate(np.sort(filtered)):
-        rec = pool_by_row[int(pool_row)]
-        if rec.sample_id in curated_ids:
-            raise DataError(
-                f"id collision between curated and retrieved sets: {rec.sample_id!r}"
-            )
-        records.append(
-            ManifestRecord(
-                sample_id=rec.sample_id,
-                row_index=len(curated_manifest.records) + offset,
-                source="retrieved",
-                quality_score=rec.quality_score,
-            )
-        )
+    retrieved_ids = [pool_manifest.ids[i] for i in at.tolist()]
+    curated_ids = set(curated_manifest.ids)
+    clashes = [sid for sid in retrieved_ids if sid in curated_ids]
+    if clashes:
+        raise DataError(f"id collision between curated and retrieved sets: {clashes[0]!r}")
+    n_curated, total = len(curated_manifest), len(curated_manifest) + at.size
+    sources = np.full(total, SOURCES.index("retrieved"), dtype=np.uint8)
+    sources[:n_curated] = SOURCES.index("curated")
+    augmented = DatasetManifest(
+        ids=curated_manifest.ids + retrieved_ids,
+        rows=np.arange(total, dtype=np.int64),
+        sources=sources,
+        quality=np.concatenate([curated_manifest.quality, pool_manifest.quality[at]]),
+        has_quality=np.concatenate([curated_manifest.has_quality, pool_manifest.has_quality[at]]),
+        group=np.zeros(total, dtype=np.int64),
+        has_group=np.zeros(total, dtype=bool),
+    )
     counts = {
-        "curated": len(curated_manifest.records),
-        "pool": len(pool_manifest.records),
-        "kept_after_dedup": int(np.asarray(kept_uncurated).size),
-        "removed_by_dedup": len(pool_manifest.records) - int(np.asarray(kept_uncurated).size),
+        "curated": n_curated,
+        "pool": len(pool_manifest),
+        "kept_after_dedup": int(kept_uncurated.size),
+        "removed_by_dedup": len(pool_manifest) - int(kept_uncurated.size),
         "retrieved": int(retrieved.size),
-        "removed_by_quality": int(n_quality_dropped),
-        "augmented_total": len(records),
+        "removed_by_quality": int(retrieved.size - at.size),
+        "augmented_total": total,
     }
     log.info("curation counts: %s", counts)
-    return CurationResult(
-        kept_uncurated=np.asarray(kept_uncurated, dtype=np.int64),
-        retrieved=np.sort(filtered),
-        augmented_manifest=DatasetManifest(records),
-        counts=counts,
-    )
+    return CurationResult(kept_uncurated, pool_manifest.rows[at], augmented, counts)
 
 
 def curate(

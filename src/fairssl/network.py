@@ -249,9 +249,6 @@ class GradientBundle:
     def scaled(self, c: float) -> "GradientBundle":
         return GradientBundle(self.flat * c, self.layout)
 
-    def add_(self, other: "GradientBundle") -> None:
-        self.flat += other.flat
-
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
 
@@ -416,13 +413,21 @@ def _chain_jvp(
     layers: list[Layer],
     inputs: list[np.ndarray],
     pres: list[np.ndarray],
-    u: np.ndarray,
+    u: np.ndarray | None,
     direction: GradientBundle,
     prefix: str,
-) -> np.ndarray:
+) -> np.ndarray | None:
+    """Push the tangent ``u`` through the chain; None stands for a zero
+    tangent. Frozen layers move no parameter, so they only carry ``u``."""
     for i, layer in enumerate(layers):
-        dw, db = direction[f"{prefix}.{i}"]
-        u_pre = u @ layer.weight.T + inputs[i] @ dw.T + db
+        if layer.frozen:
+            if u is None:
+                continue
+            u_pre = u @ layer.weight.T
+        else:
+            dw, db = direction[f"{prefix}.{i}"]
+            move = inputs[i] @ dw.T
+            u_pre = (move if u is None else u @ layer.weight.T + move) + db
         u = u_pre * (pres[i] > 0.0) if layer.activation == "relu" else u_pre
     return u
 
@@ -433,14 +438,19 @@ def forward_jvp(
     """Directional derivative of (features, normalized projection) along a
     parameter-space direction, reusing a recorded tape.
 
-    The input itself is held fixed; only parameters move. Cost is about one
-    forward pass.
+    The input itself is held fixed; only parameters move, and frozen
+    layers not at all: the direction's frozen spans are taken as zero, as
+    ``backward`` leaves them. Cost is at most one forward pass; layers
+    below the lowest trainable one cost nothing.
     """
-    u0 = np.zeros_like(tape.x)
-    d_feat = _chain_jvp(params.encoder, tape.encoder_inputs, tape.encoder_pre, u0, direction, "encoder")
+    d_feat = _chain_jvp(params.encoder, tape.encoder_inputs, tape.encoder_pre, None, direction, "encoder")
     dv = _chain_jvp(
         params.projection, tape.projection_inputs, tape.projection_pre, d_feat, direction, "projection"
     )
+    n = tape.x.shape[0]
+    d_feat = np.zeros((n, params.feature_dim)) if d_feat is None else d_feat
+    if dv is None:
+        return d_feat, np.zeros((n, params.projection_dim))
     radial = np.sum(tape.z * dv, axis=1, keepdims=True)
     dz = (dv - tape.z * radial) / tape.norms[:, None]
     return d_feat, dz
@@ -464,7 +474,10 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> ModelParams:
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if len(raw) < _FILE_HEADER.size:
         raise FormatError(f"{path}: file shorter than header")
     magic, version, count = _FILE_HEADER.unpack_from(raw)
@@ -502,6 +515,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             head = layer
     if offset != len(raw):
         raise FileSizeError(f"{path}: {len(raw) - offset} trailing bytes")
-    if head is None:
-        raise FormatError(f"{path}: missing head layer")
-    return ModelParams(encoder, projection, head)
+    if head is None or not encoder:
+        raise FormatError(f"{path}: missing {'head' if head is None else 'encoder'} layer")
+    params = ModelParams(encoder, projection, head)
+    if not np.isfinite(params.flat).all():
+        raise FormatError(f"{path}: non-finite weights")
+    return params

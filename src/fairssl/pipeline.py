@@ -287,21 +287,16 @@ def run_probe(cfg: PipelineConfig, checkpoint_name: str = "final_checkpoint") ->
     manifest.validate_rows(embeddings.n)
     label_by_id = dict(read_jsonl(inputs["eval_labels"], {"id": str, "label": int}))
 
-    ids, rows, labels, groups = [], [], [], []
-    for rec in manifest.records:
-        if rec.sample_id not in label_by_id:
-            raise DataError(f"no evaluation label for sample {rec.sample_id!r}")
-        if rec.group_label is None:
-            raise DataError(f"sample {rec.sample_id!r} has no group label; probing needs groups")
-        ids.append(rec.sample_id)
-        rows.append(rec.row_index)
-        labels.append(label_by_id[rec.sample_id])
-        groups.append(rec.group_label)
-    rows_arr = np.asarray(rows)
-    labels_arr = np.asarray(labels)
-    groups_arr = np.asarray(groups)
+    ids = manifest.ids
+    labels = [label_by_id.get(sid) for sid in ids]
+    bad = np.flatnonzero(np.equal(np.array(labels, dtype=object), None) | ~manifest.has_group)
+    if bad.size:  # name the first sample without a label or a group
+        if labels[bad[0]] is None:
+            raise DataError(f"no evaluation label for sample {ids[bad[0]]!r}")
+        raise DataError(f"sample {ids[bad[0]]!r} has no group label; probing needs groups")
+    labels_arr = np.asarray(labels, dtype=np.int64)
 
-    features, _ = forward_features(params, embeddings.data[rows_arr].astype(np.float64))
+    features, _ = forward_features(params, embeddings.data[manifest.rows].astype(np.float64))
     rng = substream(cfg.seed, "probe", "split")
     order = rng.permutation(len(ids))
     n_train = int(cfg.probe.train_fraction * len(ids))
@@ -319,7 +314,7 @@ def run_probe(cfg: PipelineConfig, checkpoint_name: str = "final_checkpoint") ->
         for i, p in zip(test_sel, preds)
     ]
     artifacts["predictions"].write_text("\n".join(lines) + "\n")
-    report = build_report(preds, labels_arr[test_sel], groups_arr[test_sel])
+    report = build_report(preds, labels_arr[test_sel], manifest.group[test_sel])
     artifacts["fairness_report_json"].write_text(report.to_json() + "\n")
     artifacts["fairness_report_txt"].write_text(report.to_text_table() + "\n")
     metrics = {
@@ -336,18 +331,18 @@ def run_evaluate(cfg: PipelineConfig, predictions_path: Path | None = None) -> d
     predictions_path = predictions_path or _require_artifact(cfg, "predictions", "probe")
     inputs["predictions"] = predictions_path
     manifest = DatasetManifest.load(inputs["eval_manifest"])
-    group_by_id = {rec.sample_id: rec.group_label for rec in manifest.records}
+    position = dict(zip(manifest.ids, range(len(manifest))))
 
-    preds, labels, groups = [], [], []
-    for sid, p, lab in read_jsonl(predictions_path, {"id": str, "pred": int, "label": int}):
-        if sid not in group_by_id:
-            raise DataError(f"prediction names unknown sample id {sid!r}")
-        if group_by_id[sid] is None:
-            raise DataError(f"sample {sid!r} has no group label in the manifest")
-        preds.append(p)
-        labels.append(lab)
-        groups.append(group_by_id[sid])
-    report = build_report(np.asarray(preds), np.asarray(labels), np.asarray(groups))
+    rows = read_jsonl(predictions_path, {"id": str, "pred": int, "label": int})
+    ids, preds, labels = zip(*rows) if rows else ((), (), ())
+    at = np.array([position.get(sid, -1) for sid in ids], dtype=np.int64)
+    # an unknown id (at -1) picks the appended False: ungrouped, and named as unknown
+    bad = np.flatnonzero(~np.append(manifest.has_group, False)[at])
+    if bad.size:  # name the first prediction that does not join
+        if at[bad[0]] < 0:
+            raise DataError(f"prediction names unknown sample id {ids[bad[0]]!r}")
+        raise DataError(f"sample {ids[bad[0]]!r} has no group label in the manifest")
+    report = build_report(np.asarray(preds), np.asarray(labels), manifest.group[at])
     artifacts = {
         "fairness_report_json": _artifact(cfg, "fairness_report_json"),
         "fairness_report_txt": _artifact(cfg, "fairness_report_txt"),

@@ -122,8 +122,10 @@ class PseudoLabelTable:
             raise DataError("labels and confidences must be matching 2-D arrays")
         if self.labels.shape[1] != len(self.attribute_names):
             raise DataError("attribute name count does not match table width")
-        if self.labels.size and (self.confidences.min() < 0.5 - 1e-6 or self.confidences.max() > 1 + 1e-6):
+        if not np.all((self.confidences >= 0.5 - 1e-6) & (self.confidences <= 1 + 1e-6)):  # NaN fails
             raise DataError("confidences must lie in [0.5, 1]")
+        if np.any(self.labels > 1):
+            raise DataError("labels must be 0 or 1")
 
     @property
     def n(self) -> int:

@@ -17,10 +17,11 @@ JSON-lines file of the pipeline.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ _FLAG_NORMALIZED = 1
 _HEADER = struct.Struct("<4sIQII")
 
 SOURCES = ("curated", "uncurated", "retrieved")
+_SOURCE_CODE = {name: code for code, name in enumerate(SOURCES)}
 
 _NORM_TOL = 1e-6
 
@@ -66,9 +68,6 @@ class EmbeddingMatrix:
     @property
     def d(self) -> int:
         return self.data.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
 
 
 def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -125,82 +124,115 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     return EmbeddingMatrix(data, normalized=bool(flags & _FLAG_NORMALIZED))
 
 
-@dataclass(frozen=True)
-class ManifestRecord:
-    """Provenance of one matrix row."""
-
-    sample_id: str
-    row_index: int
-    source: str
-    quality_score: float | None = None
-    group_label: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.source not in SOURCES:
-            raise DataError(f"unknown source {self.source!r} for sample {self.sample_id!r}")
-
-
-@dataclass
+@dataclass(eq=False)
 class DatasetManifest:
-    """Per-sample records binding matrix rows to ids, sources, and metadata.
+    """Per-sample provenance as columns: entry i binds matrix row
+    ``rows[i]`` to sample ``ids[i]``, its source ``SOURCES[sources[i]]``
+    and, where ``has_quality[i]`` / ``has_group[i]`` is set, its quality
+    score ``quality[i]`` and group label ``group[i]`` (absent values read 0).
 
-    ``group_label`` is evaluation-only: training-side code must receive
-    manifests with the labels stripped (see :meth:`strip_group_labels`).
+    Build one with :meth:`from_columns`; the constructor checks that ids
+    and rows are unique. ``group`` is evaluation-only: training-side code
+    must receive manifests with the labels stripped (see
+    :meth:`strip_group_labels`).
     """
 
-    records: list[ManifestRecord]
+    ids: list[str]
+    rows: np.ndarray  # int64
+    sources: np.ndarray  # uint8 index into SOURCES
+    quality: np.ndarray  # float64
+    has_quality: np.ndarray  # bool
+    group: np.ndarray  # int64
+    has_group: np.ndarray  # bool
 
     def __post_init__(self) -> None:
-        ids = set()
-        rows = set()
-        for rec in self.records:
-            if rec.sample_id in ids:
-                raise DataError(f"duplicate sample id {rec.sample_id!r} in manifest")
-            if rec.row_index in rows:
-                raise DataError(f"duplicate row index {rec.row_index} in manifest")
-            ids.add(rec.sample_id)
-            rows.add(rec.row_index)
+        rows = np.sort(self.rows)  # np.unique would hash: slower, and more memory
+        if len(set(self.ids)) == len(self.ids) and not np.any(rows[1:] == rows[:-1]):
+            return
+        ids, rows = set(), set()
+        for sid, row in zip(self.ids, self.rows.tolist()):  # name the first sample that repeats
+            if sid in ids:
+                raise DataError(f"duplicate sample id {sid!r} in manifest")
+            if row in rows:
+                raise DataError(f"duplicate row index {row} in manifest")
+            ids.add(sid)
+            rows.add(row)
+
+    @classmethod
+    def from_columns(cls, ids, rows, sources, quality=None, group=None) -> "DatasetManifest":
+        """Manifest from per-sample columns. ``sources`` is one source name
+        for all samples or a name per sample; ``quality`` and ``group`` are
+        None (absent throughout) or a value per sample, None where absent."""
+        ids = list(ids)
+        if isinstance(sources, str):
+            sources = [sources] * len(ids)
+        codes = list(map(_SOURCE_CODE.get, sources))
+        if None in codes:
+            i = codes.index(None)
+            raise DataError(f"unknown source {sources[i]!r} for sample {ids[i]!r}")
+        return cls(
+            ids,
+            np.asarray(rows, dtype=np.int64),
+            np.asarray(codes, dtype=np.uint8),
+            *_optional_column(quality, len(ids), np.float64),
+            *_optional_column(group, len(ids), np.int64),
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def validate_rows(self, n: int) -> None:
         """Check every row index addresses a row of an n-row matrix."""
-        for rec in self.records:
-            if not 0 <= rec.row_index < n:
-                raise DataError(
-                    f"row index {rec.row_index} of sample {rec.sample_id!r} "
-                    f"outside matrix with {n} rows"
-                )
+        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= n):
+            i = int(np.argmax((self.rows < 0) | (self.rows >= n)))
+            raise DataError(
+                f"row index {self.rows[i]} of sample {self.ids[i]!r} "
+                f"outside matrix with {n} rows"
+            )
 
     def strip_group_labels(self) -> "DatasetManifest":
         """Copy with all group labels removed (fairness-blind view)."""
-        return DatasetManifest([replace(r, group_label=None) for r in self.records])
-
-    def has_group_labels(self) -> bool:
-        return any(r.group_label is not None for r in self.records)
+        stripped = copy.copy(self)  # columns shared, checks not repeated
+        stripped.group, stripped.has_group = np.zeros_like(self.group), np.zeros_like(self.has_group)
+        return stripped
 
     def save(self, path: str | Path) -> None:
+        columns = (self.rows, self.sources, self.quality, self.has_quality, self.group, self.has_group)
         lines = []
-        for rec in self.records:
-            obj: dict = {"id": rec.sample_id, "row": rec.row_index, "source": rec.source}
-            if rec.quality_score is not None:
-                obj["quality"] = rec.quality_score
-            if rec.group_label is not None:
-                obj["group"] = rec.group_label
-            lines.append(json.dumps(obj, sort_keys=True))
+        for sid, row, source, quality, has_quality, group, has_group in zip(
+            self.ids, *(column.tolist() for column in columns)
+        ):
+            obj: dict = {"id": sid, "row": row, "source": SOURCES[source]}
+            if has_quality:
+                obj["quality"] = quality
+            if has_group:
+                obj["group"] = group
+            lines.append(_encode_json(obj))
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
         rows = read_jsonl(path, _MANIFEST_FIELDS, optional=("quality", "group"))
-        return cls([ManifestRecord(*row) for row in rows])
+        return cls.from_columns(*zip(*rows)) if rows else cls.from_columns([], [], [])
+
+
+def _optional_column(values, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """An optional column and its presence mask, from None or n values
+    with None where a value is absent."""
+    column = np.array((None,) * n if values is None else values, dtype=object)
+    present = np.not_equal(column, None)
+    column[~present] = 0
+    return column.astype(dtype), present
 
 
 _MANIFEST_FIELDS = {"id": str, "row": int, "source": str, "quality": float, "group": int}
 # JSON types a field of each declared type accepts; bool is not an int here
 _JSON_TYPES = {str: (str,), int: (int,), float: (float, int)}
 _decode_json = json.JSONDecoder().raw_decode
+_encode_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True)
+# the integers an int field (int64) and a float field (float64, after
+# rounding to nearest) can hold
+_INT_RANGE = {int: (-(2**63), 2**63 - 1), float: (1 - 2**1024 + 2**970, 2**1024 - 2**970 - 1)}
 
 
 def read_jsonl(
@@ -212,8 +244,9 @@ def read_jsonl(
     ``float`` (a float field also takes an integer and returns it as a
     float). Keys named in ``optional`` may be absent or null and read as
     None; other keys are ignored. Undecodable bytes, invalid JSON, a line
-    that is not an object, and a missing, null or wrong-typed field raise
-    FormatError naming ``path:line``.
+    that is not an object, a missing, null or wrong-typed field, and an
+    integer outside int64 (or, in a float field, outside the float range)
+    raise FormatError naming ``path:line``.
     """
     path = Path(path)
     try:
@@ -226,15 +259,17 @@ def read_jsonl(
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
     keys = tuple(fields)
+    ranges = [_INT_RANGE.get(kind) for kind in fields.values()]
     # every accepted tuple of value types, mapped to the positions that
-    # hold an integer in a float field
+    # hold an integer and to those of them that a float field widens
     choices = [
         _JSON_TYPES[kind] + ((type(None),) if key in optional else ())
         for key, kind in fields.items()
     ]
     accepted = {
-        types: tuple(
-            i for i, t in enumerate(types) if t is int and fields[keys[i]] is float
+        types: (
+            tuple(i for i, t in enumerate(types) if t is int),
+            tuple(i for i, t in enumerate(types) if t is int and fields[keys[i]] is float),
         )
         for types in itertools.product(*choices)
     }
@@ -245,16 +280,20 @@ def read_jsonl(
             continue
         try:
             obj, end = _decode_json(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also huge integers, deep nesting
             raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if end != len(line):
             raise FormatError(f"{path}:{lineno}: invalid JSON: extra data at column {end + 1}")
         if type(obj) is not dict:
             raise FormatError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
         values = tuple(map(obj.get, keys))
-        widen = accepted.get(tuple(map(type, values)))
-        if widen is None:
+        ints, widen = accepted.get(tuple(map(type, values)), (None, None))
+        if ints is None:
             raise FormatError(f"{path}:{lineno}: {_field_problem(obj, fields, optional)}")
+        for i in ints:
+            if not ranges[i][0] <= values[i] <= ranges[i][1]:
+                kind = "int64" if fields[keys[i]] is int else "float"
+                raise FormatError(f"{path}:{lineno}: {keys[i]!r} is outside the {kind} range")
         if widen:
             values = tuple(float(v) if i in widen else v for i, v in enumerate(values))
         rows.append(values)

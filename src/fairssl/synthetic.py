@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .seeding import substream
-from .store import DatasetManifest, EmbeddingMatrix, ManifestRecord, normalize_rows, save_embeddings
+from .store import DatasetManifest, EmbeddingMatrix, normalize_rows, save_embeddings
 
 TARGET_ATTRIBUTE = "attr_target"
 CONTEXT_ATTRIBUTE = "attr_context"
@@ -161,20 +161,12 @@ def write_world_files(world: World, out_dir: Path, seed: int) -> dict:
     files = {}
 
     def manifest_for(s: SampleSet, prefix: str, source: str, with_quality: bool, with_groups: bool):
-        records = []
-        for i in range(s.raw.shape[0]):
-            records.append(
-                ManifestRecord(
-                    sample_id=f"{prefix}-{i:06d}",
-                    row_index=i,
-                    source=source,
-                    quality_score=(
-                        float(rng_quality.uniform(*cfg.quality_range)) if with_quality else None
-                    ),
-                    group_label=int(s.groups[i]) if with_groups else None,
-                )
-            )
-        return DatasetManifest(records)
+        n = s.raw.shape[0]
+        quality = rng_quality.uniform(*cfg.quality_range, size=n) if with_quality else None
+        return DatasetManifest.from_columns(
+            [f"{prefix}-{i:06d}" for i in range(n)], np.arange(n), source,
+            quality=quality, group=s.groups if with_groups else None,
+        )
 
     save_embeddings(world.pool.embeddings, out_dir / "uncurated.fssl")
     manifest_for(world.pool, "pool", "uncurated", True, False).save(out_dir / "uncurated_manifest.jsonl")

@@ -589,34 +589,3 @@ def meta_stage(
         "meta_epochs": epochs,
     }
     return history, summary
-
-
-def staged_train(
-    params: ModelParams,
-    X: np.ndarray,
-    labels: np.ndarray,
-    attributes: list[int],
-    val_idx: np.ndarray | None,
-    val_y: np.ndarray | None,
-    loss_cfg: LossConfig,
-    cfg: TrainConfig,
-    stratify_labels: np.ndarray | None = None,
-) -> tuple[list[dict], dict]:
-    """Run stage 1 for ceil(stage_split * epochs) epochs, then the meta stage
-    for the remainder. With stage_split == 1.0 no meta stage runs and no
-    validation subset is needed."""
-    history = pretrain_stage(
-        params, X, labels, attributes, loss_cfg, cfg, stratify_labels=stratify_labels
-    )
-    summary: dict = {"meta_epochs": 0}
-    remaining = cfg.epochs - cfg.stage1_epochs
-    if remaining > 0:
-        if val_idx is None or val_y is None:
-            raise ConfigError("meta stage requires a validation subset")
-        meta_hist, summary = meta_stage(
-            params, X, labels, attributes, val_idx, val_y, loss_cfg, cfg,
-            epochs=remaining, epoch_offset=cfg.stage1_epochs,
-            stratify_labels=stratify_labels,
-        )
-        history.extend(meta_hist)
-    return history, summary

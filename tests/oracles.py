@@ -15,9 +15,10 @@ import math
 
 import numpy as np
 
-from fairssl.errors import DataError
+from fairssl.errors import ConfigError, DataError
 from fairssl.evaluation import ProbeModel
 from fairssl.losses import (
+    LossConfig,
     MultiviewedBatch,
     _anchor_stats,
     _grad_from_coeffs,
@@ -26,6 +27,9 @@ from fairssl.losses import (
     multi_attribute_anchor_stats,
     weighted_grad_from_stats,
 )
+from fairssl.network import ModelParams
+from fairssl.store import SOURCES, DatasetManifest
+from fairssl.trainer import TrainConfig, meta_stage, pretrain_stage
 
 
 def bruteforce_contrastive(Z: np.ndarray, pair: np.ndarray, tau: float) -> float:
@@ -285,3 +289,64 @@ def layered_adamw(params, grads, moments: dict, t: int, lr: float, weight_decay:
             param -= lr * update
             if weight_decay and param is layer.weight:
                 param -= lr * weight_decay * param
+
+
+def manifest_entries(m: DatasetManifest) -> list[tuple]:
+    """One ``(id, row, source, quality, group)`` tuple per sample, None
+    where an optional value is absent: the columns read back per sample."""
+    return [
+        (sid, row, SOURCES[src], q if has_q else None, g if has_g else None)
+        for sid, row, src, q, has_q, g, has_g in zip(
+            m.ids, m.rows.tolist(), m.sources.tolist(), m.quality.tolist(),
+            m.has_quality.tolist(), m.group.tolist(), m.has_group.tolist(),
+        )
+    ]
+
+
+def dense_jvp(params, tape, direction) -> tuple[np.ndarray, np.ndarray]:
+    """``forward_jvp`` computing every term: the tangent starts as zeros at
+    the input, and every layer, frozen or not, adds its direction term."""
+
+    def chain(layers, inputs, pres, u, prefix):
+        for i, layer in enumerate(layers):
+            dw, db = direction[f"{prefix}.{i}"]
+            u_pre = u @ layer.weight.T + inputs[i] @ dw.T + db
+            u = u_pre * (pres[i] > 0.0) if layer.activation == "relu" else u_pre
+        return u
+
+    d_feat = chain(params.encoder, tape.encoder_inputs, tape.encoder_pre, np.zeros_like(tape.x), "encoder")
+    dv = chain(params.projection, tape.projection_inputs, tape.projection_pre, d_feat, "projection")
+    radial = np.sum(tape.z * dv, axis=1, keepdims=True)
+    return d_feat, (dv - tape.z * radial) / tape.norms[:, None]
+
+
+def staged_train(
+    params: ModelParams,
+    X: np.ndarray,
+    labels: np.ndarray,
+    attributes: list[int],
+    val_idx: np.ndarray | None,
+    val_y: np.ndarray | None,
+    loss_cfg: LossConfig,
+    cfg: TrainConfig,
+    stratify_labels: np.ndarray | None = None,
+) -> tuple[list[dict], dict]:
+    """Run stage 1 for ceil(stage_split * epochs) epochs, then the meta stage
+    for the remainder, as the pretrain and train-meta stages chain them.
+    With stage_split == 1.0 no meta stage runs and no validation subset is
+    needed."""
+    history = pretrain_stage(
+        params, X, labels, attributes, loss_cfg, cfg, stratify_labels=stratify_labels
+    )
+    summary: dict = {"meta_epochs": 0}
+    remaining = cfg.epochs - cfg.stage1_epochs
+    if remaining > 0:
+        if val_idx is None or val_y is None:
+            raise ConfigError("meta stage requires a validation subset")
+        meta_hist, summary = meta_stage(
+            params, X, labels, attributes, val_idx, val_y, loss_cfg, cfg,
+            epochs=remaining, epoch_offset=cfg.stage1_epochs,
+            stratify_labels=stratify_labels,
+        )
+        history.extend(meta_hist)
+    return history, summary

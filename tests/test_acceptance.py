@@ -289,7 +289,7 @@ def test_c04_meta_gradient_oracle(criterion):
              for n_, l in params.named_layers()}
         )
         coeff = g_v.dot(g2) / g_v.dot(g_v)
-        g2.add_(g_v.scaled(-coeff))  # orthogonalize against g_v
+        g2.flat += g_v.scaled(-coeff).flat  # orthogonalize against g_v
         alignments = np.array([g_v.dot(g_v), g_v.dot(g2)])
         state = meta_weights(alignments, 0.1)
         assert state.w[0] == 1.0

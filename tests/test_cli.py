@@ -6,8 +6,9 @@ import yaml
 
 from fairssl.cli import main
 from fairssl.config import apply_overrides, config_from_dict, load_config
-from fairssl.errors import ConfigError
-from fairssl.pipeline import run_curate, run_probe
+from fairssl.errors import ConfigError, DataError
+from fairssl.network import ModelParams, save_checkpoint
+from fairssl.pipeline import run_curate, run_evaluate, run_probe
 from fairssl.store import DatasetManifest
 from fairssl.synthetic import generate_world
 
@@ -173,16 +174,16 @@ class TestStages:
         wdir, world = world_dir
         # inject group labels into the training manifests: they must not survive
         manifest = DatasetManifest.load(world.files["uncurated_manifest"])
-        from dataclasses import replace
-
-        tagged = DatasetManifest([replace(r, group_label=1) for r in manifest.records])
+        manifest.group[:] = 1
+        manifest.has_group[:] = True
         tagged_path = tmp_path / "tagged_uncurated.jsonl"
-        tagged.save(tagged_path)
+        manifest.save(tagged_path)
         files = dict(world.files, uncurated_manifest=str(tagged_path))
         cfg = config_from_dict({"seed": 3, "paths": {**files, "out_dir": str(tmp_path / "out")}})
         artifacts = run_curate(cfg)
         augmented = DatasetManifest.load(artifacts["augmented_manifest"])
-        assert not augmented.has_group_labels()
+        assert not augmented.has_group.any()
+        assert '"group"' not in artifacts["augmented_manifest"].read_text()
         report = json.loads(artifacts["curation_report"].read_text())
         assert report["augmented_total"] == len(augmented)
         assert report["kept_after_dedup"] <= report["pool"]
@@ -255,3 +256,57 @@ class TestStages:
         err = capsys.readouterr().err
         assert "probe_predictions.jsonl:2: expected a JSON object" in err
         assert "Traceback" not in err
+
+    def test_integer_out_of_float_range_exits_3_with_line(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        lines = open(world.files["uncurated_manifest"]).read().splitlines()
+        lines[4] = lines[4].replace('"quality": ', f'"quality": {2**1100}, "was": ')
+        bad = tmp_path / "pool.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg_path = write_config(tmp_path / "cfg.yaml", dict(world.files, uncurated_manifest=str(bad)), tmp_path / "out")
+        assert main(["curate", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "pool.jsonl:5: 'quality' is outside the float range" in err
+        assert "Traceback" not in err
+
+    def test_probe_join_names_first_unjoined_sample(self, tmp_path, world_dir):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        out.mkdir()
+        save_checkpoint(ModelParams.create(world.eval_set.embeddings.d, [8], [8, 8, 4]), out / "final_checkpoint.fsck")
+        manifest = DatasetManifest.load(world.files["eval_manifest"])
+        manifest.has_group[5] = False
+        manifest.save(tmp_path / "eval_manifest.jsonl")
+        labels = open(world.files["eval_labels"]).read().splitlines()
+        del labels[7]
+        (tmp_path / "eval_labels.jsonl").write_text("\n".join(labels) + "\n")
+        files = dict(world.files, eval_manifest=str(tmp_path / "eval_manifest.jsonl"))
+        cfg = load_config(write_config(tmp_path / "cfg.yaml", files, out))
+        with pytest.raises(DataError, match="sample 'eval-000005' has no group label"):
+            run_probe(cfg)
+        files["eval_labels"] = str(tmp_path / "eval_labels.jsonl")
+        cfg = load_config(write_config(tmp_path / "cfg.yaml", files, out))
+        manifest.has_group[5] = True
+        manifest.has_group[9] = False
+        manifest.save(tmp_path / "eval_manifest.jsonl")
+        with pytest.raises(DataError, match="no evaluation label for sample 'eval-000007'"):
+            run_probe(cfg)
+
+    def test_evaluate_join_names_first_unjoined_prediction(self, tmp_path, world_dir):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        out.mkdir()
+        manifest = DatasetManifest.load(world.files["eval_manifest"])
+        manifest.has_group[3] = False
+        manifest.save(tmp_path / "eval_manifest.jsonl")
+        files = dict(world.files, eval_manifest=str(tmp_path / "eval_manifest.jsonl"))
+        cfg = load_config(write_config(tmp_path / "cfg.yaml", files, out))
+        for ids, problem in (
+            (["eval-000001", "nobody", "eval-000003"], "unknown sample id 'nobody'"),
+            (["eval-000001", "eval-000003", "nobody"], "sample 'eval-000003' has no group label"),
+        ):
+            (out / "probe_predictions.jsonl").write_text(
+                "".join(json.dumps({"id": i, "pred": 1, "label": 0}) + "\n" for i in ids)
+            )
+            with pytest.raises(DataError, match=problem):
+                run_evaluate(cfg)

@@ -16,9 +16,9 @@ from fairssl.curation import (
     knn_retrieve,
 )
 from fairssl.errors import ConfigError, DataError
-from fairssl.store import DatasetManifest, EmbeddingMatrix, ManifestRecord, normalize_rows
+from fairssl.store import DatasetManifest, EmbeddingMatrix, normalize_rows
 
-from oracles import cosine_similarity, exhaustive_knn, greedy_dedup, stable_topm
+from oracles import cosine_similarity, exhaustive_knn, greedy_dedup, manifest_entries, stable_topm
 
 
 def unit(m):
@@ -139,15 +139,13 @@ class TestQualityFilter:
     pool rows survive."""
 
     def passing(self, scores, threshold):
-        pool = DatasetManifest(
-            [
-                ManifestRecord(f"s{i}", i, "uncurated", quality_score=s)
-                for i, s in enumerate(scores)
-            ]
-        )
         rows = np.arange(len(scores))
+        pool = DatasetManifest.from_columns(
+            [f"s{i}" for i in rows], rows, "uncurated", quality=list(scores)
+        )
         result = build_augmented_curated(
-            DatasetManifest([]), pool, rows, rows, CurationConfig(quality_threshold=threshold)
+            DatasetManifest.from_columns([], [], []), pool, rows, rows,
+            CurationConfig(quality_threshold=threshold),
         )
         return result.retrieved.tolist()
 
@@ -163,17 +161,16 @@ class TestQualityFilter:
         assert self.passing(scores, 0.7) == expected
 
     def test_missing_score(self):
-        with pytest.raises(DataError):
-            self.passing([None], 0.5)
+        with pytest.raises(DataError, match="sample 's1' has no quality score"):
+            self.passing([0.9, None, None], 0.5)
 
 
 class TestBuildAugmented:
     def setup_method(self):
-        self.curated = DatasetManifest(
-            [ManifestRecord(f"c{i}", i, "curated") for i in range(3)]
-        )
-        self.pool = DatasetManifest(
-            [ManifestRecord(f"p{i}", i, "uncurated", quality_score=0.5 + 0.1 * i) for i in range(5)]
+        self.curated = DatasetManifest.from_columns([f"c{i}" for i in range(3)], range(3), "curated")
+        self.pool = DatasetManifest.from_columns(
+            [f"p{i}" for i in range(5)], range(5), "uncurated",
+            quality=[0.5 + 0.1 * i for i in range(5)],
         )
 
     def test_empty_retrieval(self):
@@ -181,31 +178,43 @@ class TestBuildAugmented:
             self.curated, self.pool, np.arange(5), np.array([], dtype=np.int64), CurationConfig()
         )
         assert len(result.augmented_manifest) == 3
-        assert all(r.source == "curated" for r in result.augmented_manifest.records)
+        assert all(e[2] == "curated" for e in manifest_entries(result.augmented_manifest))
 
     def test_counting_and_tagging(self):
         result = build_augmented_curated(
             self.curated, self.pool, np.arange(5), np.array([4, 1]), CurationConfig()
         )
-        records = result.augmented_manifest.records
-        assert len(records) == 5
-        assert [r.source for r in records] == ["curated"] * 3 + ["retrieved"] * 2
+        entries = manifest_entries(result.augmented_manifest)
+        assert len(entries) == 5
+        assert [e[2] for e in entries] == ["curated"] * 3 + ["retrieved"] * 2
         # retrieved ordered by ascending pool index, rows renumbered
-        assert [r.sample_id for r in records[3:]] == ["p1", "p4"]
-        assert [r.row_index for r in records] == list(range(5))
+        assert [e[0] for e in entries[3:]] == ["p1", "p4"]
+        assert [e[1] for e in entries] == list(range(5))
+        assert [e[3] for e in entries] == [None] * 3 + [0.6, 0.9]
 
     def test_quality_threshold_drops(self):
         cfg = CurationConfig(quality_threshold=0.75)
         result = build_augmented_curated(
             self.curated, self.pool, np.arange(5), np.array([1, 3, 4]), cfg
         )
-        assert [r.sample_id for r in result.augmented_manifest.records[3:]] == ["p3", "p4"]
+        assert result.augmented_manifest.ids[3:] == ["p3", "p4"]
         assert result.counts["removed_by_quality"] == 1
 
+    @pytest.mark.parametrize(
+        "retrieved, problem",
+        [([2, 5, 6], r"not in the deduplicated pool: \[5, 6\]"),
+         ([1, 1], "contains duplicates"),
+         ([3, 2, 1, 4], r"missing from manifest: \[2, 4\]")],
+    )
+    def test_retrieved_rows_checked(self, retrieved, problem):
+        pool = DatasetManifest.from_columns(["p0", "p1", "p3"], [0, 1, 3], "uncurated")
+        with pytest.raises(DataError, match=problem):
+            build_augmented_curated(self.curated, pool, np.arange(5), np.array(retrieved), CurationConfig())
+
     def test_id_collision(self):
-        pool = DatasetManifest([ManifestRecord("c0", 0, "uncurated", quality_score=1.0)])
-        with pytest.raises(DataError):
-            build_augmented_curated(self.curated, pool, np.arange(1), np.array([0]), CurationConfig())
+        pool = DatasetManifest.from_columns(["p0", "c2", "c1"], [0, 1, 2], "uncurated")
+        with pytest.raises(DataError, match="id collision .*'c2'"):
+            build_augmented_curated(self.curated, pool, np.arange(3), np.array([2, 1]), CurationConfig())
 
 
 def test_full_curate_distribution(rng):
@@ -218,11 +227,9 @@ def test_full_curate_distribution(rng):
     pool = unit(centers[groups] + rng.normal(0, 0.5, (n_pool, d)))
     cur_groups = np.repeat([0, 1], 30)
     curated = unit(centers[cur_groups] + rng.normal(0, 0.5, (60, d)))
-    curated_manifest = DatasetManifest(
-        [ManifestRecord(f"c{i}", i, "curated") for i in range(60)]
-    )
-    pool_manifest = DatasetManifest(
-        [ManifestRecord(f"p{i}", i, "uncurated", quality_score=1.0) for i in range(n_pool)]
+    curated_manifest = DatasetManifest.from_columns([f"c{i}" for i in range(60)], range(60), "curated")
+    pool_manifest = DatasetManifest.from_columns(
+        [f"p{i}" for i in range(n_pool)], range(n_pool), "uncurated", quality=[1.0] * n_pool
     )
     cfg = CurationConfig(dedup_threshold=0.999, retrieval_m=3)
     result, combined = curate(curated, curated_manifest, pool, pool_manifest, cfg)

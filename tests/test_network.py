@@ -17,7 +17,7 @@ from fairssl.network import (
 )
 from fairssl.trainer import AdamW, LrSchedule
 
-from oracles import assert_grad_close, fd_param_gradients
+from oracles import assert_grad_close, dense_jvp, fd_param_gradients
 
 
 def identity_params(d=4):
@@ -258,6 +258,30 @@ class TestJvp:
         assert np.max(np.abs((zp - zm) / (2 * eps) - d_z)) < 1e-6
         assert np.max(np.abs((fp - fm) / (2 * eps) - d_feat)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "frozen",
+        [[], ["encoder.0"], ["encoder.1"], ["encoder.*", "projection.0"], ["encoder.*", "projection.*"]],
+    )
+    def test_skipped_zero_work_matches_dense_oracle(self, rng, frozen):
+        # directions come from backward, which leaves frozen spans zero;
+        # skipping their terms may change only the sign of zeros
+        params = small_params(seed=4)
+        if frozen:
+            set_frozen(params, frozen)
+        x = rng.standard_normal((7, 6))
+        _, z, tape = forward_embed(params, x)
+        direction = backward(
+            params, tape, d_projection=rng.standard_normal(z.shape),
+            d_logits=rng.standard_normal((7, 2)),
+        )
+        got = forward_jvp(params, tape, direction)
+        want = dense_jvp(params, tape, direction)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+        if frozen == ["encoder.*", "projection.*"]:
+            assert not np.any(got[0]) and not np.any(got[1])
+
 
 class TestFreezing:
     def test_freeze_all_encoder_layers(self, rng):
@@ -341,6 +365,34 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FileSizeError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("make", ["missing", "directory"])
+    def test_unreadable_path_is_data_error(self, tmp_path, make):
+        path = tmp_path / "a.fsck"
+        if make == "directory":
+            path.mkdir()
+        with pytest.raises(DataError, match="cannot read checkpoint"):
+            load_checkpoint(path)
+
+    def test_no_encoder_layers_is_format_error(self, tmp_path):
+        params = small_params()
+        path = tmp_path / "a.fsck"
+        save_checkpoint(params, path)
+        raw = path.read_bytes()
+        layer = 11 + 4 * (6 * 8 + 8) + 11 + 4 * (8 * 5 + 5)  # both encoder layers
+        header = raw[:4] + raw[4:8] + (len(params.layout) - 2).to_bytes(4, "little")
+        path.write_bytes(header + raw[12 + layer :])
+        with pytest.raises(FormatError, match="missing encoder layer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_weights_are_format_error(self, tmp_path, value):
+        params = small_params()
+        params.projection[1].weight[2, 3] = value
+        path = tmp_path / "a.fsck"
+        save_checkpoint(params, path)
+        with pytest.raises(FormatError, match="non-finite"):
             load_checkpoint(path)
 
     def test_projection_depth_enforced(self):

@@ -221,6 +221,26 @@ class TestTableIO:
             PseudoLabelTable.load(path)
 
 
+    @pytest.mark.parametrize("entry, problem", [(("label", 7), "labels must be 0 or 1"),
+                                                (("conf", np.nan), "confidences"),
+                                                (("conf", 0.25), "confidences")])
+    def test_entry_content_checked_on_load(self, tmp_path, entry, problem):
+        table = PseudoLabelTable(
+            np.zeros((2, 2), dtype=np.uint8), np.full((2, 2), 0.75, dtype=np.float32), ["a", "b"]
+        )
+        path = tmp_path / "t.fspl"
+        table.save(path)
+        raw = bytearray(path.read_bytes())
+        field, value = entry
+        at = 20 + 3 * 5 + (0 if field == "label" else 1)  # header, then the last entry
+        raw[at : at + (1 if field == "label" else 4)] = (
+            bytes([value]) if field == "label" else np.float32(value).tobytes()
+        )
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=problem):
+            PseudoLabelTable.load(path)
+
+
 class TestBankIO:
     def test_load_bank_index(self, tmp_path, rng, make_unit_rows):
         d = 5

@@ -1,3 +1,6 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,12 +8,13 @@ from fairssl.errors import DataError, DegenerateInputError, FileSizeError, Forma
 from fairssl.store import (
     DatasetManifest,
     EmbeddingMatrix,
-    ManifestRecord,
     load_embeddings,
     normalize_rows,
     read_jsonl,
     save_embeddings,
 )
+
+from oracles import manifest_entries
 
 
 def test_round_trip_small(tmp_path):
@@ -109,42 +113,49 @@ def test_normalize_zero_row_names_index():
 
 
 def test_manifest_round_trip(tmp_path):
-    manifest = DatasetManifest(
-        [
-            ManifestRecord("a", 0, "curated"),
-            ManifestRecord("b", 1, "retrieved", quality_score=0.7),
-            ManifestRecord("c", 2, "uncurated", group_label=1),
-        ]
+    manifest = DatasetManifest.from_columns(
+        ["a", "b", "c"], [0, 1, 2], ["curated", "retrieved", "uncurated"],
+        quality=[None, 0.7, None], group=[None, None, 1],
     )
     manifest.save(tmp_path / "m.jsonl")
     back = DatasetManifest.load(tmp_path / "m.jsonl")
-    assert back.records == manifest.records
+    assert manifest_entries(back) == manifest_entries(manifest) == [
+        ("a", 0, "curated", None, None),
+        ("b", 1, "retrieved", 0.7, None),
+        ("c", 2, "uncurated", None, 1),
+    ]
 
 
 def test_manifest_rejects_duplicates():
-    with pytest.raises(DataError):
-        DatasetManifest([ManifestRecord("a", 0, "curated"), ManifestRecord("a", 1, "curated")])
-    with pytest.raises(DataError):
-        DatasetManifest([ManifestRecord("a", 0, "curated"), ManifestRecord("b", 0, "curated")])
+    with pytest.raises(DataError, match="duplicate sample id 'a'"):
+        DatasetManifest.from_columns(["a", "a"], [0, 1], "curated")
+    with pytest.raises(DataError, match="duplicate row index 0"):
+        DatasetManifest.from_columns(["a", "b"], [0, 0], "curated")
+    # the first sample that repeats names the error, whichever column repeats
+    with pytest.raises(DataError, match="duplicate row index 1"):
+        DatasetManifest.from_columns(["a", "b", "c", "a"], [0, 1, 1, 2], "curated")
 
 
 def test_manifest_row_bounds():
-    manifest = DatasetManifest([ManifestRecord("a", 5, "curated")])
-    with pytest.raises(DataError):
+    DatasetManifest.from_columns(["a", "b"], [0, 5], "curated").validate_rows(6)
+    manifest = DatasetManifest.from_columns(["a", "b", "c"], [0, 5, -1], "curated")
+    with pytest.raises(DataError, match="row index 5 of sample 'b'"):
         manifest.validate_rows(3)
+    with pytest.raises(DataError, match="row index -1 of sample 'c'"):
+        manifest.validate_rows(6)
 
 
 def test_manifest_unknown_source():
-    with pytest.raises(DataError):
-        ManifestRecord("a", 0, "scraped")
+    with pytest.raises(DataError, match="unknown source 'scraped' for sample 'b'"):
+        DatasetManifest.from_columns(["a", "b"], [0, 1], ["curated", "scraped"])
 
 
 def test_strip_group_labels():
-    manifest = DatasetManifest([ManifestRecord("a", 0, "curated", group_label=3)])
+    manifest = DatasetManifest.from_columns(["a"], [0], "curated", group=[3])
     stripped = manifest.strip_group_labels()
-    assert manifest.has_group_labels()
-    assert not stripped.has_group_labels()
-    assert stripped.records[0].sample_id == "a"
+    assert manifest.has_group.all() and manifest.group[0] == 3
+    assert not stripped.has_group.any()
+    assert stripped.ids == ["a"]
 
 
 GOOD_LINE = b'{"id": "a", "row": 0, "source": "curated"}'
@@ -164,6 +175,8 @@ GOOD_LINE = b'{"id": "a", "row": 0, "source": "curated"}'
         (b'{"id": 7, "row": 1, "source": "curated"}', "'id' must be str"),
         (b'{"id": "b", "row": 1, "source": "curated", "quality": "high"}', "'quality' must be float"),
         (b'{"id": "b", "row": 1, "source": "curated", "group": 1.5}', "'group' must be int"),
+        (b'{"id": "b", "row": 9223372036854775808, "source": "curated"}', "'row' is outside the int64 range"),
+        (b'{"id": "b", "row": 1, "source": "curated", "group": -9223372036854775809}', "'group' is outside the int64"),
     ],
 )
 def test_malformed_manifest_line_names_path_and_line(tmp_path, bad, problem):
@@ -183,9 +196,36 @@ def test_read_jsonl_optional_and_widened_fields(tmp_path):
     rows = read_jsonl(path, {"id": str, "quality": float, "group": int}, optional=("quality", "group"))
     assert rows == [("a", 1.0, None), ("b", None, 2)]
     assert type(rows[0][1]) is float
-    records = DatasetManifest.load(path).records
-    assert records[0] == ManifestRecord("a", 0, "curated", quality_score=1.0)
-    assert records[1] == ManifestRecord("b", 1, "retrieved", group_label=2)
+    assert manifest_entries(DatasetManifest.load(path)) == [
+        ("a", 0, "curated", 1.0, None),
+        ("b", 1, "retrieved", None, 2),
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, problem",
+    [(b"-%d" % 2**1100, "'quality' is outside the float range"),
+     (b"1" + b"0" * 5000, "invalid JSON: Exceeds the limit"),  # past int's digit limit
+     (b"[" * 100000, "invalid JSON: maximum recursion")],
+    ids=["huge-quality", "over-long-integer", "deep-nesting"],
+)
+def test_oversized_manifest_value_names_path_and_line(tmp_path, value, problem):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(GOOD_LINE + b'\n{"id": "b", "row": 1, "source": "curated", "quality": %s}\n' % value)
+    with pytest.raises(FormatError, match=rf"m\.jsonl:2: {problem}"):
+        DatasetManifest.load(path)
+
+
+def test_read_jsonl_integer_range_edges(tmp_path):
+    path = tmp_path / "m.jsonl"
+    big = 2**1024 - 2**970  # the least integer that rounds past the largest float
+    lines = [(-(2**63), 2**63 - 1, big - 1), (0, 0, 1 - big)]
+    path.write_text("".join(json.dumps({"a": a, "b": b, "q": q}) + "\n" for a, b, q in lines))
+    rows = read_jsonl(path, {"a": int, "b": int, "q": float})
+    assert rows == [(-(2**63), 2**63 - 1, sys.float_info.max), (0, 0, -sys.float_info.max)]
+    path.write_text(json.dumps({"a": 0, "b": 0, "q": big}) + "\n")
+    with pytest.raises(FormatError, match="m.jsonl:1: 'q' is outside the float range"):
+        read_jsonl(path, {"a": int, "b": int, "q": float})
 
 
 def test_read_jsonl_missing_file_is_data_error(tmp_path):

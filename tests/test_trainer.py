@@ -16,11 +16,10 @@ from fairssl.trainer import (
     per_sample_alignments,
     pretrain_epoch,
     pretrain_stage,
-    staged_train,
     stratified_batches,
 )
 
-from oracles import layered_adamw
+from oracles import layered_adamw, staged_train
 
 
 def tiny_params(seed=0, d=6):
