@@ -115,7 +115,10 @@ class PipelineConfig:
 
     def out_dir(self) -> Path:
         p = Path(self.paths.out_dir)
-        p.mkdir(parents=True, exist_ok=True)
+        try:
+            p.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"paths.out_dir: cannot create directory {p}: {exc}") from exc
         return p
 
 
@@ -198,10 +201,10 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> PipelineConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text()) or {}
+        data = yaml.safe_load(path.read_bytes()) or {}
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if overrides:

@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, FileSizeError, FormatError, NumericError
+from .store import read_container, write_file
 
 MAGIC = b"FSCK"
 FORMAT_VERSION = 1
@@ -468,23 +469,12 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         activation = _ACTIVATION_CODE[layer.activation]
         chunks.append(_LAYER_HEADER.pack(section, activation, layer.frozen, layer.in_dim, layer.out_dim))
         span = params.layout[name]
-        chunks.append(params.flat[span.start : span.stop].astype("<f4").tobytes())  # weights, biases
-    Path(path).write_bytes(b"".join(chunks))
+        chunks.append(params.flat[span.start : span.stop].astype("<f4"))  # weights, biases
+    write_file(path, *chunks)
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(raw) < _FILE_HEADER.size:
-        raise FormatError(f"{path}: file shorter than header")
-    magic, version, count = _FILE_HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    (count,), raw = read_container(path, MAGIC, FORMAT_VERSION, _FILE_HEADER, "checkpoint")
     offset = _FILE_HEADER.size
     encoder: list[Layer] = []
     projection: list[Layer] = []

@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .config import PipelineConfig
 from .curation import curate
-from .errors import ConfigError, DataError
-from .evaluation import build_report, train_probe
+from .errors import ConfigError, DataError, PipelineError
+from .evaluation import FairnessReport, build_report, train_probe
 from .network import ModelParams, forward_features, load_checkpoint, save_checkpoint
 from .pseudolabel import (
     PseudoLabelTable,
@@ -35,7 +37,7 @@ from .pseudolabel import (
     select_validation_subset,
 )
 from .seeding import substream
-from .store import DatasetManifest, load_embeddings, normalize_rows, read_jsonl, save_embeddings
+from .store import DatasetManifest, load_embeddings, normalize_rows, read_jsonl, save_embeddings, write_file
 from .trainer import meta_stage, pretrain_stage
 
 log = logging.getLogger(__name__)
@@ -67,24 +69,22 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    write_file(path, json.dumps(obj, sort_keys=True, indent=2), "\n")
 
 
 def _write_history(path: Path, history: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_HISTORY_COLUMNS)
-        for row in history:
-            writer.writerow(
-                [
-                    row.get("epoch", ""),
-                    row.get("stage", ""),
-                    *(
-                        repr(float(row[key])) if key in row and row[key] == row[key] else ""
-                        for key in ("loss", "val_topk_loss", "weight_entropy", "lr")
-                    ),
-                ]
-            )
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(_HISTORY_COLUMNS)
+    for row in history:
+        floats = (repr(float(row[k])) if k in row and row[k] == row[k] else "" for k in _HISTORY_COLUMNS[2:])
+        writer.writerow([row.get("epoch", ""), row.get("stage", ""), *floats])
+    write_file(path, buffer.getvalue())
+
+
+def _write_report(artifacts: dict[str, Path], report: FairnessReport) -> None:
+    write_file(artifacts["fairness_report_json"], report.to_json(), "\n")
+    write_file(artifacts["fairness_report_txt"], report.to_text_table(), "\n")
 
 
 def write_run_manifest(
@@ -132,12 +132,16 @@ def write_failure_manifest(cfg: PipelineConfig, command: str, error: Exception) 
             "partial_artifacts": partial,
         }
         _write_json(out / f"run_manifest_{command.replace('-', '_')}.json", manifest)
-    except OSError:
+    except (OSError, PipelineError):
         pass  # reporting the original failure matters more than the marker
 
 
 def _artifact(cfg: PipelineConfig, name: str) -> Path:
     return cfg.out_dir() / ARTIFACTS[name]
+
+
+def _artifacts(cfg: PipelineConfig, *names: str) -> dict[str, Path]:
+    return {name: _artifact(cfg, name) for name in names}
 
 
 def _require_artifact(cfg: PipelineConfig, name: str, producer: str) -> Path:
@@ -160,11 +164,7 @@ def run_curate(cfg: PipelineConfig) -> dict[str, Path]:
 
     result, combined = curate(curated, curated_manifest, pool, pool_manifest, cfg.curation)
 
-    artifacts = {
-        "augmented_embeddings": _artifact(cfg, "augmented_embeddings"),
-        "augmented_manifest": _artifact(cfg, "augmented_manifest"),
-        "curation_report": _artifact(cfg, "curation_report"),
-    }
+    artifacts = _artifacts(cfg, "augmented_embeddings", "augmented_manifest", "curation_report")
     save_embeddings(combined, artifacts["augmented_embeddings"])
     result.augmented_manifest.save(artifacts["augmented_manifest"])
     _write_json(artifacts["curation_report"], result.counts)
@@ -187,7 +187,17 @@ def run_pseudolabel(cfg: PipelineConfig) -> dict[str, Path]:
     return artifacts
 
 
-def _load_training_inputs(cfg: PipelineConfig) -> tuple[np.ndarray, PseudoLabelTable, int]:
+class _TrainingInputs(NamedTuple):
+    X: np.ndarray
+    table: PseudoLabelTable
+    labels: np.ndarray  # int64 pseudo-labels, one column per attribute
+    attributes: list[int]
+    val_attr: str
+    val_col: int
+    inputs: dict[str, Path]  # the files they come from, for the run manifest
+
+
+def _load_training_inputs(cfg: PipelineConfig) -> _TrainingInputs:
     emb_path = _require_artifact(cfg, "augmented_embeddings", "curate")
     table_path = _require_artifact(cfg, "pseudolabels", "pseudolabel")
     images = load_embeddings(emb_path)
@@ -197,7 +207,11 @@ def _load_training_inputs(cfg: PipelineConfig) -> tuple[np.ndarray, PseudoLabelT
             f"pseudo-label table covers {table.n} samples but embeddings have {images.n}"
         )
     val_attr = cfg.val_attribute or table.attribute_names[0]
-    return images.data, table, table.attribute_index(val_attr)
+    return _TrainingInputs(
+        images.data, table, table.labels.astype(np.int64), list(range(table.num_attributes)),
+        val_attr, table.attribute_index(val_attr),
+        {"augmented_embeddings": emb_path, "pseudolabels": table_path, "pseudolabel_names": names_path(table_path)},
+    )
 
 
 def _init_params(cfg: PipelineConfig, input_dim: int) -> ModelParams:
@@ -211,44 +225,26 @@ def _init_params(cfg: PipelineConfig, input_dim: int) -> ModelParams:
 
 
 def run_pretrain(cfg: PipelineConfig) -> dict[str, Path]:
-    X, table, val_col = _load_training_inputs(cfg)
-    tcfg = cfg.trainer
-    params = _init_params(cfg, X.shape[1])
-    attributes = list(range(table.num_attributes))
-    labels = table.labels.astype(np.int64)
+    data = _load_training_inputs(cfg)
+    params = _init_params(cfg, data.X.shape[1])
     history = pretrain_stage(
-        params, X, labels, attributes, cfg.loss, tcfg,
-        stratify_labels=labels[:, val_col],
+        params, data.X, data.labels, data.attributes, cfg.loss, cfg.trainer,
+        stratify_labels=data.labels[:, data.val_col],
     )
-    artifacts = {
-        "pretrain_checkpoint": _artifact(cfg, "pretrain_checkpoint"),
-        "pretrain_history": _artifact(cfg, "pretrain_history"),
-    }
+    artifacts = _artifacts(cfg, "pretrain_checkpoint", "pretrain_history")
     save_checkpoint(params, artifacts["pretrain_checkpoint"])
     _write_history(artifacts["pretrain_history"], history)
-    inputs = {
-        "augmented_embeddings": _artifact(cfg, "augmented_embeddings"),
-        "pseudolabels": _artifact(cfg, "pseudolabels"),
-        "pseudolabel_names": names_path(_artifact(cfg, "pseudolabels")),
-    }
-    write_run_manifest(cfg, "pretrain", inputs, artifacts)
+    write_run_manifest(cfg, "pretrain", data.inputs, artifacts)
     return artifacts
 
 
 def run_train_meta(cfg: PipelineConfig) -> dict[str, Path]:
-    X, table, val_col = _load_training_inputs(cfg)
+    data = _load_training_inputs(cfg)
     tcfg = cfg.trainer
     meta_epochs = tcfg.epochs - tcfg.stage1_epochs
     checkpoint = _require_artifact(cfg, "pretrain_checkpoint", "pretrain")
     params = load_checkpoint(checkpoint)
-    attributes = list(range(table.num_attributes))
-    labels = table.labels.astype(np.int64)
-    val_attr = cfg.val_attribute or table.attribute_names[0]
-    artifacts = {
-        "final_checkpoint": _artifact(cfg, "final_checkpoint"),
-        "meta_history": _artifact(cfg, "meta_history"),
-        "training_summary": _artifact(cfg, "training_summary"),
-    }
+    artifacts = _artifacts(cfg, "final_checkpoint", "meta_history", "training_summary")
     if meta_epochs <= 0:
         # stage_split == 1.0: pure contrastive training, the pretrained model is final
         save_checkpoint(params, artifacts["final_checkpoint"])
@@ -256,24 +252,17 @@ def run_train_meta(cfg: PipelineConfig) -> dict[str, Path]:
         _write_json(artifacts["training_summary"], {"meta_epochs": 0})
     else:
         val_idx = select_validation_subset(
-            table, val_attr, cfg.pseudolabel.conf_threshold, tcfg.val_subset_size, cfg.seed
+            data.table, data.val_attr, cfg.pseudolabel.conf_threshold, tcfg.val_subset_size, cfg.seed
         )
-        val_y = labels[val_idx, val_col]
         history, summary = meta_stage(
-            params, X, labels, attributes, val_idx, val_y, cfg.loss, tcfg,
-            epochs=meta_epochs, epoch_offset=tcfg.stage1_epochs,
-            stratify_labels=labels[:, val_col],
+            params, data.X, data.labels, data.attributes, val_idx, data.labels[val_idx, data.val_col],
+            cfg.loss, tcfg, epochs=meta_epochs, epoch_offset=tcfg.stage1_epochs,
+            stratify_labels=data.labels[:, data.val_col],
         )
         save_checkpoint(params, artifacts["final_checkpoint"])
         _write_history(artifacts["meta_history"], history)
         _write_json(artifacts["training_summary"], summary)
-    inputs = {
-        "augmented_embeddings": _artifact(cfg, "augmented_embeddings"),
-        "pseudolabels": _artifact(cfg, "pseudolabels"),
-        "pseudolabel_names": names_path(_artifact(cfg, "pseudolabels")),
-        "pretrain_checkpoint": checkpoint,
-    }
-    write_run_manifest(cfg, "train-meta", inputs, artifacts)
+    write_run_manifest(cfg, "train-meta", {**data.inputs, "pretrain_checkpoint": checkpoint}, artifacts)
     return artifacts
 
 
@@ -304,19 +293,14 @@ def run_probe(cfg: PipelineConfig, checkpoint_name: str = "final_checkpoint") ->
     probe = train_probe(features[train_sel], labels_arr[train_sel], l2=cfg.probe.l2)
     preds = probe.predict(features[test_sel])
 
-    artifacts = {
-        "predictions": _artifact(cfg, "predictions"),
-        "fairness_report_json": _artifact(cfg, "fairness_report_json"),
-        "fairness_report_txt": _artifact(cfg, "fairness_report_txt"),
-    }
+    artifacts = _artifacts(cfg, "predictions", "fairness_report_json", "fairness_report_txt")
     lines = [
         json.dumps({"id": ids[i], "pred": int(p), "label": int(labels_arr[i])}, sort_keys=True)
         for i, p in zip(test_sel, preds)
     ]
-    artifacts["predictions"].write_text("\n".join(lines) + "\n")
+    write_file(artifacts["predictions"], "\n".join(lines), "\n")
     report = build_report(preds, labels_arr[test_sel], manifest.group[test_sel])
-    artifacts["fairness_report_json"].write_text(report.to_json() + "\n")
-    artifacts["fairness_report_txt"].write_text(report.to_text_table() + "\n")
+    _write_report(artifacts, report)
     metrics = {
         "probe_iterations": probe.iterations,
         "probe_grad_norm": probe.grad_norm,
@@ -343,24 +327,16 @@ def run_evaluate(cfg: PipelineConfig, predictions_path: Path | None = None) -> d
             raise DataError(f"prediction names unknown sample id {ids[bad[0]]!r}")
         raise DataError(f"sample {ids[bad[0]]!r} has no group label in the manifest")
     report = build_report(np.asarray(preds), np.asarray(labels), manifest.group[at])
-    artifacts = {
-        "fairness_report_json": _artifact(cfg, "fairness_report_json"),
-        "fairness_report_txt": _artifact(cfg, "fairness_report_txt"),
-    }
-    artifacts["fairness_report_json"].write_text(report.to_json() + "\n")
-    artifacts["fairness_report_txt"].write_text(report.to_text_table() + "\n")
+    artifacts = _artifacts(cfg, "fairness_report_json", "fairness_report_txt")
+    _write_report(artifacts, report)
     write_run_manifest(cfg, "evaluate", inputs, artifacts)
     return artifacts
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     artifacts: dict[str, Path] = {}
-    artifacts.update(run_curate(cfg))
-    artifacts.update(run_pseudolabel(cfg))
-    artifacts.update(run_pretrain(cfg))
-    artifacts.update(run_train_meta(cfg))
-    artifacts.update(run_probe(cfg))
-    artifacts.update(run_evaluate(cfg))
+    for run in (run_curate, run_pseudolabel, run_pretrain, run_train_meta, run_probe, run_evaluate):
+        artifacts.update(run(cfg))
     inputs = cfg.require_paths(
         "curated_embeddings", "curated_manifest", "uncurated_embeddings", "uncurated_manifest",
         "template_bank", "eval_embeddings", "eval_manifest", "eval_labels",

@@ -26,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FileSizeError, FormatError, SelectionError
+from .errors import DataError, FormatError, SelectionError
 from .seeding import substream
-from .store import EmbeddingMatrix, load_embeddings
+from .store import EmbeddingMatrix, load_embeddings, read_bytes, read_container, write_file
 
 MAGIC = b"FSPL"
 FORMAT_VERSION = 1
@@ -79,12 +79,9 @@ class TemplateBank:
         Paths in the index are resolved relative to the index file.
         """
         index_path = Path(index_path)
-        try:
-            index = json.loads(index_path.read_text())
-        except OSError as exc:
-            raise DataError(f"cannot read template index {index_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{index_path}: invalid JSON: {exc}") from exc
+        index = _load_json(index_path, "template index")
+        if type(index) is not dict:
+            raise FormatError(f"{index_path}: expected a JSON object of attribute names")
         attributes = []
         for name, entry in index.items():
             try:
@@ -145,42 +142,28 @@ class PseudoLabelTable:
         entries = np.empty(self.labels.shape, dtype=_ENTRY_DTYPE)
         entries["label"] = self.labels
         entries["conf"] = self.confidences
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, self.n, self.num_attributes)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(entries.tobytes())
-        names_path(path).write_text(json.dumps(self.attribute_names, sort_keys=True))
+        write_file(path, _HEADER.pack(MAGIC, FORMAT_VERSION, self.n, self.num_attributes), entries)
+        write_file(names_path(path), json.dumps(self.attribute_names, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "PseudoLabelTable":
-        path = Path(path)
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise DataError(f"cannot read pseudo-label table {path}: {exc}") from exc
-        if len(raw) < _HEADER.size:
-            raise FormatError(f"{path}: file shorter than header")
-        magic, version, n, a = _HEADER.unpack_from(raw)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        expected = _HEADER.size + n * a * _ENTRY_DTYPE.itemsize
-        if len(raw) != expected:
-            raise FileSizeError(f"{path}: expected {expected} bytes, found {len(raw)}")
+        (n, a), raw = read_container(path, MAGIC, FORMAT_VERSION, _HEADER, "pseudo-label table", _ENTRY_DTYPE)
         entries = np.frombuffer(raw, dtype=_ENTRY_DTYPE, offset=_HEADER.size).reshape(n, a)
         sidecar = names_path(path)
-        try:
-            names = json.loads(sidecar.read_bytes())
-        except FileNotFoundError as exc:
-            raise FormatError(f"{path}: attribute-name sidecar {sidecar} is missing") from exc
-        except OSError as exc:
-            raise DataError(f"cannot read {sidecar}: {exc}") from exc
-        except ValueError as exc:  # invalid JSON or not UTF-8
-            raise FormatError(f"{sidecar}: invalid JSON: {exc}") from exc
+        if not sidecar.exists():
+            raise FormatError(f"{path}: attribute-name sidecar {sidecar} is missing")
+        names = _load_json(sidecar, "attribute-name sidecar")
         if type(names) is not list or not all(type(name) is str for name in names):
             raise FormatError(f"{sidecar}: expected a JSON list of attribute names")
         return cls(entries["label"].copy(), entries["conf"].copy(), names)
+
+
+def _load_json(path: Path, what: str):
+    """Parse the JSON file at ``path``; invalid JSON or UTF-8 is a FormatError."""
+    try:
+        return json.loads(read_bytes(path, what))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _check_unit(v: np.ndarray, what: str) -> np.ndarray:

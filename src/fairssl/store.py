@@ -13,13 +13,20 @@ Flag bit 0 marks a row-normalized matrix. Manifest records are one JSON
 object per line with keys ``id``, ``row``, ``source`` and optional
 ``quality`` and ``group``; :func:`read_jsonl` reads them and every other
 JSON-lines file of the pipeline.
+
+The pipeline's files are read and written by three helpers here:
+:func:`read_bytes` (the one place a read OSError becomes a DataError),
+:func:`read_container` (magic, version and size of FSSL, FSPL and FSCK
+files) and :func:`write_file`, which replaces a file atomically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +39,7 @@ MAGIC = b"FSSL"
 FORMAT_VERSION = 1
 _FLAG_NORMALIZED = 1
 _HEADER = struct.Struct("<4sIQII")
+_PAYLOAD = np.dtype("<f4")
 
 SOURCES = ("curated", "uncurated", "retrieved")
 _SOURCE_CODE = {name: code for code, name in enumerate(SOURCES)}
@@ -85,40 +93,71 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     return EmbeddingMatrix(out, normalized=True)
 
 
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The contents of ``path``; an OSError becomes a DataError naming ``what``."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_container(
+    path: str | Path, magic: bytes, version: int, header: struct.Struct, what: str, payload: np.dtype | None = None
+) -> tuple[list, bytes]:
+    """Read a binary container whose ``header`` starts with its magic and a
+    u32 version, and return the remaining header fields and the raw bytes.
+
+    ``payload``, if given, is the dtype of an n x m array that fills the
+    rest of the file, n and m being the first two remaining fields.
+    """
+    raw = read_bytes(path, what)
+    if len(raw) < header.size:
+        raise FormatError(f"{path}: file shorter than header ({len(raw)} bytes)")
+    found, found_version, *fields = header.unpack_from(raw)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}")
+    if found_version != version:
+        raise FormatError(f"{path}: unsupported version {found_version}")
+    if payload is not None:
+        expected = header.size + fields[0] * fields[1] * payload.itemsize
+        if len(raw) != expected:
+            raise FileSizeError(f"{path}: expected {expected} bytes, found {len(raw)}")
+    return fields, raw
+
+
+def write_file(path: str | Path, *chunks) -> None:
+    """Replace ``path`` with ``chunks`` (bytes, buffers, or str as UTF-8) in order.
+
+    The chunks go to a temp file in the same directory that then replaces
+    ``path``, so ``path`` holds its old contents or all of the new ones. On
+    any error the temp file is removed; an OSError becomes a DataError.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 def save_embeddings(m: EmbeddingMatrix, path: str | Path) -> None:
     """Write ``m`` so that :func:`load_embeddings` restores it bit-exactly."""
-    path = Path(path)
     flags = _FLAG_NORMALIZED if m.normalized else 0
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, m.n, m.d, flags)
-    payload = np.ascontiguousarray(m.data, dtype="<f4").tobytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-    except OSError as exc:
-        raise DataError(f"cannot write embeddings to {path}: {exc}") from exc
+    write_file(path, header, np.ascontiguousarray(m.data, dtype=_PAYLOAD))
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read an embedding file, validating header, size, and finiteness."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read embeddings from {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: file shorter than header ({len(raw)} bytes)")
-    magic, version, n, d, flags = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    expected = _HEADER.size + 4 * n * d
-    if len(raw) != expected:
-        raise FileSizeError(
-            f"{path}: expected {expected} bytes for {n}x{d} matrix, found {len(raw)}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n, d).copy()
+    (n, d, flags), raw = read_container(path, MAGIC, FORMAT_VERSION, _HEADER, "embeddings", _PAYLOAD)
+    data = np.frombuffer(raw, dtype=_PAYLOAD, offset=_HEADER.size).reshape(n, d).copy()
     if not np.all(np.isfinite(data)):
         raise DataError(f"{path}: payload contains non-finite values")
     return EmbeddingMatrix(data, normalized=bool(flags & _FLAG_NORMALIZED))
@@ -132,7 +171,8 @@ class DatasetManifest:
     score ``quality[i]`` and group label ``group[i]`` (absent values read 0).
 
     Build one with :meth:`from_columns`; the constructor checks that ids
-    and rows are unique. ``group`` is evaluation-only: training-side code
+    and rows are unique and quality scores finite (JSON has no number for
+    NaN or infinity, so no manifest file can hold one). ``group`` is evaluation-only: training-side code
     must receive manifests with the labels stripped (see
     :meth:`strip_group_labels`).
     """
@@ -146,6 +186,9 @@ class DatasetManifest:
     has_group: np.ndarray  # bool
 
     def __post_init__(self) -> None:
+        finite = np.isfinite(self.quality)
+        if not finite.all():
+            raise DataError(f"quality of sample {self.ids[int(np.argmin(finite))]!r} is not finite")
         rows = np.sort(self.rows)  # np.unique would hash: slower, and more memory
         if len(set(self.ids)) == len(self.ids) and not np.any(rows[1:] == rows[:-1]):
             return
@@ -208,7 +251,7 @@ class DatasetManifest:
             if has_group:
                 obj["group"] = group
             lines.append(_encode_json(obj))
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        write_file(path, "\n".join(lines), "\n" if lines else "")
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
@@ -228,7 +271,13 @@ def _optional_column(values, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
 _MANIFEST_FIELDS = {"id": str, "row": int, "source": str, "quality": float, "group": int}
 # JSON types a field of each declared type accepts; bool is not an int here
 _JSON_TYPES = {str: (str,), int: (int,), float: (float, int)}
-_decode_json = json.JSONDecoder().raw_decode
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_decode_json = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
 _encode_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True)
 # the integers an int field (int64) and a float field (float64, after
 # rounding to nearest) can hold
@@ -246,13 +295,10 @@ def read_jsonl(
     None; other keys are ignored. Undecodable bytes, invalid JSON, a line
     that is not an object, a missing, null or wrong-typed field, and an
     integer outside int64 (or, in a float field, outside the float range)
-    raise FormatError naming ``path:line``.
+    and the non-standard constants NaN, Infinity and -Infinity raise
+    FormatError naming ``path:line``.
     """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    raw = read_bytes(path, "JSON-lines file")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .seeding import substream
-from .store import DatasetManifest, EmbeddingMatrix, normalize_rows, save_embeddings
+from .store import DatasetManifest, EmbeddingMatrix, normalize_rows, save_embeddings, write_file
 
 TARGET_ATTRIBUTE = "attr_target"
 CONTEXT_ATTRIBUTE = "attr_context"
@@ -179,7 +179,7 @@ def write_world_files(world: World, out_dir: Path, seed: int) -> dict:
         json.dumps({"id": f"eval-{i:06d}", "label": int(world.eval_set.target[i])})
         for i in range(world.eval_set.raw.shape[0])
     ]
-    (out_dir / "eval_labels.jsonl").write_text("\n".join(labels_lines) + "\n")
+    write_file(out_dir / "eval_labels.jsonl", "\n".join(labels_lines), "\n")
 
     template_dir = out_dir / "templates"
     template_dir.mkdir(exist_ok=True)
@@ -190,7 +190,7 @@ def write_world_files(world: World, out_dir: Path, seed: int) -> dict:
         save_embeddings(EmbeddingMatrix(pos.astype(np.float32), normalized=True), template_dir / f"{name}_pos.fssl")
         save_embeddings(EmbeddingMatrix(neg.astype(np.float32), normalized=True), template_dir / f"{name}_neg.fssl")
         index[name] = {"pos": f"{name}_pos.fssl", "neg": f"{name}_neg.fssl"}
-    (template_dir / "template_bank.json").write_text(json.dumps(index, sort_keys=True, indent=2))
+    write_file(template_dir / "template_bank.json", json.dumps(index, sort_keys=True, indent=2))
 
     files = {
         "uncurated_embeddings": str(out_dir / "uncurated.fssl"),

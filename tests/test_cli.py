@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 
@@ -103,6 +104,41 @@ class TestCliExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["curate", "--config", "/definitely/not/here.yaml"]) == 2
         assert "not/here.yaml" in capsys.readouterr().err
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert main(["curate", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {tmp_path}" in err and "Traceback" not in err
+
+    def test_out_dir_naming_a_file_exits_2(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        (tmp_path / "taken").write_text("")
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")
+        assert main(["curate", "--config", str(cfg_path), "--out", str(tmp_path / "taken")]) == 2
+        err = capsys.readouterr().err
+        assert "paths.out_dir: cannot create directory" in err and "taken" in err
+        assert (tmp_path / "taken").read_text() == ""
+
+    @pytest.mark.parametrize("files", [1, None], ids=["first-write", "every-write"])
+    def test_failed_rewrite_keeps_previous_run(self, tmp_path, world_dir, capsys, break_writes, files):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        assert main(["curate", "--config", str(cfg_path)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # the re-run's first write, augmented.fssl, fails after its header;
+        # with every write failing, the failure marker cannot be written either
+        break_writes(OSError(errno.ENOSPC, "No space left on device"), files=files)
+        capsys.readouterr()
+        assert main(["curate", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "augmented.fssl" in err and "No space left" in err
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        if files == 1:
+            marker = json.loads(after.pop("run_manifest_curate.json"))
+            assert marker["status"] == "failed" and "augmented.fssl" in marker["error"]
+            del before["run_manifest_curate.json"]
+        assert after == before  # every file keeps its bytes, and no temp file is left
 
     def test_missing_embedding_file_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

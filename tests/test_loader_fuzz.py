@@ -100,7 +100,7 @@ entries = st.lists(
         st.text(max_size=8),
         st.integers(0, 2**63 - 1),
         st.sampled_from(SOURCES),
-        st.none() | st.floats(allow_nan=False),
+        st.none() | st.floats(allow_nan=False, allow_infinity=False),  # see test_manifest_rejects_non_finite_quality
         st.none() | st.integers(-(2**63), 2**63 - 1),
     ),
     max_size=12,

@@ -262,6 +262,20 @@ class TestBankIO:
         assert sorted(bank.names) == ["smiling", "young"]
         assert bank.attributes[0].pos.shape == (2, d)
 
+    @pytest.mark.parametrize(
+        "index, problem",
+        [(b"[1, 2]", "expected a JSON object"), (b'{"a": "\xff"}', "invalid JSON")],
+        ids=["not-an-object", "not-utf8"],
+    )
+    def test_malformed_bank_index_is_format_error(self, tmp_path, index, problem):
+        (tmp_path / "bank.json").write_bytes(index)
+        with pytest.raises(FormatError, match=rf"bank\.json: {problem}"):
+            TemplateBank.load(tmp_path / "bank.json")
+
+    def test_unreadable_bank_index_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read template index"):
+            TemplateBank.load(tmp_path)
+
 
 class TestValidationSubset:
     def table(self, confs, labels):

@@ -1,5 +1,8 @@
+import ast
 import json
+import stat
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from fairssl.store import (
     normalize_rows,
     read_jsonl,
     save_embeddings,
+    write_file,
 )
 
 from oracles import manifest_entries
@@ -136,6 +140,14 @@ def test_manifest_rejects_duplicates():
         DatasetManifest.from_columns(["a", "b", "c", "a"], [0, 1, 1, 2], "curated")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_manifest_rejects_non_finite_quality(value):
+    # a manifest file cannot hold them (read_jsonl rejects NaN and Infinity),
+    # so a manifest in memory holds none either
+    with pytest.raises(DataError, match="quality of sample 'b' is not finite"):
+        DatasetManifest.from_columns(["a", "b"], [0, 1], "uncurated", quality=[0.5, value])
+
+
 def test_manifest_row_bounds():
     DatasetManifest.from_columns(["a", "b"], [0, 5], "curated").validate_rows(6)
     manifest = DatasetManifest.from_columns(["a", "b", "c"], [0, 5, -1], "curated")
@@ -177,6 +189,9 @@ GOOD_LINE = b'{"id": "a", "row": 0, "source": "curated"}'
         (b'{"id": "b", "row": 1, "source": "curated", "group": 1.5}', "'group' must be int"),
         (b'{"id": "b", "row": 9223372036854775808, "source": "curated"}', "'row' is outside the int64 range"),
         (b'{"id": "b", "row": 1, "source": "curated", "group": -9223372036854775809}', "'group' is outside the int64"),
+        (b'{"id": "b", "row": 1, "source": "curated", "quality": NaN}', "invalid JSON: NaN is not a JSON number"),
+        (b'{"id": "b", "row": 1, "source": "curated", "quality": Infinity}', "invalid JSON: Infinity is not"),
+        (b'{"id": "b", "row": 1, "source": "curated", "quality": -Infinity}', "invalid JSON: -Infinity is not"),
     ],
 )
 def test_malformed_manifest_line_names_path_and_line(tmp_path, bad, problem):
@@ -231,3 +246,63 @@ def test_read_jsonl_integer_range_edges(tmp_path):
 def test_read_jsonl_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError, match="absent.jsonl"):
         read_jsonl(tmp_path / "absent.jsonl", {"id": str})
+
+
+def test_write_file_writes_chunks_in_order(tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"older and longer contents")
+    write_file(path, b"ab", "c\u00e9", memoryview(b"de"), np.arange(2, dtype="<u2"))
+    assert path.read_bytes() == b"abc\xc3\xa9de\x00\x00\x01\x00"
+    with open(tmp_path / "plain", "wb"):
+        pass
+    write_file(tmp_path / "new", "")
+    assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "new", "plain"]
+
+
+def test_write_file_error_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot write .*absent"):
+        write_file(tmp_path / "absent" / "f.bin", b"x")
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_interrupted_write_keeps_old_file_and_leaves_no_temp(tmp_path, break_writes, exc):
+    path = tmp_path / "a.fssl"
+    save_embeddings(EmbeddingMatrix(np.ones((3, 2), dtype=np.float32)), path)
+    before = path.read_bytes()
+    break_writes(exc)  # the header is written, the payload is not
+    with pytest.raises(DataError if isinstance(exc, OSError) else KeyboardInterrupt):
+        save_embeddings(EmbeddingMatrix(np.zeros((5, 2), dtype=np.float32)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.fssl"]
+
+
+def _file_writes(source: str) -> list[int]:
+    """Lines of ``source`` that call write_text or write_bytes, or open a
+    file with a mode that can write (a mode not spelled out counts too)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            # open(file, mode) and io.open(file, mode), but path.open(mode)
+            method = isinstance(node.func, ast.Attribute) and getattr(node.func.value, "id", None) != "io"
+            args = node.args[0 if method else 1 :]
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), args[0] if args else None)
+            if mode is not None and not (
+                isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+")
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_store_writes_files():
+    src = Path(__file__).resolve().parent.parent / "src" / "fairssl"
+    writes = {p.name: _file_writes(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert len(writes.pop("store.py")) == 1  # write_file's open of the temp file
+    assert {name: lines for name, lines in writes.items() if lines} == {}
+    assert _file_writes("open(p)\nopen(p, 'rb')\np.open()\nio.open(p, mode='r')") == []
+    assert _file_writes("open(p, 'r+')\np.open('ab')\nio.open(p, mode)\nopen(p, mode='x')\np.write_text(s)") == [1, 2, 3, 4, 5]
