@@ -42,7 +42,8 @@ for alignments in ([1.0, 0.0], [2.0, 1.0, -3.0], [-1.0, -2.0]):
     print(f"  alignments {alignments} -> weights {np.round(state.w, 3).tolist()}"
           f"{'  (step suppressed)' if state.skipped else ''}")
 
-# Stage 1 first, then the reweighted stage with its per-epoch validation loss.
+# Stage 1 first (6 of the 10 epochs at stage_split=0.6), then the reweighted
+# stage for the other 4, with its per-epoch validation loss.
 params = ModelParams.create(dim, [32, 16], [32, 32, 8], seed=1)
 cfg = TrainConfig(batch_size=32, epochs=10, stage_split=0.6, base_lr=1e-3,
                   warmup_epochs=1, seed=4, val_subset_size=64, val_topk=16)
@@ -52,7 +53,7 @@ pretrain_stage(params, X, labels, [0, 1], loss_cfg, cfg, stratify_labels=labels[
 val_idx = select_validation_subset(table, "target", conf_threshold=0.9, m=64, seed=4)
 val_y = labels[val_idx, 0]
 history, summary = meta_stage(params, X, labels, [0, 1], val_idx, val_y, loss_cfg, cfg,
-                              epochs=4, epoch_offset=6, stratify_labels=labels[:, 0])
+                              stratify_labels=labels[:, 0])
 
 print(f"\nvalidation worst-{cfg.val_topk} loss at stage switch: "
       f"{summary['val_topk_at_switch']:.4f}")

@@ -47,6 +47,13 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# exit code and stderr prefix of each error class a command can fail with
+_FAILURES = {
+    ConfigError: (EXIT_CONFIG, "configuration error"),
+    DataError: (EXIT_DATA, "data error"),
+    NumericError: (EXIT_NUMERIC, "numeric failure"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -95,21 +102,12 @@ def main(argv: list[str] | None = None) -> int:
         artifacts = _COMMANDS[args.command](cfg)
         for name in _ECHO.get(args.command, ()):
             print(artifacts[name].read_text(), end="")
-    except ConfigError as exc:
+    except tuple(_FAILURES) as exc:
         if cfg is not None:
             write_failure_manifest(cfg, args.command, exc)
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        if cfg is not None:
-            write_failure_manifest(cfg, args.command, exc)
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        if cfg is not None:
-            write_failure_manifest(cfg, args.command, exc)
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        code, prefix = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     return EXIT_OK
 
 

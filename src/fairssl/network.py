@@ -487,7 +487,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         nbytes = 4 * (in_dim * out_dim + out_dim)
         if offset + nbytes > len(raw):
             raise FileSizeError(f"{path}: truncated layer payload")
-        payload = np.frombuffer(raw, dtype="<f4", count=nbytes // 4, offset=offset).astype(np.float64)
+        payload = np.frombuffer(raw, dtype="<f4", count=nbytes // 4, offset=offset)
+        if not np.isfinite(payload).all():  # before the cast, which warns on a signaling NaN
+            raise FormatError(f"{path}: non-finite weights")
+        payload = payload.astype(np.float64)
         offset += nbytes
         w = payload[: in_dim * out_dim].reshape(out_dim, in_dim)
         try:
@@ -507,7 +510,4 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise FileSizeError(f"{path}: {len(raw) - offset} trailing bytes")
     if head is None or not encoder:
         raise FormatError(f"{path}: missing {'head' if head is None else 'encoder'} layer")
-    params = ModelParams(encoder, projection, head)
-    if not np.isfinite(params.flat).all():
-        raise FormatError(f"{path}: non-finite weights")
-    return params
+    return ModelParams(encoder, projection, head)

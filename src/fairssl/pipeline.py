@@ -241,27 +241,21 @@ def run_pretrain(cfg: PipelineConfig) -> dict[str, Path]:
 def run_train_meta(cfg: PipelineConfig) -> dict[str, Path]:
     data = _load_training_inputs(cfg)
     tcfg = cfg.trainer
-    meta_epochs = tcfg.epochs - tcfg.stage1_epochs
     checkpoint = _require_artifact(cfg, "pretrain_checkpoint", "pretrain")
     params = load_checkpoint(checkpoint)
-    artifacts = _artifacts(cfg, "final_checkpoint", "meta_history", "training_summary")
-    if meta_epochs <= 0:
-        # stage_split == 1.0: pure contrastive training, the pretrained model is final
-        save_checkpoint(params, artifacts["final_checkpoint"])
-        _write_history(artifacts["meta_history"], [])
-        _write_json(artifacts["training_summary"], {"meta_epochs": 0})
-    else:
+    history, summary = [], {"meta_epochs": 0}
+    if tcfg.meta_epochs > 0:  # with stage_split == 1.0 the pretrained model is final
         val_idx = select_validation_subset(
             data.table, data.val_attr, cfg.pseudolabel.conf_threshold, tcfg.val_subset_size, cfg.seed
         )
         history, summary = meta_stage(
             params, data.X, data.labels, data.attributes, val_idx, data.labels[val_idx, data.val_col],
-            cfg.loss, tcfg, epochs=meta_epochs, epoch_offset=tcfg.stage1_epochs,
-            stratify_labels=data.labels[:, data.val_col],
+            cfg.loss, tcfg, stratify_labels=data.labels[:, data.val_col],
         )
-        save_checkpoint(params, artifacts["final_checkpoint"])
-        _write_history(artifacts["meta_history"], history)
-        _write_json(artifacts["training_summary"], summary)
+    artifacts = _artifacts(cfg, "final_checkpoint", "meta_history", "training_summary")
+    save_checkpoint(params, artifacts["final_checkpoint"])
+    _write_history(artifacts["meta_history"], history)
+    _write_json(artifacts["training_summary"], summary)
     write_run_manifest(cfg, "train-meta", {**data.inputs, "pretrain_checkpoint": checkpoint}, artifacts)
     return artifacts
 

@@ -94,6 +94,10 @@ class TrainConfig:
     def stage1_epochs(self) -> int:
         return math.ceil(self.stage_split * self.epochs)
 
+    @property
+    def meta_epochs(self) -> int:
+        return self.epochs - self.stage1_epochs
+
 
 @dataclass
 class MetaState:
@@ -248,53 +252,16 @@ def stratified_batches(
     return [order[i : i + batch_size] for i in range(0, usable, batch_size)]
 
 
-def _assemble_batch(
-    X: np.ndarray,
-    labels: np.ndarray,
-    idx: np.ndarray,
-    rng: np.random.Generator,
-    cfg: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = X[idx].astype(np.float64)
-    v1, v2 = make_views(x, rng, cfg.noise_sigma, cfg.mask_prob, cfg.scale_jitter)
-    views = np.vstack([v1, v2])
-    origins = np.concatenate([np.arange(idx.size), np.arange(idx.size)])
-    view_labels = np.vstack([labels[idx], labels[idx]])
-    return views, origins, view_labels
-
-
-def _batch_loss_and_grad(
-    params: ModelParams,
-    views: np.ndarray,
-    origins: np.ndarray,
-    view_labels: np.ndarray,
-    attributes: list[int],
-    loss_cfg: LossConfig,
-    objective: str,
-) -> tuple[float, GradientBundle, object]:
-    """Forward the views, evaluate the configured objective, and backprop.
-
-    Returns (reported scalar, gradient bundle, tape); the scalar is the mean
-    per-anchor loss, or the top-k average when that wrapper is enabled.
-    """
-    _, Z, tape = forward_embed(params, views)
-    batch = MultiviewedBatch(Z, origins, view_labels)
-    if objective == "contrastive":
-        loss, dZ = contrastive_loss(batch, loss_cfg.temperature)
-        scalar = loss / batch.num_views
-    else:
-        terms, R_list, _ = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
-        if loss_cfg.topk_enabled:
-            k = min(loss_cfg.topk_count, terms.size)
-            value, mask = topk_average(terms, k)
-            anchor_w = mask.astype(np.float64) / k
-            scalar = value
-        else:
-            anchor_w = np.ones(terms.size)
-            scalar = float(terms.sum()) / batch.num_views
-        dZ = weighted_grad_from_stats(Z, R_list, anchor_w, loss_cfg.temperature)
-    bundle = backward(params, tape, d_projection=dZ)
-    return scalar, bundle, tape
+def _embed_views(
+    params: ModelParams, X: np.ndarray, labels: np.ndarray, idx: np.ndarray,
+    rng: np.random.Generator, cfg: TrainConfig,
+) -> tuple[np.ndarray, object, MultiviewedBatch]:
+    """Two augmented views of the rows ``idx``, forwarded: (Z, tape, batch).
+    View ``i`` pairs with view ``i + idx.size``."""
+    v1, v2 = make_views(X[idx].astype(np.float64), rng, cfg.noise_sigma, cfg.mask_prob, cfg.scale_jitter)
+    _, Z, tape = forward_embed(params, np.vstack([v1, v2]))
+    batch = MultiviewedBatch(Z, np.tile(np.arange(idx.size), 2), np.vstack([labels[idx], labels[idx]]))
+    return Z, tape, batch
 
 
 def pretrain_epoch(
@@ -309,7 +276,12 @@ def pretrain_epoch(
     rng_views: np.random.Generator,
     stratify_labels: np.ndarray | None = None,
 ) -> dict:
-    """One shuffled pass over the dataset with the stage-1 objective."""
+    """One shuffled pass over the dataset with the stage-1 objective.
+
+    The reported loss is the mean per-anchor loss, or the top-k average when
+    that wrapper is enabled. The plain paths backpropagate the sum of the
+    anchor terms, not their mean; the top-k path backpropagates its average.
+    """
     if X.shape[0] == 0:
         raise DataError("cannot train on an empty dataset")
     batches = stratified_batches(X.shape[0], cfg.batch_size, rng_shuffle, stratify_labels)
@@ -317,11 +289,22 @@ def pretrain_epoch(
     grad_norms = []
     skipped = 0
     for idx in batches:
-        views, origins, view_labels = _assemble_batch(X, labels, idx, rng_views, cfg)
         try:
-            loss, bundle, _ = _batch_loss_and_grad(
-                params, views, origins, view_labels, attributes, loss_cfg, cfg.objective
-            )
+            Z, tape, batch = _embed_views(params, X, labels, idx, rng_views, cfg)
+            if cfg.objective == "contrastive":
+                loss, dZ = contrastive_loss(batch, loss_cfg.temperature)
+                loss /= batch.num_views
+            else:
+                terms, R_list, _ = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
+                if loss_cfg.topk_enabled:
+                    k = min(loss_cfg.topk_count, terms.size)
+                    loss, mask = topk_average(terms, k)
+                    anchor_w = mask.astype(np.float64) / k
+                else:
+                    anchor_w = np.ones(terms.size)
+                    loss = float(terms.sum()) / batch.num_views
+                dZ = weighted_grad_from_stats(Z, R_list, anchor_w, loss_cfg.temperature)
+            bundle = backward(params, tape, d_projection=dZ)
         except DegenerateBatchError as exc:
             skipped += 1
             log.warning("skipping degenerate batch: %s", exc)
@@ -400,9 +383,7 @@ def meta_step(
     """
     if val_x.shape[0] == 0:
         raise DataError("validation batch is empty")
-    views, origins, view_labels = _assemble_batch(X, labels, idx, rng_views, cfg)
-    _, Z, tape = forward_embed(params, views)
-    batch = MultiviewedBatch(Z, origins, view_labels)
+    Z, tape, batch = _embed_views(params, X, labels, idx, rng_views, cfg)
     terms, R_list, _ = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
     n = idx.size
     sample_terms = 0.5 * (terms[:n] + terms[n:])
@@ -457,6 +438,13 @@ def full_validation_loss(
     return loss
 
 
+def _optimizer(params: ModelParams, n: int, cfg: TrainConfig, epochs: int, warmup_epochs: int) -> AdamW:
+    """AdamW with warmup, then cosine decay over ``epochs`` passes of ``n`` samples."""
+    steps = max(1, n // cfg.batch_size)  # per epoch
+    schedule = LrSchedule(cfg.base_lr, warmup_steps=warmup_epochs * steps, total_steps=epochs * steps)
+    return AdamW(params, schedule, weight_decay=cfg.weight_decay)
+
+
 def pretrain_stage(
     params: ModelParams,
     X: np.ndarray,
@@ -464,24 +452,15 @@ def pretrain_stage(
     attributes: list[int],
     loss_cfg: LossConfig,
     cfg: TrainConfig,
-    epochs: int | None = None,
     stratify_labels: np.ndarray | None = None,
 ) -> list[dict]:
-    """Stage 1: contrastive pretraining for ``epochs`` (default: the stage
-    split of the configured total)."""
-    epochs = cfg.stage1_epochs if epochs is None else epochs
-    n = X.shape[0]
-    steps_per_epoch = max(1, n // cfg.batch_size) if n >= cfg.batch_size else 1
-    schedule = LrSchedule(
-        cfg.base_lr,
-        warmup_steps=cfg.warmup_epochs * steps_per_epoch,
-        total_steps=epochs * steps_per_epoch,
-    )
-    optimizer = AdamW(params, schedule, weight_decay=cfg.weight_decay)
+    """Stage 1: contrastive pretraining for ``cfg.stage1_epochs`` epochs,
+    numbered from 1, with warmup."""
+    optimizer = _optimizer(params, X.shape[0], cfg, cfg.stage1_epochs, cfg.warmup_epochs)
     rng_shuffle = substream(cfg.seed, "stage1", "shuffle")
     rng_views = substream(cfg.seed, "stage1", "views")
     history = []
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, cfg.stage1_epochs + 1):
         metrics = pretrain_epoch(
             params, X, labels, attributes, loss_cfg, cfg, optimizer,
             rng_shuffle, rng_views, stratify_labels,
@@ -501,18 +480,17 @@ def meta_stage(
     val_y: np.ndarray,
     loss_cfg: LossConfig,
     cfg: TrainConfig,
-    epochs: int | None = None,
-    epoch_offset: int = 0,
     stratify_labels: np.ndarray | None = None,
 ) -> tuple[list[dict], dict]:
     """Stage 2: freeze the configured layers, fit the validation head on the
-    high-confidence subset, then run reweighted steps.
+    high-confidence subset, then run reweighted steps for the epochs stage 1
+    leaves (``cfg.meta_epochs``), numbered from ``cfg.stage1_epochs + 1``,
+    without warmup.
 
     Returns (per-epoch history, summary) where the summary records the
     validation top-k loss at the stage switch and at the end.
     """
-    epochs = cfg.epochs - cfg.stage1_epochs if epochs is None else epochs
-    if epochs <= 0:
+    if cfg.meta_epochs <= 0:
         raise ConfigError("meta stage has no epochs to run; increase epochs or lower stage_split")
     val_idx = np.asarray(val_idx, dtype=np.int64)
     val_y = np.asarray(val_y, dtype=np.int64)
@@ -538,15 +516,13 @@ def meta_stage(
     val_at_switch = full_validation_loss(params, X, val_idx, val_y, cfg.val_topk)
 
     n = X.shape[0]
-    steps_per_epoch = max(1, n // cfg.batch_size) if n >= cfg.batch_size else 1
-    schedule = LrSchedule(cfg.base_lr, warmup_steps=0, total_steps=epochs * steps_per_epoch)
-    optimizer = AdamW(params, schedule, weight_decay=cfg.weight_decay)
+    optimizer = _optimizer(params, n, cfg, cfg.meta_epochs, warmup_epochs=0)
     rng_shuffle = substream(cfg.seed, "stage2", "shuffle")
     rng_views = substream(cfg.seed, "stage2", "views")
     rng_val = substream(cfg.seed, "stage2", "valsample")
 
     history = []
-    for epoch in range(1, epochs + 1):
+    for epoch in range(cfg.stage1_epochs + 1, cfg.epochs + 1):
         batches = stratified_batches(n, cfg.batch_size, rng_shuffle, stratify_labels)
         step_losses = []
         entropies = []
@@ -571,7 +547,7 @@ def meta_stage(
                 entropies.append(metrics["weight_entropy"])
         val_epoch = full_validation_loss(params, X, val_idx, val_y, cfg.val_topk)
         row = {
-            "epoch": epoch_offset + epoch,
+            "epoch": epoch,
             "stage": "meta",
             "loss": float(np.mean(step_losses)) if step_losses else float("nan"),
             "val_topk_loss": val_epoch,
@@ -586,6 +562,6 @@ def meta_stage(
     summary = {
         "val_topk_at_switch": val_at_switch,
         "val_topk_final": history[-1]["val_topk_loss"],
-        "meta_epochs": epochs,
+        "meta_epochs": cfg.meta_epochs,
     }
     return history, summary

@@ -339,13 +339,11 @@ def staged_train(
         params, X, labels, attributes, loss_cfg, cfg, stratify_labels=stratify_labels
     )
     summary: dict = {"meta_epochs": 0}
-    remaining = cfg.epochs - cfg.stage1_epochs
-    if remaining > 0:
+    if cfg.meta_epochs > 0:
         if val_idx is None or val_y is None:
             raise ConfigError("meta stage requires a validation subset")
         meta_hist, summary = meta_stage(
             params, X, labels, attributes, val_idx, val_y, loss_cfg, cfg,
-            epochs=remaining, epoch_offset=cfg.stage1_epochs,
             stratify_labels=stratify_labels,
         )
         history.extend(meta_hist)

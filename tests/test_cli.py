@@ -7,7 +7,7 @@ import yaml
 
 from fairssl.cli import main
 from fairssl.config import apply_overrides, config_from_dict, load_config
-from fairssl.errors import ConfigError, DataError
+from fairssl.errors import ConfigError, DataError, NumericError
 from fairssl.network import ModelParams, save_checkpoint
 from fairssl.pipeline import run_curate, run_evaluate, run_probe
 from fairssl.store import DatasetManifest
@@ -190,6 +190,26 @@ class TestCliExitCodes:
         assert marker["status"] == "failed"
         assert "bad.fssl" in marker["error"]
 
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ConfigError, 2, "configuration error"),
+        (DataError, 3, "data error"),
+        (NumericError, 4, "numeric failure"),
+    ])
+    def test_error_class_sets_exit_code_and_prefix(self, tmp_path, world_dir, capsys, monkeypatch,
+                                                   error, code, prefix):
+        wdir, world = world_dir
+
+        def failing_curate(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr("fairssl.pipeline.curate", failing_curate)
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")
+        assert main(["curate", "--config", str(cfg_path)]) == code
+        assert f"{prefix}: injected failure" in capsys.readouterr().err.splitlines()
+        marker = json.loads((tmp_path / "out" / "run_manifest_curate.json").read_text())
+        assert marker["status"] == "failed"
+        assert "injected failure" in marker["error"]
+
     def test_pipeline_failure_lists_partial_artifacts(self, tmp_path, world_dir):
         wdir, world = world_dir
         # valid curation inputs but a corrupt template bank: curate succeeds,
@@ -258,6 +278,17 @@ class TestStages:
         assert printed == (out / "fairness_report.txt").read_text()
         rerun = json.loads((out / "run_manifest_probe.json").read_text())["metrics"]
         assert rerun == metrics
+
+    def test_train_meta_at_full_stage_split_keeps_pretrained_model(self, tmp_path, world_dir):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        for stage in ("curate", "pseudolabel", "pretrain", "train-meta"):
+            assert main([stage, "--config", str(cfg_path), "--set", "trainer.stage_split=1.0"]) == 0
+        assert (out / "final_checkpoint.fsck").read_bytes() == (out / "pretrain_checkpoint.fsck").read_bytes()
+        header = (out / "pretrain_history.csv").read_text().splitlines(keepends=True)[0]
+        assert (out / "meta_history.csv").read_text() == header
+        assert json.loads((out / "training_summary.json").read_text()) == {"meta_epochs": 0}
 
     def test_stage_order_enforced(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -394,6 +396,17 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         with pytest.raises(FormatError, match="non-finite"):
             load_checkpoint(path)
+
+    def test_signaling_nan_weight_is_format_error_without_warning(self, tmp_path):
+        path = tmp_path / "a.fsck"
+        save_checkpoint(small_params(), path)
+        raw = bytearray(path.read_bytes())
+        raw[12 + 11 : 12 + 11 + 4] = (0x7F800001).to_bytes(4, "little")  # first weight of encoder.0
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="non-finite"):
+                load_checkpoint(path)
 
     def test_projection_depth_enforced(self):
         d = 3

@@ -299,10 +299,23 @@ def _file_writes(source: str) -> list[int]:
     return lines
 
 
+def _prints(source: str) -> list[int]:
+    """Lines of ``source`` that call the builtin ``print``."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+    ]
+
+
 def test_only_store_writes_files():
     src = Path(__file__).resolve().parent.parent / "src" / "fairssl"
-    writes = {p.name: _file_writes(p.read_text()) for p in sorted(src.glob("*.py"))}
+    sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    writes = {name: _file_writes(text) for name, text in sources.items()}
     assert len(writes.pop("store.py")) == 1  # write_file's open of the temp file
     assert {name: lines for name, lines in writes.items() if lines} == {}
     assert _file_writes("open(p)\nopen(p, 'rb')\np.open()\nio.open(p, mode='r')") == []
     assert _file_writes("open(p, 'r+')\np.open('ab')\nio.open(p, mode)\nopen(p, mode='x')\np.write_text(s)") == [1, 2, 3, 4, 5]
+    # the library logs; only the command line prints
+    prints = {name: _prints(text) for name, text in sources.items() if name != "cli.py"}
+    assert {name: lines for name, lines in prints.items() if lines} == {}
+    assert _prints("log.info(s)\nprinter(s)\nx.print(s)\nprint(s, file=f)\nf(print(s))") == [4, 5]

@@ -218,7 +218,7 @@ class TestPretrain:
         def run():
             params = tiny_params(seed=1)
             cfg = TrainConfig(batch_size=16, epochs=2, base_lr=1e-3, warmup_epochs=1, seed=5)
-            pretrain_stage(params, X, labels, [0, 1], LossConfig(), cfg, epochs=2)
+            pretrain_stage(params, X, labels, [0, 1], LossConfig(), cfg)
             return {n: (l.weight.copy(), l.bias.copy()) for n, l in params.named_layers()}
 
         a, b = run(), run()
@@ -235,6 +235,26 @@ class TestPretrain:
         m = pretrain_epoch(params, X, labels, [0, 1], LossConfig(), cfg, opt,
                            substream(0, "s"), substream(0, "v"))
         assert np.isfinite(m["loss"])
+
+    def test_topk_wrapper_against_plain_objective(self, rng):
+        # one batch of 16 samples, 32 anchor views; base_lr=0 so every run sees the same model
+        X, labels = toy_data(rng, n=16)
+        cfg = TrainConfig(batch_size=16, epochs=1, base_lr=0.0, warmup_epochs=0, seed=0)
+
+        def run(loss_cfg):
+            params = tiny_params(seed=3)
+            opt = AdamW(params, LrSchedule(0.0), weight_decay=0.0)
+            return pretrain_epoch(params, X, labels, [0, 1], loss_cfg, cfg, opt,
+                                  substream(0, "s"), substream(0, "v"))
+
+        plain = run(LossConfig())
+        views = 2 * cfg.batch_size
+        for count in (views, views + 5):  # every anchor: the mean, and the average's gradient
+            full = run(LossConfig(topk_enabled=True, topk_count=count))
+            assert full["loss"] == pytest.approx(plain["loss"], rel=1e-12)
+            assert full["grad_norm_mean"] * views == pytest.approx(plain["grad_norm_mean"], rel=1e-12)
+        for count in (1, 4, views - 1):
+            assert run(LossConfig(topk_enabled=True, topk_count=count))["loss"] >= plain["loss"]
 
     def test_empty_dataset(self, rng):
         cfg = TrainConfig(seed=0)
@@ -430,7 +450,7 @@ class TestStagedTraining:
         params = tiny_params(seed=6)
         cfg = TrainConfig(batch_size=16, epochs=4, stage_split=0.5, warmup_epochs=0,
                           seed=2, val_subset_size=16, val_topk=4, val_batch_size=8)
-        pretrain_stage(params, X, labels, [0, 1], LossConfig(), cfg, epochs=2)
+        pretrain_stage(params, X, labels, [0, 1], LossConfig(), cfg)
         frozen_names = [f"encoder.{i}" for i in range(len(params.encoder) - 1)]
         before = {}
         # meta_stage freezes and fits the head; snapshot the to-be-frozen layers first
@@ -438,7 +458,7 @@ class TestStagedTraining:
             layer = params.layer(name)
             before[name] = (layer.weight.tobytes(), layer.bias.tobytes())
         meta_stage(params, X, labels, [0, 1], np.arange(16), labels[:16, 0],
-                   LossConfig(), cfg, epochs=2, epoch_offset=2)
+                   LossConfig(), cfg)
         for name in frozen_names:
             layer = params.layer(name)
             assert layer.weight.tobytes() == before[name][0]
