@@ -9,8 +9,12 @@ hashes to a stable digest recorded in run manifests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,15 +137,39 @@ _SECTIONS = {
 }
 
 
+def _matches(value, hint) -> bool:
+    """Whether ``value`` has the annotated type, without conversion: an int
+    is a float, a bool is neither an int nor a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_matches(value, h) for h in args)
+    if origin is list:
+        return isinstance(value, list) and all(_matches(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+@functools.cache
+def _field_type(cls, key: str):
+    """The evaluated annotation of one field. Unlike ``typing.get_type_hints``,
+    which evaluates every field of the class, this evaluates only those set."""
+    return eval(cls.__annotations__[key], vars(sys.modules[cls.__module__]))
+
+
+def _check_types(cls, data: dict, where: str) -> None:
+    for key, value in data.items():
+        if not _matches(value, _field_type(cls, key)):
+            raise ConfigError(f"{where}: {key} must be {cls.__annotations__[key]}, got {value!r}")
+
+
 def _build_section(cls, data: dict, where: str):
     field_names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - field_names
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    _check_types(cls, data, where)
+    return cls(**data)
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig:
@@ -154,8 +182,8 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig
         seed = int(data.pop("seed"))
     except (TypeError, ValueError):
         raise ConfigError("seed must be an integer") from None
-    workers = data.pop("workers", 1)
-    val_attribute = data.pop("val_attribute", None)
+    top = {key: data.pop(key) for key in ("workers", "val_attribute") if key in data}
+    _check_types(PipelineConfig, top, "config")
     sections = {}
     for name, cls in _SECTIONS.items():
         body = data.pop(name, {}) or {}
@@ -164,7 +192,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig
         sections[name] = _build_section(cls, body, f"section {name!r}")
     if data:
         raise ConfigError(f"unknown top-level keys {sorted(data)}")
-    cfg = PipelineConfig(seed=seed, workers=int(workers), val_attribute=val_attribute, **sections)
+    cfg = PipelineConfig(seed=seed, **top, **sections)
     if base_dir is not None:
         for f in dataclasses.fields(PathsConfig):
             value = getattr(cfg.paths, f.name)

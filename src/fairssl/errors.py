@@ -30,7 +30,7 @@ class DegenerateInputError(DataError):
 
 
 class DegenerateBatchError(DataError):
-    """A training batch cannot support the requested loss (anchor without positives)."""
+    """A contrastive batch of fewer than two samples: no anchor has a negative."""
 
 
 class SelectionError(DataError):

@@ -1,8 +1,10 @@
 """Contrastive objectives over unit projection vectors, with exact gradients.
 
-All objectives act on a multiviewed batch: 2N views, two per origin sample,
-each with per-attribute binary labels. Every loss decomposes into one term
-per anchor view; the wrappers below (top-k averaging, per-sample weighting)
+All objectives act on a multiviewed batch: 2N views, where views i and i + N
+are the two augmented views of sample i and both carry that sample's
+per-attribute labels. Every anchor therefore has at least one positive, its
+other view, under every attribute. Every loss decomposes into one term per
+anchor view; the wrappers below (top-k averaging, per-sample weighting)
 reweight those anchor terms, so the shared machinery computes, per anchor i:
 
     term_i = logsumexp_{a != i}(s_ia) - mean_{p in P(i)} s_ip
@@ -40,48 +42,28 @@ class LossConfig:
 
 
 class MultiviewedBatch:
-    """2N unit views, two per origin, with per-view per-attribute labels.
+    """2N unit views of N samples: views ``i`` and ``i + N`` are the two views
+    of sample ``i``, and both carry its labels, so every anchor has a positive.
 
-    ``origins[i]`` names the sample a view came from; every origin appears
-    exactly twice and both of its views must carry identical labels (this is
-    checked unless ``strict=False``, which tests use to build degenerate
-    batches on purpose).
+    ``labels`` is per sample, (N,) or (N, A); ``self.labels`` is per view, (2N, A).
     """
 
-    def __init__(
-        self,
-        views: np.ndarray,
-        origins: np.ndarray,
-        labels: np.ndarray,
-        strict: bool = True,
-    ):
+    def __init__(self, views: np.ndarray, labels: np.ndarray):
         self.views = np.asarray(views, dtype=np.float64)
-        self.origins = np.asarray(origins, dtype=np.int64)
-        labels = np.asarray(labels)
-        if labels.ndim == 1:
-            labels = labels[:, None]
-        self.labels = labels.astype(np.int64)
         if self.views.ndim != 2:
             raise DataError("views must be a 2-D array")
         m = self.views.shape[0]
         if m % 2 != 0 or m == 0:
             raise DataError(f"multiviewed batch needs an even, positive view count, got {m}")
-        if self.origins.shape != (m,) or self.labels.shape[0] != m:
-            raise DataError("origins/labels do not match the view count")
+        labels = np.asarray(labels)
+        if labels.ndim == 1:
+            labels = labels[:, None]
+        if labels.ndim != 2 or labels.shape[0] != m // 2:
+            raise DataError(f"labels must have one row per sample ({m // 2}), got shape {labels.shape}")
         norms = np.linalg.norm(self.views, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise DataError("views must be unit vectors")
-        uniq, counts = np.unique(self.origins, return_counts=True)
-        if np.any(counts != 2):
-            raise DataError("every origin must contribute exactly two views")
-        # pair index: the other view with the same origin
-        order = np.argsort(self.origins, kind="stable")
-        pair = np.empty(m, dtype=np.int64)
-        pair[order[0::2]] = order[1::2]
-        pair[order[1::2]] = order[0::2]
-        self._pair = pair
-        if strict and np.any(self.labels != self.labels[pair]):
-            raise DataError("the two views of one origin must carry identical labels")
+        self.labels = np.vstack([labels, labels]).astype(np.int64)
 
     @property
     def num_views(self) -> int:
@@ -91,12 +73,9 @@ class MultiviewedBatch:
     def num_origins(self) -> int:
         return self.views.shape[0] // 2
 
-    @property
-    def num_attributes(self) -> int:
-        return self.labels.shape[1]
-
     def pair_index(self) -> np.ndarray:
-        return self._pair.copy()
+        """The other view of each view's sample: ``(i + N) mod 2N``."""
+        return np.roll(np.arange(self.num_views), self.num_origins)
 
 
 def _scaled_similarities(Z: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,11 +96,8 @@ def _anchor_stats(
     s: np.ndarray, lse: np.ndarray, q: np.ndarray, pos_mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-anchor terms and the coefficient matrix R described in the module
-    docstring, for a given positives mask (diagonal must be False)."""
+    docstring, for a positives mask with a False diagonal and a positive per row."""
     counts = pos_mask.sum(axis=1)
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        raise DegenerateBatchError(f"anchor {empty[0]} has no positive in the batch")
     terms = (np.where(pos_mask, lse[:, None] - s, 0.0)).sum(axis=1) / counts
     R = q - pos_mask / counts[:, None]
     np.fill_diagonal(R, 0.0)
@@ -135,16 +111,12 @@ def _grad_from_coeffs(Z: np.ndarray, R_weighted: np.ndarray, temperature: float)
 def contrastive_loss(batch: MultiviewedBatch, temperature: float) -> tuple[float, np.ndarray]:
     """Pairwise-only objective: each anchor's sole positive is its paired view.
 
-    Requires at least two origins so that negatives exist.
+    Requires at least two samples so that negatives exist.
     """
     if batch.num_origins < 2:
-        raise DegenerateBatchError("contrastive loss needs at least two origins")
+        raise DegenerateBatchError("contrastive loss needs at least two samples")
     s, lse, q = _scaled_similarities(batch.views, temperature)
-    pair = batch.pair_index()
-    m = batch.num_views
-    pos_mask = np.zeros((m, m), dtype=bool)
-    pos_mask[np.arange(m), pair] = True
-    terms, R = _anchor_stats(s, lse, q, pos_mask)
+    terms, R = _anchor_stats(s, lse, q, np.eye(batch.num_views, dtype=bool)[batch.pair_index()])
     loss = float(terms.sum())
     return loss, _grad_from_coeffs(batch.views, R, temperature)
 
@@ -158,33 +130,14 @@ def _positives_for_attribute(batch: MultiviewedBatch, attribute: int) -> np.ndar
 
 def multi_attribute_anchor_stats(
     batch: MultiviewedBatch, attributes: list[int], temperature: float
-) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
-    """Anchor terms averaged over usable attributes, plus per-attribute
-    coefficient matrices.
-
-    Attributes for which some anchor has no positive are dropped; if none
-    survive, the batch is degenerate. Returns (terms, R list, included
-    attribute indices).
-    """
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Anchor terms averaged over the attributes, plus per-attribute
+    coefficient matrices: (terms, R list)."""
     if not attributes:
         raise ConfigError("multi-attribute loss needs at least one attribute")
     s, lse, q = _scaled_similarities(batch.views, temperature)
-    terms_list = []
-    R_list = []
-    included = []
-    for attr in attributes:
-        pos_mask = _positives_for_attribute(batch, attr)
-        try:
-            terms, R = _anchor_stats(s, lse, q, pos_mask)
-        except DegenerateBatchError:
-            continue
-        terms_list.append(terms)
-        R_list.append(R)
-        included.append(attr)
-    if not included:
-        raise DegenerateBatchError("every attribute leaves some anchor without positives")
-    mean_terms = np.mean(terms_list, axis=0)
-    return mean_terms, R_list, included
+    stats = [_anchor_stats(s, lse, q, _positives_for_attribute(batch, attr)) for attr in attributes]
+    return np.mean([terms for terms, _ in stats], axis=0), [R for _, R in stats]
 
 
 def weighted_grad_from_stats(

@@ -113,7 +113,10 @@ class ModelParams:
         self.encoder = encoder
         self.projection = projection
         self.head = head
-        self.layout = _layout(self.layer_names(), [layer.weight.shape for layer in layers])
+        names = [f"encoder.{i}" for i in range(len(encoder))]
+        names += [f"projection.{i}" for i in range(len(projection))] + ["head"]
+        self._layers = dict(zip(names, layers))
+        self.layout = _layout(names, [layer.weight.shape for layer in layers])
         self.flat = np.empty(self.layout["head"].stop, dtype=np.float64)
         for span, layer in zip(self.layout.values(), layers):
             self.flat[span.start : span.split] = layer.weight.ravel()
@@ -161,26 +164,16 @@ class ModelParams:
         return cls(encoder, proj, head)
 
     def layer_names(self) -> list[str]:
-        names = [f"encoder.{i}" for i in range(len(self.encoder))]
-        names += [f"projection.{i}" for i in range(len(self.projection))]
-        names.append("head")
-        return names
+        return list(self._layers)
 
     def layer(self, name: str) -> Layer:
-        section, _, idx = name.partition(".")
-        if section == "head" and not idx:
-            return self.head
         try:
-            if section == "encoder":
-                return self.encoder[int(idx)]
-            if section == "projection":
-                return self.projection[int(idx)]
-        except (ValueError, IndexError):
-            pass
-        raise ConfigError(f"unknown layer name {name!r}")
+            return self._layers[name]
+        except KeyError:
+            raise ConfigError(f"unknown layer name {name!r}") from None
 
     def named_layers(self) -> list[tuple[str, Layer]]:
-        return [(name, self.layer(name)) for name in self.layer_names()]
+        return list(self._layers.items())
 
     def copy(self) -> "ModelParams":
         def dup(layer: Layer) -> Layer:  # the new instance copies values into its own vector

@@ -257,10 +257,10 @@ def _embed_views(
     rng: np.random.Generator, cfg: TrainConfig,
 ) -> tuple[np.ndarray, object, MultiviewedBatch]:
     """Two augmented views of the rows ``idx``, forwarded: (Z, tape, batch).
-    View ``i`` pairs with view ``i + idx.size``."""
+    View ``i`` pairs with view ``i + idx.size``, the batch's layout."""
     v1, v2 = make_views(X[idx].astype(np.float64), rng, cfg.noise_sigma, cfg.mask_prob, cfg.scale_jitter)
     _, Z, tape = forward_embed(params, np.vstack([v1, v2]))
-    batch = MultiviewedBatch(Z, np.tile(np.arange(idx.size), 2), np.vstack([labels[idx], labels[idx]]))
+    batch = MultiviewedBatch(Z, labels[idx])
     return Z, tape, batch
 
 
@@ -295,7 +295,7 @@ def pretrain_epoch(
                 loss, dZ = contrastive_loss(batch, loss_cfg.temperature)
                 loss /= batch.num_views
             else:
-                terms, R_list, _ = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
+                terms, R_list = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
                 if loss_cfg.topk_enabled:
                     k = min(loss_cfg.topk_count, terms.size)
                     loss, mask = topk_average(terms, k)
@@ -384,7 +384,7 @@ def meta_step(
     if val_x.shape[0] == 0:
         raise DataError("validation batch is empty")
     Z, tape, batch = _embed_views(params, X, labels, idx, rng_views, cfg)
-    terms, R_list, _ = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
+    terms, R_list = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
     n = idx.size
     sample_terms = 0.5 * (terms[:n] + terms[n:])
 
@@ -488,7 +488,8 @@ def meta_stage(
     without warmup.
 
     Returns (per-epoch history, summary) where the summary records the
-    validation top-k loss at the stage switch and at the end.
+    validation top-k loss at the stage switch and at the end. An epoch's
+    ``skipped_batches`` counts the meta steps whose update was suppressed.
     """
     if cfg.meta_epochs <= 0:
         raise ConfigError("meta stage has no epochs to run; increase epochs or lower stage_split")
@@ -530,16 +531,11 @@ def meta_stage(
         for idx in batches:
             take = min(cfg.val_batch_size, val_idx.size)
             chosen = rng_val.choice(val_idx.size, size=take, replace=False)
-            try:
-                metrics = meta_step(
-                    params, X, labels, idx,
-                    X[val_idx[chosen]].astype(np.float64), val_y[chosen],
-                    attributes, loss_cfg, cfg, optimizer, rng_views,
-                )
-            except DegenerateBatchError as exc:
-                skipped += 1
-                log.warning("skipping degenerate meta batch: %s", exc)
-                continue
+            metrics = meta_step(
+                params, X, labels, idx,
+                X[val_idx[chosen]].astype(np.float64), val_y[chosen],
+                attributes, loss_cfg, cfg, optimizer, rng_views,
+            )
             if metrics["skipped"]:
                 skipped += 1
             else:

@@ -94,9 +94,9 @@ def supcon_loss(
 def multi_attribute_supcon(
     batch: MultiviewedBatch, attributes: list[int], temperature: float
 ) -> tuple[float, np.ndarray]:
-    """Mean of the per-attribute label-aware losses over usable attributes.
-    Library machinery, test-only."""
-    terms, R_list, _ = multi_attribute_anchor_stats(batch, attributes, temperature)
+    """Mean of the per-attribute label-aware losses. Library machinery,
+    test-only."""
+    terms, R_list = multi_attribute_anchor_stats(batch, attributes, temperature)
     weights = np.ones(batch.num_views)
     grad = weighted_grad_from_stats(batch.views, R_list, weights, temperature)
     return float(terms.sum()), grad

@@ -162,6 +162,26 @@ class TestCliExitCodes:
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "workers=null", "workers=abc", "trainer.epochs=2.5", "trainer.batch_size=2.5",
+        "curation.retrieval_m=1.5", "model.encoder_dims=[a]", "trainer.freeze_selector=encoder.0",
+    ])
+    def test_mistyped_config_value_exits_2_before_any_stage(self, tmp_path, world_dir, capsys, override):
+        wdir, world = world_dir
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")
+        assert main(["pipeline", "--config", str(cfg_path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        key = override.partition("=")[0].rpartition(".")[2]
+        assert err.startswith("configuration error:") and key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_for_float_runs_and_is_not_converted(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")
+        cfg = load_config(cfg_path, ["trainer.base_lr=1"])
+        assert type(cfg.trainer.base_lr) is int  # hashes as 1, not 1.0
+        assert main(["pipeline", "--config", str(cfg_path), "--set", "trainer.base_lr=1"]) == 0
+
     def test_head_class_mismatch_exits_2(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir
         out = tmp_path / "out"

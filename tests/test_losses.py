@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairssl.errors import ConfigError, DataError, DegenerateBatchError
 from fairssl.losses import (
@@ -27,9 +29,8 @@ from oracles import (
 def random_batch(rng, n_origins, dim, n_attrs=1):
     z = rng.standard_normal((2 * n_origins, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    origins = np.concatenate([np.arange(n_origins), np.arange(n_origins)])
     labels = rng.integers(0, 2, size=(n_origins, n_attrs))
-    return MultiviewedBatch(z, origins, np.vstack([labels, labels]))
+    return MultiviewedBatch(z, labels)
 
 
 class TestBatch:
@@ -37,31 +38,54 @@ class TestBatch:
         batch = random_batch(rng, 3, 4)
         pair = batch.pair_index()
         for i in range(6):
-            assert batch.origins[pair[i]] == batch.origins[i]
-            assert pair[i] != i
+            assert pair[i] == (i + 3) % 6
+            assert np.array_equal(batch.labels[pair[i]], batch.labels[i])
 
-    def test_rejects_unpaired_origins(self, rng, make_unit_rows):
-        with pytest.raises(DataError):
-            MultiviewedBatch(make_unit_rows(rng, 4, 3), [0, 0, 0, 1], np.zeros(4))
-
-    def test_rejects_label_mismatch_across_pair(self, rng, make_unit_rows):
-        with pytest.raises(DataError):
-            MultiviewedBatch(make_unit_rows(rng, 4, 3), [0, 1, 0, 1], np.array([0, 0, 1, 0]))
+    def test_rejects_labels_without_one_row_per_sample(self, rng, make_unit_rows):
+        for rows in (4, 1):  # per view (2N) and one short (N - 1), for N = 2
+            with pytest.raises(DataError):
+                MultiviewedBatch(make_unit_rows(rng, 4, 3), np.zeros(rows))
 
     def test_rejects_non_unit_views(self, rng):
         with pytest.raises(DataError):
-            MultiviewedBatch(2.0 * np.eye(4), [0, 1, 0, 1], np.zeros(4))
+            MultiviewedBatch(2.0 * np.eye(4), np.zeros(2))
+
+
+@st.composite
+def two_view_batches(draw):
+    """Per-sample integer labels of any range, and 2N random unit views."""
+    n, a, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    value = st.one_of(st.integers(-2, 2), st.integers(-(2**63), 2**63 - 1))
+    labels = np.array(draw(st.lists(st.lists(value, min_size=a, max_size=a), min_size=n, max_size=n)))
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((2 * n, dim))
+    return z / np.linalg.norm(z, axis=1, keepdims=True), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=two_view_batches(), tau=st.floats(0.05, 2.0))
+def test_two_view_contract(drawn, tau):
+    views, labels = drawn
+    n, a = labels.shape
+    batch = MultiviewedBatch(views, labels)
+    pair = batch.pair_index()
+    assert np.array_equal(pair, (np.arange(2 * n) + n) % (2 * n))
+    assert np.array_equal(batch.labels, np.vstack([labels, labels]))
+    assert np.array_equal(batch.labels[pair], batch.labels)  # the pair is a positive under every attribute
+    terms, R_list = multi_attribute_anchor_stats(batch, list(range(a)), tau)
+    assert terms.shape == (2 * n,) and np.isfinite(terms).all()
+    assert len(R_list) == a
+    assert all(R.shape == (2 * n, 2 * n) and np.isfinite(R).all() for R in R_list)
 
 
 class TestContrastive:
     def test_orthogonal_views_closed_form(self):
-        batch = MultiviewedBatch(np.eye(4), [0, 1, 0, 1], np.zeros(4))
+        batch = MultiviewedBatch(np.eye(4), np.zeros(2))
         loss, _ = contrastive_loss(batch, 1.0)
         assert abs(loss - 4 * np.log(3.0)) < 1e-12
 
     def test_identical_pairs_closed_form(self):
         views = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=float)
-        batch = MultiviewedBatch(views, [0, 1, 0, 1], np.zeros(4))
+        batch = MultiviewedBatch(views, np.zeros(2))
         loss, _ = contrastive_loss(batch, 1.0)
         assert abs(loss - 4 * np.log(1 + 2 / np.e)) < 1e-12
 
@@ -79,7 +103,7 @@ class TestContrastive:
 
         def value():
             return contrastive_loss(
-                MultiviewedBatch(batch.views, batch.origins, batch.labels), tau
+                MultiviewedBatch(batch.views, batch.labels[: batch.num_origins]), tau
             )[0]
 
         numeric = fd_gradient(value, batch.views, h=1e-7)
@@ -88,7 +112,7 @@ class TestContrastive:
     def test_needs_two_origins(self, rng, make_unit_rows):
         z = make_unit_rows(rng, 2, 3)
         with pytest.raises(DegenerateBatchError):
-            contrastive_loss(MultiviewedBatch(z, [0, 0], np.zeros(2)), 1.0)
+            contrastive_loss(MultiviewedBatch(z, np.zeros(1)), 1.0)
 
 
 class TestSupCon:
@@ -96,9 +120,7 @@ class TestSupCon:
         for _ in range(10):
             n = int(rng.integers(2, 6))
             batch = random_batch(rng, n, 5)
-            distinct = MultiviewedBatch(
-                batch.views, batch.origins, batch.origins.astype(np.int64)
-            )
+            distinct = MultiviewedBatch(batch.views, np.arange(n))
             tau = float(rng.uniform(0.1, 1.5))
             lc, gc = contrastive_loss(distinct, tau)
             ls, gs = supcon_loss(distinct, 0, tau)
@@ -107,7 +129,7 @@ class TestSupCon:
 
     def test_full_positive_symmetry_closed_form(self):
         v = np.tile(np.array([1.0, 0.0]), (4, 1))
-        batch = MultiviewedBatch(v, [0, 1, 0, 1], np.zeros(4))
+        batch = MultiviewedBatch(v, np.zeros(2))
         loss, _ = supcon_loss(batch, 0, 1.0)
         assert abs(loss - 4 * np.log(3.0)) < 1e-12
 
@@ -126,7 +148,7 @@ class TestSupCon:
 
         def value():
             return supcon_loss(
-                MultiviewedBatch(batch.views, batch.origins, batch.labels), 0, tau
+                MultiviewedBatch(batch.views, batch.labels[: batch.num_origins]), 0, tau
             )[0]
 
         numeric = fd_gradient(value, batch.views, h=1e-7)
@@ -135,17 +157,10 @@ class TestSupCon:
     def test_permutation_invariance(self, rng):
         batch = random_batch(rng, 4, 6)
         loss, _ = supcon_loss(batch, 0, 0.7)
-        perm = rng.permutation(8)
-        permuted = MultiviewedBatch(batch.views[perm], batch.origins[perm], batch.labels[perm])
+        perm = rng.permutation(4)  # one sample order for both halves, then the halves swap
+        permuted = MultiviewedBatch(batch.views[np.concatenate([perm + 4, perm])], batch.labels[perm])
         loss_p, _ = supcon_loss(permuted, 0, 0.7)
         assert abs(loss - loss_p) < 1e-10
-
-    def test_empty_positive_names_anchor(self, rng, make_unit_rows):
-        z = make_unit_rows(rng, 4, 3)
-        # views of one origin disagree on the label: anchor 0 isolated
-        batch = MultiviewedBatch(z, [0, 1, 0, 1], np.array([0, 1, 1, 1]), strict=False)
-        with pytest.raises(DegenerateBatchError, match="anchor 0"):
-            supcon_loss(batch, 0, 1.0)
 
     def test_large_temperature_limit(self, rng):
         # as tau grows the loss approaches sum_i log |A(i)|
@@ -167,9 +182,8 @@ class TestMultiAttribute:
 
     def test_duplicate_columns_equal_single(self, rng):
         base = random_batch(rng, 3, 4, n_attrs=1)
-        doubled = MultiviewedBatch(
-            base.views, base.origins, np.hstack([base.labels, base.labels])
-        )
+        labels = base.labels[: base.num_origins]
+        doubled = MultiviewedBatch(base.views, np.hstack([labels, labels]))
         l1, g1 = supcon_loss(base, 0, 0.4)
         l2, g2 = multi_attribute_supcon(doubled, [0, 1], 0.4)
         assert abs(l1 - l2) < 1e-12
@@ -182,20 +196,6 @@ class TestMultiAttribute:
         assert abs(loss - np.mean([l for l, _ in per_attr])) < 1e-9
         assert np.max(np.abs(grad - np.mean([g for _, g in per_attr], axis=0))) < 1e-9
 
-    def test_unusable_attribute_dropped(self, rng, make_unit_rows):
-        z = make_unit_rows(rng, 4, 3)
-        labels = np.array([[0, 0], [1, 1], [1, 0], [1, 1]])  # col 0 isolates anchor 0
-        batch = MultiviewedBatch(z, [0, 1, 0, 1], labels, strict=False)
-        terms, r_list, included = multi_attribute_anchor_stats(batch, [0, 1], 0.5)
-        assert included == [1]
-
-    def test_all_attributes_excluded(self, rng, make_unit_rows):
-        z = make_unit_rows(rng, 4, 3)
-        labels = np.array([[0], [1], [1], [1]])  # anchor 0 isolated in the only column
-        batch = MultiviewedBatch(z, [0, 1, 0, 1], labels, strict=False)
-        with pytest.raises(DegenerateBatchError):
-            multi_attribute_supcon(batch, [0], 0.5)
-
     def test_gradient_finite_differences(self, rng):
         batch = random_batch(rng, 3, 4, n_attrs=3)
         tau = 0.6
@@ -203,7 +203,7 @@ class TestMultiAttribute:
 
         def value():
             return multi_attribute_supcon(
-                MultiviewedBatch(batch.views, batch.origins, batch.labels), [0, 1, 2], tau
+                MultiviewedBatch(batch.views, batch.labels[: batch.num_origins]), [0, 1, 2], tau
             )[0]
 
         numeric = fd_gradient(value, batch.views, h=1e-7)

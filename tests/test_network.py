@@ -329,6 +329,13 @@ class TestFreezing:
         with pytest.raises(ConfigError):
             set_frozen(small_params(), ["encoder.9"])
 
+    @pytest.mark.parametrize("alias", ["encoder.-1", "encoder.01", "head.0", "projection"])
+    def test_layer_takes_only_exact_names(self, alias):
+        params = small_params()
+        with pytest.raises(ConfigError, match="unknown layer name"):
+            params.layer(alias)
+        assert alias not in params.layout
+
 
 class TestCheckpoint:
     def test_file_round_trip_bit_identical(self, tmp_path, rng):

@@ -321,11 +321,9 @@ class TestMetaStep:
         tau = 0.4
         n = idx.size
         views = np.vstack([X[idx], X[idx]]).astype(np.float64)
-        origins = np.concatenate([np.arange(n), np.arange(n)])
-        vlabels = np.vstack([labels[idx], labels[idx]])
         _, Z, tape = forward_embed(params, views)
-        batch = MultiviewedBatch(Z, origins, vlabels)
-        terms, R_list, _ = multi_attribute_anchor_stats(batch, [0, 1], tau)
+        batch = MultiviewedBatch(Z, labels[idx])
+        terms, R_list = multi_attribute_anchor_stats(batch, [0, 1], tau)
         _, g_v = validation_topk_loss(params, val_x, val_y, 3)
 
         from fairssl.network import forward_jvp
@@ -378,11 +376,9 @@ class TestMetaStep:
         tau, alpha, k = 0.5, 0.05, 3
         n = idx.size
         views = np.vstack([X[idx], X[idx]]).astype(np.float64)
-        origins = np.concatenate([np.arange(n), np.arange(n)])
-        vlabels = np.vstack([labels[idx], labels[idx]])
         _, Z, tape = forward_embed(params, views)
-        batch = MultiviewedBatch(Z, origins, vlabels)
-        _, R_list, _ = multi_attribute_anchor_stats(batch, [0, 1], tau)
+        batch = MultiviewedBatch(Z, labels[idx])
+        _, R_list = multi_attribute_anchor_stats(batch, [0, 1], tau)
         _, g_v = validation_topk_loss(params, val_x, val_y, k)
 
         from fairssl.network import forward_jvp
