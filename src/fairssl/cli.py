@@ -14,26 +14,7 @@ import sys
 
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, DataError, NumericError
-from .pipeline import (
-    run_curate,
-    run_evaluate,
-    run_pipeline,
-    run_pretrain,
-    run_probe,
-    run_pseudolabel,
-    run_train_meta,
-    write_failure_manifest,
-)
-
-_COMMANDS = {
-    "curate": run_curate,
-    "pseudolabel": run_pseudolabel,
-    "pretrain": run_pretrain,
-    "train-meta": run_train_meta,
-    "probe": run_probe,
-    "evaluate": run_evaluate,
-    "pipeline": run_pipeline,
-}
+from .pipeline import STAGES, run_stage
 
 # reports echoed to stdout, in order, once the stage has written them
 _ECHO = {
@@ -61,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Label-free fair representation pipeline over precomputed embeddings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__ or name)
+    for name in STAGES:
+        p = sub.add_parser(name, help=name)
         p.add_argument("--config", required=True, help="YAML pipeline configuration")
         p.add_argument(
             "--set",
@@ -72,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="dotted config override, repeatable (e.g. trainer.batch_size=32)",
         )
-        p.add_argument("--out", help="output directory (overrides paths.out_dir)")
+        p.add_argument("--out", help="output directory, a string resolved like paths.out_dir (overrides it)")
         p.add_argument("--seed", type=int, help="global seed (overrides the config)")
         p.add_argument("--workers", type=int, help="worker count; never affects results")
         p.add_argument("--verbose", action="store_true", help="log progress at INFO level")
@@ -81,13 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     overrides = list(args.overrides)
-    if args.out is not None:
-        overrides.append(f"paths.out_dir={args.out}")
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if args.workers is not None:
         overrides.append(f"workers={args.workers}")
-    return load_config(args.config, overrides)
+    return load_config(args.config, overrides, out_dir=args.out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -96,15 +75,11 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    cfg: PipelineConfig | None = None
     try:
-        cfg = _resolve_config(args)
-        artifacts = _COMMANDS[args.command](cfg)
+        artifacts = run_stage(_resolve_config(args), args.command)
         for name in _ECHO.get(args.command, ()):
             print(artifacts[name].read_text(), end="")
     except tuple(_FAILURES) as exc:
-        if cfg is not None:
-            write_failure_manifest(cfg, args.command, exc)
         code, prefix = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code

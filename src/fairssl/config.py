@@ -176,13 +176,9 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     data = dict(data)
-    if "seed" not in data or data["seed"] is None:
+    if data.get("seed") is None:
         raise ConfigError("seed is mandatory; set a top-level 'seed' key")
-    try:
-        seed = int(data.pop("seed"))
-    except (TypeError, ValueError):
-        raise ConfigError("seed must be an integer") from None
-    top = {key: data.pop(key) for key in ("workers", "val_attribute") if key in data}
+    top = {key: data.pop(key) for key in ("seed", "workers", "val_attribute") if key in data}
     _check_types(PipelineConfig, top, "config")
     sections = {}
     for name, cls in _SECTIONS.items():
@@ -192,7 +188,7 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig
         sections[name] = _build_section(cls, body, f"section {name!r}")
     if data:
         raise ConfigError(f"unknown top-level keys {sorted(data)}")
-    cfg = PipelineConfig(seed=seed, **top, **sections)
+    cfg = PipelineConfig(**top, **sections)
     if base_dir is not None:
         for f in dataclasses.fields(PathsConfig):
             value = getattr(cfg.paths, f.name)
@@ -215,19 +211,29 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
             value = yaml.safe_load(raw_value)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r}: cannot parse value: {exc}") from exc
-        node = data
-        for key in keys[:-1]:
-            nxt = node.get(key)
-            if nxt is None:
-                nxt = node[key] = {}
-            if not isinstance(nxt, dict):
-                raise ConfigError(f"override {item!r}: {key!r} is not a section")
-            node = nxt
-        node[keys[-1]] = value
+        _assign(data, keys, value, f"override {item!r}")
     return data
 
 
-def load_config(path: str | Path, overrides: list[str] | None = None) -> PipelineConfig:
+def _assign(data: dict, keys: list[str], value, where: str) -> None:
+    """Set ``data[keys[0]]...[keys[-1]] = value``, creating missing sections."""
+    node = data
+    for key in keys[:-1]:
+        nxt = node.get(key)
+        if nxt is None:
+            nxt = node[key] = {}
+        if not isinstance(nxt, dict):
+            raise ConfigError(f"{where}: {key!r} is not a section")
+        node = nxt
+    node[keys[-1]] = value
+
+
+def load_config(
+    path: str | Path, overrides: list[str] | None = None, out_dir: str | None = None
+) -> PipelineConfig:
+    """Load ``path``, apply ``overrides``, then set ``paths.out_dir`` to the
+    string ``out_dir`` if given: a directory name is never parsed as YAML.
+    Relative paths resolve against the config file's directory."""
     path = Path(path)
     try:
         data = yaml.safe_load(path.read_bytes()) or {}
@@ -235,6 +241,10 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a mapping")
     if overrides:
         data = apply_overrides(data, overrides)
+    if out_dir is not None:
+        _assign(data, ["paths", "out_dir"], out_dir, "--out")
     return config_from_dict(data, base_dir=path.parent)

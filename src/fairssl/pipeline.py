@@ -1,10 +1,15 @@
-"""Stage runners binding the library into reproducible file-to-file runs.
+"""One stage table and one runner bind the library into reproducible
+file-to-file runs.
 
-Each stage reads its inputs, writes its artifacts into the configured output
-directory, and records a run manifest (config hash, seed, package version,
-input and artifact checksums). Stages communicate only through files, so a
-`pipeline` run is exactly the chain of the individual subcommands. Nothing
-here is time- or host-dependent: identical config and seed reproduce every
+``STAGES`` declares each command: its body, the config paths it reads, the
+upstream artifacts it needs and the artifacts it makes. ``run_stage`` does
+the rest: it resolves the inputs (a missing artifact names the stage that
+makes it), calls the body, and writes the run manifest (config hash, seed,
+package version, input and artifact checksums), or on a ``PipelineError`` a
+failure marker in its place. Stages communicate only through files, so
+``pipeline`` is exactly the chain of the individual subcommands; when it
+fails, the failing stage's manifest and its own are both marked. Nothing here
+is time- or host-dependent: identical config and seed reproduce every
 artifact bit for bit, regardless of the workers setting.
 
 Training-side stages receive manifests with group labels stripped; only the
@@ -17,9 +22,8 @@ import csv
 import hashlib
 import io
 import json
-import logging
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,13 +44,12 @@ from .seeding import substream
 from .store import DatasetManifest, load_embeddings, normalize_rows, read_jsonl, save_embeddings, write_file
 from .trainer import meta_stage, pretrain_stage
 
-log = logging.getLogger(__name__)
-
 ARTIFACTS = {
     "augmented_embeddings": "augmented.fssl",
     "augmented_manifest": "augmented_manifest.jsonl",
     "curation_report": "curation_report.json",
     "pseudolabels": "pseudolabels.fspl",
+    "pseudolabel_names": names_path("pseudolabels.fspl").name,
     "pretrain_checkpoint": "pretrain_checkpoint.fsck",
     "pretrain_history": "pretrain_history.csv",
     "final_checkpoint": "final_checkpoint.fsck",
@@ -136,25 +139,7 @@ def write_failure_manifest(cfg: PipelineConfig, command: str, error: Exception) 
         pass  # reporting the original failure matters more than the marker
 
 
-def _artifact(cfg: PipelineConfig, name: str) -> Path:
-    return cfg.out_dir() / ARTIFACTS[name]
-
-
-def _artifacts(cfg: PipelineConfig, *names: str) -> dict[str, Path]:
-    return {name: _artifact(cfg, name) for name in names}
-
-
-def _require_artifact(cfg: PipelineConfig, name: str, producer: str) -> Path:
-    path = _artifact(cfg, name)
-    if not path.exists():
-        raise ConfigError(f"missing {path}; run the '{producer}' stage first")
-    return path
-
-
-def run_curate(cfg: PipelineConfig) -> dict[str, Path]:
-    inputs = cfg.require_paths(
-        "curated_embeddings", "curated_manifest", "uncurated_embeddings", "uncurated_manifest"
-    )
+def _curate(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:
     curated = normalize_rows(load_embeddings(inputs["curated_embeddings"]))
     pool = normalize_rows(load_embeddings(inputs["uncurated_embeddings"]))
     curated_manifest = DatasetManifest.load(inputs["curated_manifest"]).strip_group_labels()
@@ -164,27 +149,18 @@ def run_curate(cfg: PipelineConfig) -> dict[str, Path]:
 
     result, combined = curate(curated, curated_manifest, pool, pool_manifest, cfg.curation)
 
-    artifacts = _artifacts(cfg, "augmented_embeddings", "augmented_manifest", "curation_report")
     save_embeddings(combined, artifacts["augmented_embeddings"])
     result.augmented_manifest.save(artifacts["augmented_manifest"])
     _write_json(artifacts["curation_report"], result.counts)
-    write_run_manifest(cfg, "curate", inputs, artifacts)
-    return artifacts
 
 
-def run_pseudolabel(cfg: PipelineConfig) -> dict[str, Path]:
-    inputs = dict(cfg.require_paths("template_bank"))
-    inputs["augmented_embeddings"] = _require_artifact(cfg, "augmented_embeddings", "curate")
+def _pseudolabel(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:
     images = load_embeddings(inputs["augmented_embeddings"])
     if not images.normalized:
         images = normalize_rows(images)
     bank = TemplateBank.load(inputs["template_bank"])
     table = build_pseudolabel_table(images, bank, cfg.pseudolabel.scale)
-    table_path = _artifact(cfg, "pseudolabels")
-    artifacts = {"pseudolabels": table_path, "pseudolabel_names": names_path(table_path)}
-    table.save(table_path)
-    write_run_manifest(cfg, "pseudolabel", inputs, artifacts)
-    return artifacts
+    table.save(artifacts["pseudolabels"])  # and its names sidecar, artifacts["pseudolabel_names"]
 
 
 class _TrainingInputs(NamedTuple):
@@ -194,14 +170,11 @@ class _TrainingInputs(NamedTuple):
     attributes: list[int]
     val_attr: str
     val_col: int
-    inputs: dict[str, Path]  # the files they come from, for the run manifest
 
 
-def _load_training_inputs(cfg: PipelineConfig) -> _TrainingInputs:
-    emb_path = _require_artifact(cfg, "augmented_embeddings", "curate")
-    table_path = _require_artifact(cfg, "pseudolabels", "pseudolabel")
-    images = load_embeddings(emb_path)
-    table = PseudoLabelTable.load(table_path)
+def _load_training_inputs(cfg: PipelineConfig, inputs: dict[str, Path]) -> _TrainingInputs:
+    images = load_embeddings(inputs["augmented_embeddings"])
+    table = PseudoLabelTable.load(inputs["pseudolabels"])
     if table.n != images.n:
         raise DataError(
             f"pseudo-label table covers {table.n} samples but embeddings have {images.n}"
@@ -210,39 +183,28 @@ def _load_training_inputs(cfg: PipelineConfig) -> _TrainingInputs:
     return _TrainingInputs(
         images.data, table, table.labels.astype(np.int64), list(range(table.num_attributes)),
         val_attr, table.attribute_index(val_attr),
-        {"augmented_embeddings": emb_path, "pseudolabels": table_path, "pseudolabel_names": names_path(table_path)},
     )
 
 
-def _init_params(cfg: PipelineConfig, input_dim: int) -> ModelParams:
-    return ModelParams.create(
-        input_dim,
-        cfg.model.encoder_dims,
-        cfg.model.projection_dims,
-        num_classes=cfg.model.num_classes,
-        seed=cfg.seed,
+def _pretrain(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:
+    data = _load_training_inputs(cfg, inputs)
+    model = cfg.model
+    params = ModelParams.create(
+        data.X.shape[1], model.encoder_dims, model.projection_dims,
+        num_classes=model.num_classes, seed=cfg.seed,
     )
-
-
-def run_pretrain(cfg: PipelineConfig) -> dict[str, Path]:
-    data = _load_training_inputs(cfg)
-    params = _init_params(cfg, data.X.shape[1])
     history = pretrain_stage(
         params, data.X, data.labels, data.attributes, cfg.loss, cfg.trainer,
         stratify_labels=data.labels[:, data.val_col],
     )
-    artifacts = _artifacts(cfg, "pretrain_checkpoint", "pretrain_history")
     save_checkpoint(params, artifacts["pretrain_checkpoint"])
     _write_history(artifacts["pretrain_history"], history)
-    write_run_manifest(cfg, "pretrain", data.inputs, artifacts)
-    return artifacts
 
 
-def run_train_meta(cfg: PipelineConfig) -> dict[str, Path]:
-    data = _load_training_inputs(cfg)
+def _train_meta(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:
+    data = _load_training_inputs(cfg, inputs)
     tcfg = cfg.trainer
-    checkpoint = _require_artifact(cfg, "pretrain_checkpoint", "pretrain")
-    params = load_checkpoint(checkpoint)
+    params = load_checkpoint(inputs["pretrain_checkpoint"])
     history, summary = [], {"meta_epochs": 0}
     if tcfg.meta_epochs > 0:  # with stage_split == 1.0 the pretrained model is final
         val_idx = select_validation_subset(
@@ -252,19 +214,13 @@ def run_train_meta(cfg: PipelineConfig) -> dict[str, Path]:
             params, data.X, data.labels, data.attributes, val_idx, data.labels[val_idx, data.val_col],
             cfg.loss, tcfg, stratify_labels=data.labels[:, data.val_col],
         )
-    artifacts = _artifacts(cfg, "final_checkpoint", "meta_history", "training_summary")
     save_checkpoint(params, artifacts["final_checkpoint"])
     _write_history(artifacts["meta_history"], history)
     _write_json(artifacts["training_summary"], summary)
-    write_run_manifest(cfg, "train-meta", {**data.inputs, "pretrain_checkpoint": checkpoint}, artifacts)
-    return artifacts
 
 
-def run_probe(cfg: PipelineConfig, checkpoint_name: str = "final_checkpoint") -> dict[str, Path]:
-    inputs = cfg.require_paths("eval_embeddings", "eval_manifest", "eval_labels")
-    checkpoint = _require_artifact(cfg, checkpoint_name, "train-meta")
-    inputs["checkpoint"] = checkpoint
-    params = load_checkpoint(checkpoint)
+def _probe(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> dict:
+    params = load_checkpoint(inputs["checkpoint"])
     embeddings = load_embeddings(inputs["eval_embeddings"])
     manifest = DatasetManifest.load(inputs["eval_manifest"])
     manifest.validate_rows(embeddings.n)
@@ -287,7 +243,6 @@ def run_probe(cfg: PipelineConfig, checkpoint_name: str = "final_checkpoint") ->
     probe = train_probe(features[train_sel], labels_arr[train_sel], l2=cfg.probe.l2)
     preds = probe.predict(features[test_sel])
 
-    artifacts = _artifacts(cfg, "predictions", "fairness_report_json", "fairness_report_txt")
     lines = [
         json.dumps({"id": ids[i], "pred": int(p), "label": int(labels_arr[i])}, sort_keys=True)
         for i, p in zip(test_sel, preds)
@@ -295,23 +250,18 @@ def run_probe(cfg: PipelineConfig, checkpoint_name: str = "final_checkpoint") ->
     write_file(artifacts["predictions"], "\n".join(lines), "\n")
     report = build_report(preds, labels_arr[test_sel], manifest.group[test_sel])
     _write_report(artifacts, report)
-    metrics = {
+    return {
         "probe_iterations": probe.iterations,
         "probe_grad_norm": probe.grad_norm,
         "probe_loss": probe.final_loss,
     }
-    write_run_manifest(cfg, "probe", inputs, artifacts, metrics)
-    return artifacts
 
 
-def run_evaluate(cfg: PipelineConfig, predictions_path: Path | None = None) -> dict[str, Path]:
-    inputs = cfg.require_paths("eval_manifest")
-    predictions_path = predictions_path or _require_artifact(cfg, "predictions", "probe")
-    inputs["predictions"] = predictions_path
+def _evaluate(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:
     manifest = DatasetManifest.load(inputs["eval_manifest"])
     position = dict(zip(manifest.ids, range(len(manifest))))
 
-    rows = read_jsonl(predictions_path, {"id": str, "pred": int, "label": int})
+    rows = read_jsonl(inputs["predictions"], {"id": str, "pred": int, "label": int})
     ids, preds, labels = zip(*rows) if rows else ((), (), ())
     at = np.array([position.get(sid, -1) for sid in ids], dtype=np.int64)
     # an unknown id (at -1) picks the appended False: ungrouped, and named as unknown
@@ -321,19 +271,63 @@ def run_evaluate(cfg: PipelineConfig, predictions_path: Path | None = None) -> d
             raise DataError(f"prediction names unknown sample id {ids[bad[0]]!r}")
         raise DataError(f"sample {ids[bad[0]]!r} has no group label in the manifest")
     report = build_report(np.asarray(preds), np.asarray(labels), manifest.group[at])
-    artifacts = _artifacts(cfg, "fairness_report_json", "fairness_report_txt")
     _write_report(artifacts, report)
-    write_run_manifest(cfg, "evaluate", inputs, artifacts)
-    return artifacts
 
 
-def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
-    artifacts: dict[str, Path] = {}
-    for run in (run_curate, run_pseudolabel, run_pretrain, run_train_meta, run_probe, run_evaluate):
-        artifacts.update(run(cfg))
-    inputs = cfg.require_paths(
-        "curated_embeddings", "curated_manifest", "uncurated_embeddings", "uncurated_manifest",
-        "template_bank", "eval_embeddings", "eval_manifest", "eval_labels",
-    )
-    write_run_manifest(cfg, "pipeline", inputs, artifacts)
+def _pipeline(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:
+    for command in _CHAIN:
+        run_stage(cfg, command)
+
+
+class Stage(NamedTuple):
+    body: Callable  # body(cfg, inputs, artifacts) writes the artifacts, returns metrics or None
+    paths: tuple[str, ...]  # config paths it reads (``paths.<name>``)
+    needs: dict[str, str]  # input key -> upstream artifact it reads
+    makes: tuple[str, ...]  # artifacts it writes
+
+
+_TRAINING = {name: name for name in ("augmented_embeddings", "pseudolabels", "pseudolabel_names")}
+_REPORTS = ("fairness_report_json", "fairness_report_txt")
+
+_CHAIN = {
+    "curate": Stage(_curate, ("curated_embeddings", "curated_manifest", "uncurated_embeddings", "uncurated_manifest"),
+                    {}, ("augmented_embeddings", "augmented_manifest", "curation_report")),
+    "pseudolabel": Stage(_pseudolabel, ("template_bank",), {"augmented_embeddings": "augmented_embeddings"},
+                         ("pseudolabels", "pseudolabel_names")),
+    "pretrain": Stage(_pretrain, (), _TRAINING, ("pretrain_checkpoint", "pretrain_history")),
+    "train-meta": Stage(_train_meta, (), {**_TRAINING, "pretrain_checkpoint": "pretrain_checkpoint"},
+                        ("final_checkpoint", "meta_history", "training_summary")),
+    "probe": Stage(_probe, ("eval_embeddings", "eval_manifest", "eval_labels"), {"checkpoint": "final_checkpoint"},
+                   ("predictions", *_REPORTS)),
+    "evaluate": Stage(_evaluate, ("eval_manifest",), {"predictions": "predictions"}, _REPORTS),
+}
+
+# pipeline runs the chain; its manifest hashes every config path and artifact of it
+STAGES = {**_CHAIN, "pipeline": Stage(
+    _pipeline,
+    tuple(p for stage in _CHAIN.values() for p in stage.paths),
+    {},
+    tuple(a for stage in _CHAIN.values() for a in stage.makes),
+)}
+
+
+def run_stage(cfg: PipelineConfig, command: str) -> dict[str, Path]:
+    """Run one command of ``STAGES`` and return its artifact paths. Records a
+    run manifest on success; on a ``PipelineError`` records a failure marker
+    in its place and re-raises."""
+    stage = STAGES[command]
+    try:
+        inputs = cfg.require_paths(*stage.paths)
+        out = cfg.out_dir()
+        for key, name in stage.needs.items():
+            path = inputs[key] = out / ARTIFACTS[name]
+            if not path.exists():
+                producer = next(c for c, s in _CHAIN.items() if name in s.makes)
+                raise ConfigError(f"missing {path}; run the '{producer}' stage first")
+        artifacts = {name: out / ARTIFACTS[name] for name in stage.makes}
+        metrics = stage.body(cfg, inputs, artifacts)
+        write_run_manifest(cfg, command, inputs, artifacts, metrics)
+    except PipelineError as exc:
+        write_failure_manifest(cfg, command, exc)
+        raise
     return artifacts

@@ -31,7 +31,7 @@ from fairssl.network import (
     forward_jvp,
     set_frozen,
 )
-from fairssl.pipeline import run_curate, run_pipeline, run_probe, run_pretrain, run_pseudolabel, run_train_meta
+from fairssl.pipeline import run_stage
 from fairssl.pseudolabel import AttributeTemplates, TemplateBank, attribute_probabilities, build_pseudolabel_table
 from fairssl.seeding import substream
 from fairssl.store import EmbeddingMatrix, normalize_rows
@@ -444,7 +444,7 @@ def test_c08_end_to_end_bias_study(criterion, tmp_path):
                                n_curated=200, n_eval=1200)
         bayes = bayes_accuracy(world.config, world.eval_set.raw, world.eval_set.target)
         cfg = _pipeline_config(world.files, tmp_path / "main", seed=42)
-        run_pipeline(cfg)
+        run_stage(cfg, "pipeline")
         report = json.loads((tmp_path / "main" / "fairness_report.json").read_text())
         summary = json.loads((tmp_path / "main" / "training_summary.json").read_text())
         assert report["avg_acc"] / 100.0 > 0.9 * bayes, (
@@ -459,17 +459,17 @@ def test_c08_end_to_end_bias_study(criterion, tmp_path):
             world = generate_world(seed=seed, out_dir=seed_dir / "world", n_pool=4000,
                                    n_curated=200, n_eval=1200)
             shared = _pipeline_config(world.files, seed_dir / "shared", seed=seed)
-            run_curate(shared)
-            run_pseudolabel(shared)
+            run_stage(shared, "curate")
+            run_stage(shared, "pseudolabel")
             results = {}
             for name, objective, split in (("staged", "supcon", 0.7), ("plain", "contrastive", 1.0)):
                 out = seed_dir / name
                 shutil.copytree(seed_dir / "shared", out)
                 cfg = _pipeline_config(world.files, out, seed=seed, objective=objective,
                                        stage_split=split)
-                run_pretrain(cfg)
-                run_train_meta(cfg)
-                run_probe(cfg)
+                run_stage(cfg, "pretrain")
+                run_stage(cfg, "train-meta")
+                run_stage(cfg, "probe")
                 results[name] = json.loads((out / "fairness_report.json").read_text())
             if results["staged"]["min_grp_acc"] >= results["plain"]["min_grp_acc"] - 1.0:
                 wins += 1
@@ -487,7 +487,7 @@ def test_c09_pipeline_determinism(criterion, tmp_path):
         for run, workers in (("r1", 1), ("r2", 4)):
             cfg = _pipeline_config(world.files, tmp_path / run, seed=9, workers=workers)
             cfg.trainer.epochs = 6
-            run_pipeline(cfg)
+            run_stage(cfg, "pipeline")
             manifests.append(
                 json.loads((tmp_path / run / "run_manifest_pipeline.json").read_text())
             )

@@ -9,7 +9,7 @@ from fairssl.cli import main
 from fairssl.config import apply_overrides, config_from_dict, load_config
 from fairssl.errors import ConfigError, DataError, NumericError
 from fairssl.network import ModelParams, save_checkpoint
-from fairssl.pipeline import run_curate, run_evaluate, run_probe
+from fairssl.pipeline import STAGES, run_stage
 from fairssl.store import DatasetManifest
 from fairssl.synthetic import generate_world
 
@@ -140,6 +140,22 @@ class TestCliExitCodes:
             del before["run_manifest_curate.json"]
         assert after == before  # every file keeps its bytes, and no temp file is left
 
+    @pytest.mark.parametrize("name", ["123", "null"])
+    def test_out_is_a_directory_name_relative_to_the_config(self, tmp_path, world_dir, capsys, name):
+        wdir, world = world_dir
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")
+        assert main(["curate", "--config", str(cfg_path), "--out", name]) == 0
+        manifest = json.loads((tmp_path / name / "run_manifest_curate.json").read_text())
+        assert manifest["status"] == "ok" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--set", "seed=1"], ["--out", "out"]], ids=["plain", "set", "out"])
+    def test_config_root_not_a_mapping_exits_2(self, tmp_path, capsys, extra):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("- 1\n- 2\n")
+        assert main(["curate", "--config", str(cfg_path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "config root must be a mapping" in err and "Traceback" not in err
+
     def test_missing_embedding_file_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(yaml.safe_dump({
@@ -165,6 +181,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("override", [
         "workers=null", "workers=abc", "trainer.epochs=2.5", "trainer.batch_size=2.5",
         "curation.retrieval_m=1.5", "model.encoder_dims=[a]", "trainer.freeze_selector=encoder.0",
+        "seed=2.5", "seed=true", "seed='7'", "seed=[7]",
     ])
     def test_mistyped_config_value_exits_2_before_any_stage(self, tmp_path, world_dir, capsys, override):
         wdir, world = world_dir
@@ -197,6 +214,21 @@ class TestCliExitCodes:
         marker = json.loads((out / "run_manifest_train_meta.json").read_text())
         assert marker["status"] == "failed"
         assert "model.num_classes" in marker["error"]
+
+    def test_failed_pipeline_rerun_marks_the_failing_stage(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        # the re-run fails in train-meta: its manifest from the first run must not stay "ok"
+        assert main(["pipeline", "--config", str(cfg_path), "--set", "model.num_classes=3"]) == 2
+        rerun_hash = load_config(cfg_path, ["model.num_classes=3"]).config_hash()
+        for command in ("train_meta", "pipeline"):
+            marker = json.loads((out / f"run_manifest_{command}.json").read_text())
+            assert marker["status"] == "failed" and "model.num_classes" in marker["error"]
+            assert marker["config_hash"] == rerun_hash
+        pretrain = json.loads((out / "run_manifest_pretrain.json").read_text())
+        assert pretrain["status"] == "ok" and pretrain["config_hash"] == rerun_hash
 
     def test_corrupt_data_exits_3_and_flags_failure(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir
@@ -245,6 +277,13 @@ class TestCliExitCodes:
         assert "augmented.fssl" in marker["partial_artifacts"]
 
 
+# every stage that reads an upstream artifact, and the stage a fresh out dir must run first
+STAGE_ORDER = [
+    ("pseudolabel", "curate"), ("pretrain", "curate"), ("train-meta", "curate"),
+    ("probe", "train-meta"), ("evaluate", "probe"),
+]
+
+
 class TestStages:
     def test_curate_writes_report_and_strips_groups(self, tmp_path, world_dir):
         wdir, world = world_dir
@@ -256,7 +295,7 @@ class TestStages:
         manifest.save(tagged_path)
         files = dict(world.files, uncurated_manifest=str(tagged_path))
         cfg = config_from_dict({"seed": 3, "paths": {**files, "out_dir": str(tmp_path / "out")}})
-        artifacts = run_curate(cfg)
+        artifacts = run_stage(cfg, "curate")
         augmented = DatasetManifest.load(artifacts["augmented_manifest"])
         assert not augmented.has_group.any()
         assert '"group"' not in artifacts["augmented_manifest"].read_text()
@@ -285,7 +324,7 @@ class TestStages:
             assert main([stage, "--config", str(cfg_path)]) == 0
         capsys.readouterr()
 
-        run_probe(load_config(cfg_path))
+        run_stage(load_config(cfg_path), "probe")
         assert capsys.readouterr().out == ""
         metrics = json.loads((out / "run_manifest_probe.json").read_text())["metrics"]
         assert set(metrics) == {"probe_iterations", "probe_grad_norm", "probe_loss"}
@@ -310,12 +349,14 @@ class TestStages:
         assert (out / "meta_history.csv").read_text() == header
         assert json.loads((out / "training_summary.json").read_text()) == {"meta_epochs": 0}
 
-    def test_stage_order_enforced(self, tmp_path, world_dir, capsys):
+    @pytest.mark.parametrize("stage, producer", STAGE_ORDER)
+    def test_stage_order_enforced(self, tmp_path, world_dir, capsys, stage, producer):
+        assert {s for s, _ in STAGE_ORDER} == {name for name, s in STAGES.items() if s.needs}
         wdir, world = world_dir
         cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "fresh_out")
-        code = main(["pretrain", "--config", str(cfg_path)])
+        code = main([stage, "--config", str(cfg_path)])
         assert code == 2
-        assert "curate" in capsys.readouterr().err
+        assert f"run the '{producer}' stage first" in capsys.readouterr().err
 
     def test_run_manifest_traceability(self, tmp_path, world_dir):
         wdir, world = world_dir
@@ -330,8 +371,15 @@ class TestStages:
             assert len(digest) == 64
         names = out / "pseudolabels.fspl.attrs.json"
         assert manifest["artifacts"]["pseudolabel_names"] == hashlib.sha256(names.read_bytes()).hexdigest()
-        stage = json.loads((out / "run_manifest_pseudolabel.json").read_text())
-        assert stage["artifacts"]["pseudolabel_names"] == manifest["artifacts"]["pseudolabel_names"]
+        # each stage's manifest hashes the same bytes as the pipeline's, and together they cover it
+        covered = set()
+        for command in ("curate", "pseudolabel", "pretrain", "train-meta", "probe", "evaluate"):
+            stage = json.loads((out / f"run_manifest_{command.replace('-', '_')}.json").read_text())
+            assert stage["status"] == "ok" and stage["config_hash"] == manifest["config_hash"]
+            for name, digest in stage["artifacts"].items():
+                assert digest == manifest["artifacts"][name], (command, name)
+            covered |= set(stage["artifacts"])
+        assert covered == set(manifest["artifacts"])
 
     def test_malformed_predictions_exit_3_with_line(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir
@@ -370,14 +418,14 @@ class TestStages:
         files = dict(world.files, eval_manifest=str(tmp_path / "eval_manifest.jsonl"))
         cfg = load_config(write_config(tmp_path / "cfg.yaml", files, out))
         with pytest.raises(DataError, match="sample 'eval-000005' has no group label"):
-            run_probe(cfg)
+            run_stage(cfg, "probe")
         files["eval_labels"] = str(tmp_path / "eval_labels.jsonl")
         cfg = load_config(write_config(tmp_path / "cfg.yaml", files, out))
         manifest.has_group[5] = True
         manifest.has_group[9] = False
         manifest.save(tmp_path / "eval_manifest.jsonl")
         with pytest.raises(DataError, match="no evaluation label for sample 'eval-000007'"):
-            run_probe(cfg)
+            run_stage(cfg, "probe")
 
     def test_evaluate_join_names_first_unjoined_prediction(self, tmp_path, world_dir):
         wdir, world = world_dir
@@ -396,4 +444,4 @@ class TestStages:
                 "".join(json.dumps({"id": i, "pred": 1, "label": 0}) + "\n" for i in ids)
             )
             with pytest.raises(DataError, match=problem):
-                run_evaluate(cfg)
+                run_stage(cfg, "evaluate")
