@@ -15,8 +15,8 @@ from fairssl.pseudolabel import (
     AttributeTemplates,
     TemplateBank,
     build_pseudolabel_table,
+    label_attribute,
     select_validation_subset,
-    zero_shot_label,
 )
 from fairssl.store import EmbeddingMatrix, normalize_rows
 
@@ -24,13 +24,14 @@ rng = np.random.default_rng(1)
 dim = 12
 
 # One sample scored against one template pair: the closed-form two-class case.
-img = np.zeros(dim)
-img[0] = 1.0
+img = np.zeros((1, dim), dtype=np.float32)
+img[0, 0] = 1.0
+sample = EmbeddingMatrix(img, normalized=True)
 pos = np.zeros(dim)
 pos[0] = 1.0
 neg = -pos
-label, conf = zero_shot_label(img, pos, neg, scale=100.0)
-print(f"aligned sample     -> label {label}, confidence {conf:.4f}")
+labels, confs = label_attribute(sample, AttributeTemplates("pair", pos, neg), scale=100.0)
+print(f"aligned sample     -> label {labels[0]}, confidence {confs[0]:.4f}")
 
 # A borderline sample: similarity 0.30 to the positive template, 0.28 to the
 # negative one. At scale 100 the confidence is 1/(1 + e^-2).
@@ -38,8 +39,8 @@ pos_tilted = np.zeros(dim)
 pos_tilted[0], pos_tilted[1] = 0.30, np.sqrt(1 - 0.30**2)
 neg_tilted = np.zeros(dim)
 neg_tilted[0], neg_tilted[2] = 0.28, np.sqrt(1 - 0.28**2)
-label, conf = zero_shot_label(img, pos_tilted, neg_tilted, scale=100.0)
-print(f"borderline sample  -> label {label}, confidence {conf:.4f} "
+labels, confs = label_attribute(sample, AttributeTemplates("tilted", pos_tilted, neg_tilted), scale=100.0)
+print(f"borderline sample  -> label {labels[0]}, confidence {confs[0]:.4f} "
       f"(closed form {1 / (1 + np.exp(-2)):.4f})")
 
 # A whole cloud, two attributes, three noisy template pairs each. True labels

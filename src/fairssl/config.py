@@ -25,6 +25,9 @@ from .errors import ConfigError
 from .losses import LossConfig
 from .trainer import TrainConfig
 
+# libyaml's parser where PyYAML has it; both share the safe constructor and resolver
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass
 class PathsConfig:
@@ -208,7 +211,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
         if not keys:
             raise ConfigError(f"override {item!r} has an empty key path")
         try:
-            value = yaml.safe_load(raw_value)
+            value = yaml.load(raw_value, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r}: cannot parse value: {exc}") from exc
         _assign(data, keys, value, f"override {item!r}")
@@ -236,7 +239,7 @@ def load_config(
     Relative paths resolve against the config file's directory."""
     path = Path(path)
     try:
-        data = yaml.safe_load(path.read_bytes()) or {}
+        data = yaml.load(path.read_bytes(), Loader=_YAML_LOADER) or {}
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -5,15 +5,19 @@ are the two augmented views of sample i and both carry that sample's
 per-attribute labels. Every anchor therefore has at least one positive, its
 other view, under every attribute. Every loss decomposes into one term per
 anchor view; the wrappers below (top-k averaging, per-sample weighting)
-reweight those anchor terms, so the shared machinery computes, per anchor i:
+reweight those anchor terms, so the shared machinery computes, per anchor i,
+the label-aware term averaged over the attributes a:
 
-    term_i = logsumexp_{a != i}(s_ia) - mean_{p in P(i)} s_ip
-    R_ia   = softmax_{a != i}(s_i.)_a - [a in P(i)] / |P(i)|
+    Pbar_ib = mean_a [b in P_a(i)] / |P_a(i)|
+    term_i  = logsumexp_{b != i}(s_ib) - sum_b Pbar_ib s_ib
+    R_ib    = softmax_{b != i}(s_i.)_b - Pbar_ib
 
-with s = Z Z^T / temperature. For any anchor weights w, the scalar is
-sum_i w_i * term_i and its gradient in Z is ((diag(w) R) + (diag(w) R)^T) Z
-/ temperature. Positives P(i) are the other views sharing the anchor's
-label; the denominator always ranges over every other view.
+with s = Z Z^T / temperature. Both are linear in the positives' weights and
+the softmax does not depend on the attribute, so one matrix R serves every
+attribute. For any anchor weights w, the scalar is sum_i w_i * term_i and its
+gradient in Z is ((diag(w) R) + (diag(w) R)^T) Z / temperature. Positives
+P_a(i) are the other views sharing the anchor's label under attribute a; the
+denominator always ranges over every other view.
 """
 
 from __future__ import annotations
@@ -96,12 +100,13 @@ def _anchor_stats(
     s: np.ndarray, lse: np.ndarray, q: np.ndarray, pos_mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-anchor terms and the coefficient matrix R described in the module
-    docstring, for a positives mask with a False diagonal and a positive per row."""
-    counts = pos_mask.sum(axis=1)
-    terms = (np.where(pos_mask, lse[:, None] - s, 0.0)).sum(axis=1) / counts
-    R = q - pos_mask / counts[:, None]
+    docstring, for positives masks (2N, 2N) or one per attribute (A, 2N, 2N),
+    each with a False diagonal and a positive per row."""
+    pos = pos_mask.reshape(-1, *s.shape)
+    pbar = np.mean(pos / pos.sum(axis=2, keepdims=True), axis=0)
+    R = q - pbar
     np.fill_diagonal(R, 0.0)
-    return terms, R
+    return lse - np.einsum("ij,ij->i", pbar, s), R
 
 
 def _grad_from_coeffs(Z: np.ndarray, R_weighted: np.ndarray, temperature: float) -> np.ndarray:
@@ -121,34 +126,34 @@ def contrastive_loss(batch: MultiviewedBatch, temperature: float) -> tuple[float
     return loss, _grad_from_coeffs(batch.views, R, temperature)
 
 
-def _positives_for_attribute(batch: MultiviewedBatch, attribute: int) -> np.ndarray:
-    col = batch.labels[:, attribute]
-    pos = col[:, None] == col[None, :]
-    np.fill_diagonal(pos, False)
+def _positives_for_attribute(batch: MultiviewedBatch, attribute: int | list[int]) -> np.ndarray:
+    """Views sharing each anchor's label, diagonal excluded: (2N, 2N) for one
+    attribute, (A, 2N, 2N) for a list of them."""
+    col = batch.labels[:, attribute].T
+    pos = col[..., :, None] == col[..., None, :]
+    diag = np.arange(batch.num_views)
+    pos[..., diag, diag] = False
     return pos
 
 
 def multi_attribute_anchor_stats(
     batch: MultiviewedBatch, attributes: list[int], temperature: float
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Anchor terms averaged over the attributes, plus per-attribute
-    coefficient matrices: (terms, R list)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor terms and the coefficient matrix, both averaged over the
+    attributes: (terms, R)."""
     if not attributes:
         raise ConfigError("multi-attribute loss needs at least one attribute")
     s, lse, q = _scaled_similarities(batch.views, temperature)
-    stats = [_anchor_stats(s, lse, q, _positives_for_attribute(batch, attr)) for attr in attributes]
-    return np.mean([terms for terms, _ in stats], axis=0), [R for _, R in stats]
+    return _anchor_stats(s, lse, q, _positives_for_attribute(batch, list(attributes)))
 
 
 def weighted_grad_from_stats(
-    Z: np.ndarray, R_list: list[np.ndarray], anchor_weights: np.ndarray, temperature: float
+    Z: np.ndarray, R: np.ndarray, anchor_weights: np.ndarray, temperature: float
 ) -> np.ndarray:
-    """Gradient in Z of sum_i anchor_weights[i] * mean_over_attributes(term_i)."""
+    """Gradient in Z of sum_i anchor_weights[i] * term_i, for the (terms, R)
+    of :func:`multi_attribute_anchor_stats`."""
     w = np.asarray(anchor_weights, dtype=np.float64)[:, None]
-    acc = np.zeros_like(Z)
-    for R in R_list:
-        acc += _grad_from_coeffs(Z, w * R, temperature)
-    return acc / len(R_list)
+    return _grad_from_coeffs(Z, w * R, temperature)
 
 
 def topk_average(values: np.ndarray, k: int) -> tuple[float, np.ndarray]:

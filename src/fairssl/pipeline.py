@@ -8,9 +8,10 @@ makes it), calls the body, and writes the run manifest (config hash, seed,
 package version, input and artifact checksums), or on a ``PipelineError`` a
 failure marker in its place. Stages communicate only through files, so
 ``pipeline`` is exactly the chain of the individual subcommands; when it
-fails, the failing stage's manifest and its own are both marked. Nothing here
-is time- or host-dependent: identical config and seed reproduce every
-artifact bit for bit, regardless of the workers setting.
+fails, its own manifest, the failing stage's and those of every later stage
+are marked failed. Nothing here is time- or host-dependent: identical config
+and seed reproduce every artifact bit for bit, regardless of the workers
+setting.
 
 Training-side stages receive manifests with group labels stripped; only the
 probe/evaluate stages ever read groups.
@@ -116,7 +117,7 @@ def write_run_manifest(
     return path
 
 
-def write_failure_manifest(cfg: PipelineConfig, command: str, error: Exception) -> None:
+def write_failure_manifest(cfg: PipelineConfig, command: str, error: Exception | str) -> None:
     """Mark a failed run: record the error and whatever files the output
     directory holds, so partial artifacts are never mistaken for a clean run."""
     try:
@@ -275,8 +276,14 @@ def _evaluate(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str,
 
 
 def _pipeline(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:
-    for command in _CHAIN:
-        run_stage(cfg, command)
+    chain = list(_CHAIN)
+    for i, command in enumerate(chain):
+        try:
+            run_stage(cfg, command)
+        except PipelineError as exc:  # later stages' manifests would describe an older run
+            for later in chain[i + 1 :]:
+                write_failure_manifest(cfg, later, f"not run: stage '{command}' failed: {exc}")
+            raise
 
 
 class Stage(NamedTuple):

@@ -166,39 +166,12 @@ def _load_json(path: Path, what: str):
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise DataError(f"{what} must be a unit vector (norm {norm:.6f})")
-    return v
-
-
 def _pair_probabilities(pos_sim: np.ndarray, neg_sim: np.ndarray, scale: float) -> np.ndarray:
     """Two-class softmax over scaled (positive, negative) similarities."""
     logits = scale * np.stack([pos_sim, neg_sim], axis=-1)
     shift = logits.max(axis=-1, keepdims=True)
     ex = np.exp(logits - shift)
     return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def zero_shot_label(
-    img: np.ndarray, pos: np.ndarray, neg: np.ndarray, scale: float = DEFAULT_SCALE
-) -> tuple[int, float]:
-    """Label an embedding against one positive/negative template pair.
-
-    Returns (label, confidence) where label is 1 iff the positive probability
-    is at least the negative one (ties resolve to 1) and confidence is the
-    larger probability, hence always >= 0.5.
-    """
-    if scale <= 0:
-        raise DataError(f"scale must be positive, got {scale}")
-    img = _check_unit(img, "image embedding")
-    pos = _check_unit(pos, "positive template")
-    neg = _check_unit(neg, "negative template")
-    probs = _pair_probabilities(np.dot(img, pos), np.dot(img, neg), scale)
-    label = 1 if probs[0] >= probs[1] else 0
-    return label, float(probs.max())
 
 
 def attribute_probabilities(

@@ -135,7 +135,10 @@ class AdamW:
     Moments and scratch space are flat vectors in the layout of
     ``ModelParams.flat``; a step updates each run of adjacent trainable
     layers in place, with the per-element operations of a per-tensor loop in
-    the same order. Frozen layers' parameters and moments never change.
+    the same order. The bias corrections fold into the step size and epsilon
+    (the note after Algorithm 1 of Kingma & Ba, arXiv 1412.6980); the
+    decoupled decay uses the scheduled rate. Frozen layers' parameters and
+    moments never change.
     """
 
     def __init__(
@@ -165,8 +168,9 @@ class AdamW:
             raise NumericError(f"non-finite gradient in layers {bad}; aborting optimizer step")
         lr = self.schedule.lr(self.step_count)
         t = self.step_count + 1
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
+        root2 = math.sqrt(1.0 - self.beta2**t)
+        lr_t = lr * root2 / (1.0 - self.beta1**t)
+        eps_t = self.eps * root2
         trainable = [params.layout[name] for name, layer in params.named_layers() if not layer.frozen]
         runs: list[list[int]] = []  # [start, stop) of maximal runs of adjacent trainable spans
         for span in trainable:
@@ -177,19 +181,17 @@ class AdamW:
         buffers = (params.flat, grads.flat, self.m, self.v, self._a, self._b)
         for start, stop in runs:
             # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
-            # p -= lr ((m / bias1) / (sqrt(v / bias2) + eps)), rounded as written
+            # p -= lr_t (m / (sqrt(v) + eps_t)), rounded as written
             p, g, m, v, a, b = (x[start:stop] for x in buffers)
             m *= self.beta1
             m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
             np.multiply(1.0 - self.beta2, g, out=a)
             v += np.multiply(a, g, out=a)
-            np.divide(v, bias2, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            np.divide(m, bias1, out=a)
-            a /= b
-            p -= np.multiply(lr, a, out=a)
+            np.sqrt(v, out=b)
+            b += eps_t
+            np.divide(m, b, out=a)
+            p -= np.multiply(lr_t, a, out=a)
         if self.weight_decay:
             for span in trainable:
                 w, a = params.flat[span.start : span.split], self._a[span.start : span.split]
@@ -278,9 +280,9 @@ def pretrain_epoch(
 ) -> dict:
     """One shuffled pass over the dataset with the stage-1 objective.
 
-    The reported loss is the mean per-anchor loss, or the top-k average when
-    that wrapper is enabled. The plain paths backpropagate the sum of the
-    anchor terms, not their mean; the top-k path backpropagates its average.
+    The loss of a batch is the mean of its anchor terms, or with the top-k
+    wrapper enabled the mean of the k largest; every path backpropagates
+    exactly the loss it reports.
     """
     if X.shape[0] == 0:
         raise DataError("cannot train on an empty dataset")
@@ -294,16 +296,12 @@ def pretrain_epoch(
             if cfg.objective == "contrastive":
                 loss, dZ = contrastive_loss(batch, loss_cfg.temperature)
                 loss /= batch.num_views
+                dZ /= batch.num_views
             else:
-                terms, R_list = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
-                if loss_cfg.topk_enabled:
-                    k = min(loss_cfg.topk_count, terms.size)
-                    loss, mask = topk_average(terms, k)
-                    anchor_w = mask.astype(np.float64) / k
-                else:
-                    anchor_w = np.ones(terms.size)
-                    loss = float(terms.sum()) / batch.num_views
-                dZ = weighted_grad_from_stats(Z, R_list, anchor_w, loss_cfg.temperature)
+                terms, R = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
+                k = min(loss_cfg.topk_count, terms.size) if loss_cfg.topk_enabled else terms.size
+                loss, mask = topk_average(terms, k)
+                dZ = weighted_grad_from_stats(Z, R, mask / k, loss_cfg.temperature)
             bundle = backward(params, tape, d_projection=dZ)
         except DegenerateBatchError as exc:
             skipped += 1
@@ -343,22 +341,18 @@ def meta_weights(alignments: np.ndarray, inner_lr: float) -> MetaState:
 def per_sample_alignments(
     Z: np.ndarray,
     dZ_dir: np.ndarray,
-    R_list: list[np.ndarray],
+    R: np.ndarray,
     temperature: float,
 ) -> np.ndarray:
     """<g_v, grad_theta loss_i> for every anchor view i, given the tangent
-    dZ_dir of Z along g_v.
+    dZ_dir of Z along g_v and the coefficient matrix R of the anchor terms.
 
     loss_i depends on the parameters only through Z, with dZ coefficients
     (e_i r_i^T + r_i e_i^T) Z / temperature, so the inner product reduces to
     row sums of (dZ_dir Z^T + Z dZ_dir^T) * R.
     """
     C = dZ_dir @ Z.T
-    C = C + C.T
-    acc = np.zeros(Z.shape[0])
-    for R in R_list:
-        acc += np.sum(C * R, axis=1)
-    return acc / (len(R_list) * temperature)
+    return np.sum((C + C.T) * R, axis=1) / temperature
 
 
 def meta_step(
@@ -384,14 +378,14 @@ def meta_step(
     if val_x.shape[0] == 0:
         raise DataError("validation batch is empty")
     Z, tape, batch = _embed_views(params, X, labels, idx, rng_views, cfg)
-    terms, R_list = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
+    terms, R = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
     n = idx.size
     sample_terms = 0.5 * (terms[:n] + terms[n:])
 
     k_val = min(cfg.val_topk, val_x.shape[0])
     val_loss, g_v = validation_topk_loss(params, val_x, val_y, k_val)
     _, dZ_dir = forward_jvp(params, tape, g_v)
-    anchor_align = per_sample_alignments(Z, dZ_dir, R_list, loss_cfg.temperature)
+    anchor_align = per_sample_alignments(Z, dZ_dir, R, loss_cfg.temperature)
     sample_align = 0.5 * (anchor_align[:n] + anchor_align[n:])
     state = meta_weights(sample_align, cfg.inner_lr)
 
@@ -410,7 +404,7 @@ def meta_step(
     metrics["weight_entropy"] = float(-np.sum(w[w > 0] * np.log(w[w > 0])))
     metrics["loss"] = float(np.dot(w, sample_terms))
     anchor_w = np.concatenate([w, w]) * 0.5  # each view carries half its sample weight
-    dZ = weighted_grad_from_stats(Z, R_list, anchor_w, loss_cfg.temperature)
+    dZ = weighted_grad_from_stats(Z, R, anchor_w, loss_cfg.temperature)
     bundle = backward(params, tape, d_projection=dZ)
     if cfg.train_head_in_meta:
         head = params.layout["head"]

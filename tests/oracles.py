@@ -96,10 +96,21 @@ def multi_attribute_supcon(
 ) -> tuple[float, np.ndarray]:
     """Mean of the per-attribute label-aware losses. Library machinery,
     test-only."""
-    terms, R_list = multi_attribute_anchor_stats(batch, attributes, temperature)
+    terms, R = multi_attribute_anchor_stats(batch, attributes, temperature)
     weights = np.ones(batch.num_views)
-    grad = weighted_grad_from_stats(batch.views, R_list, weights, temperature)
+    grad = weighted_grad_from_stats(batch.views, R, weights, temperature)
     return float(terms.sum()), grad
+
+
+def zero_shot_label(img: np.ndarray, pos: np.ndarray, neg: np.ndarray, scale: float) -> tuple[int, float]:
+    """Label one unit embedding against one positive/negative template pair:
+    a two-class softmax over the scaled similarities. Returns (label,
+    confidence), label 1 iff the positive probability is at least the
+    negative one, confidence the larger probability."""
+    logits = scale * np.array([np.dot(img, pos), np.dot(img, neg)])
+    ex = np.exp(logits - logits.max())
+    probs = ex / ex.sum()
+    return int(probs[0] >= probs[1]), float(probs.max())
 
 
 def sorted_topk_mean(values: np.ndarray, k: int) -> float:
@@ -268,12 +279,13 @@ def gd_probe(features, labels, l2: float = 1e-4, seed: int = 0, max_iter: int = 
 def layered_adamw(params, grads, moments: dict, t: int, lr: float, weight_decay: float = 0.0,
                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """Reference AdamW step number ``t`` (from 1): a loop over layers and
-    tensors with a fresh temporary per operation, as the optimizer was
-    before the flat layout. ``moments`` maps layer names to per-tensor
-    (m_w, m_b, v_w, v_b) buffers, created on first use. Frozen layers are
-    skipped."""
-    bias1 = 1.0 - beta1**t
-    bias2 = 1.0 - beta2**t
+    tensors with a fresh temporary per operation, the bias corrections folded
+    into the step size and epsilon. ``moments`` maps layer names to
+    per-tensor (m_w, m_b, v_w, v_b) buffers, created on first use. Frozen
+    layers are skipped."""
+    root2 = math.sqrt(1.0 - beta2**t)
+    lr_t = lr * root2 / (1.0 - beta1**t)
+    eps_t = eps * root2
     for name, layer in params.named_layers():
         if layer.frozen:
             continue
@@ -285,8 +297,8 @@ def layered_adamw(params, grads, moments: dict, t: int, lr: float, weight_decay:
             m += (1.0 - beta1) * grad
             v *= beta2
             v += (1.0 - beta2) * grad * grad
-            update = (m / bias1) / (np.sqrt(v / bias2) + eps)
-            param -= lr * update
+            update = m / (np.sqrt(v) + eps_t)
+            param -= lr_t * update
             if weight_decay and param is layer.weight:
                 param -= lr * weight_decay * param
 

@@ -123,9 +123,9 @@ def test_c01_gradient_suite(criterion):
             k = int(rng.integers(1, 8))
 
             def topk_loss(b):
-                terms, r_list = multi_attribute_anchor_stats(b, [0, 1], tau)
+                terms, R = multi_attribute_anchor_stats(b, [0, 1], tau)
                 value, mask = topk_average(terms, k)
-                grad = weighted_grad_from_stats(b.views, r_list, mask / k, tau)
+                grad = weighted_grad_from_stats(b.views, R, mask / k, tau)
                 return value, grad
 
             check_z_gradient(topk_loss, batch)
@@ -231,21 +231,20 @@ def test_c04_meta_gradient_oracle(criterion):
 
             _, Z, tape = forward_embed(params, X)
             batch = MultiviewedBatch(Z, lab)
-            _, R_list = multi_attribute_anchor_stats(batch, list(range(n_attrs)), tau)
+            _, R = multi_attribute_anchor_stats(batch, list(range(n_attrs)), tau)
             _, g_v = validation_topk_loss(params, val_x, val_y, k)
             _, dZ_dir = forward_jvp(params, tape, g_v)
-            anchor_align = per_sample_alignments(Z, dZ_dir, R_list, tau)
+            anchor_align = per_sample_alignments(Z, dZ_dir, R, tau)
             sample_align = 0.5 * (anchor_align[:n] + anchor_align[n:])
             grad_eps = meta_weights(sample_align, alpha).grad_eps
 
             g = []
             for i in range(n):
                 u = np.zeros_like(Z)
-                for R in R_list:
-                    for view in (i, i + n):
-                        r = R[view]
-                        u[view] += (r @ Z) / tau * 0.5 / len(R_list)
-                        u += np.outer(r, Z[view]) / tau * 0.5 / len(R_list)
+                for view in (i, i + n):
+                    r = R[view]
+                    u[view] += (r @ Z) / tau * 0.5
+                    u += np.outer(r, Z[view]) / tau * 0.5
                 g.append(backward(params, tape, d_projection=u))
 
             def val_at(eps):

@@ -1,10 +1,16 @@
+import dataclasses
 import errno
 import hashlib
+import importlib.util
 import json
+import os
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+from fairssl import config as config_module
 from fairssl.cli import main
 from fairssl.config import apply_overrides, config_from_dict, load_config
 from fairssl.errors import ConfigError, DataError, NumericError
@@ -98,6 +104,76 @@ class TestConfig:
         cfg = config_from_dict({"seed": 1, "paths": {"curated_embeddings": str(tmp_path / "nope.fssl")}})
         with pytest.raises(ConfigError, match="nope.fssl"):
             cfg.require_paths("curated_embeddings")
+
+
+_LOADERS = {"libyaml": getattr(yaml, "CSafeLoader", yaml.SafeLoader), "pure": yaml.SafeLoader}
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+class TestYamlFrontDoor:
+    """Configs parse with libyaml where PyYAML has it, and must read exactly as
+    with PyYAML's pure-Python parser."""
+
+    def test_libyaml_is_used_when_available(self):
+        assert config_module._YAML_LOADER is _LOADERS["libyaml"]
+
+    def test_written_configs_load_the_same_both_ways(self, tmp_path, world_dir, monkeypatch):
+        wdir, world = world_dir
+        texts = [
+            write_config(tmp_path / "cli.yaml", world.files, tmp_path / "out").read_text(),
+            yaml.safe_dump({"seed": 1, "paths": {"curated_embeddings": "data/x.fssl"}}),
+            yaml.safe_dump({"seed": 1}),
+        ]
+        relative = {name: os.path.relpath(p, tmp_path) for name, p in world.files.items()}
+        for workload in _bench_workloads().values():  # as bench/child.py writes them
+            texts.append(yaml.safe_dump({"seed": 3, "paths": relative, **workload.config}, sort_keys=True))
+        texts.append(yaml.safe_dump({  # as demos/06_full_pipeline_cli.py writes it
+            "seed": 77,
+            "paths": {**world.files, "out_dir": str(tmp_path / "run1")},
+            "trainer": {
+                "epochs": 8, "stage_split": 0.75, "batch_size": 32, "base_lr": 1e-3,
+                "warmup_epochs": 1, "val_subset_size": 48, "val_topk": 12,
+            },
+            "model": {"encoder_dims": [32, 16], "projection_dims": [32, 32, 8]},
+            "probe": {"train_fraction": 0.5},
+        }))
+        for i, text in enumerate(texts):
+            path = tmp_path / f"cfg{i}.yaml"
+            path.write_text(text)
+            loaded = {}
+            for name, loader in _LOADERS.items():
+                monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+                cfg = load_config(path)
+                loaded[name] = (dataclasses.asdict(cfg), cfg.config_hash())
+            assert loaded["libyaml"] == loaded["pure"], text
+
+    @pytest.mark.parametrize("raw", ["null", "1e-3", '"7"', "[1, 2]", "", "~", "1.0e-3", "yes", "0x10", "'a b'"])
+    def test_override_scalars_parse_the_same_both_ways(self, raw, monkeypatch):
+        parsed = []
+        for loader in _LOADERS.values():
+            monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+            parsed.append(apply_overrides({"seed": 1}, [f"trainer.base_lr={raw}"]))
+        assert parsed[0] == parsed[1]
+
+    @pytest.mark.parametrize("loader", list(_LOADERS))
+    def test_invalid_yaml_exits_2(self, tmp_path, capsys, monkeypatch, loader):
+        monkeypatch.setattr(config_module, "_YAML_LOADER", _LOADERS[loader])
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("seed: [1\n")
+        assert main(["curate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid YAML" in err and "Traceback" not in err
+        cfg_path.write_text("seed: 1\n")
+        assert main(["curate", "--config", str(cfg_path), "--set", "trainer.epochs=[1"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse value" in err and "Traceback" not in err
 
 
 class TestCliExitCodes:
@@ -223,7 +299,7 @@ class TestCliExitCodes:
         # the re-run fails in train-meta: its manifest from the first run must not stay "ok"
         assert main(["pipeline", "--config", str(cfg_path), "--set", "model.num_classes=3"]) == 2
         rerun_hash = load_config(cfg_path, ["model.num_classes=3"]).config_hash()
-        for command in ("train_meta", "pipeline"):
+        for command in ("train_meta", "probe", "evaluate", "pipeline"):
             marker = json.loads((out / f"run_manifest_{command}.json").read_text())
             assert marker["status"] == "failed" and "model.num_classes" in marker["error"]
             assert marker["config_hash"] == rerun_hash

@@ -13,9 +13,10 @@ from fairssl.pseudolabel import (
     label_attribute,
     names_path,
     select_validation_subset,
-    zero_shot_label,
 )
 from fairssl.store import EmbeddingMatrix, normalize_rows, save_embeddings
+
+from oracles import zero_shot_label
 
 
 def unit(v):
@@ -27,16 +28,23 @@ def unit_matrix(rows):
     return normalize_rows(EmbeddingMatrix(np.asarray(rows, dtype=np.float32)))
 
 
+def one_pair_label(img, pos, neg, scale=100.0):
+    """``label_attribute`` for one unit embedding and one template pair."""
+    mat = EmbeddingMatrix(np.asarray(img, dtype=np.float32)[None, :], normalized=True)
+    labels, confs = label_attribute(mat, AttributeTemplates("a", pos, neg), scale)
+    return int(labels[0]), float(confs[0])
+
+
 class TestZeroShot:
     def test_aligned_positive(self):
         img = unit([1.0, 0.0])
-        label, conf = zero_shot_label(img, img, unit([0.0, 1.0]), scale=100.0)
+        label, conf = one_pair_label(img, img, unit([0.0, 1.0]), scale=100.0)
         assert label == 1
         assert conf > 1.0 - 1e-9
 
     def test_symmetric_tie(self):
         img = unit([1.0, 1.0])
-        label, conf = zero_shot_label(img, unit([1.0, 0.0]), unit([0.0, 1.0]))
+        label, conf = one_pair_label(img, unit([1.0, 0.0]), unit([0.0, 1.0]))
         assert label == 1  # tie resolves to the positive class
         assert abs(conf - 0.5) < 1e-12
 
@@ -45,13 +53,15 @@ class TestZeroShot:
         img = unit([1.0, 0.0, 0.0])
         pos = np.array([0.30, np.sqrt(1 - 0.30**2), 0.0])
         neg = np.array([0.28, 0.0, np.sqrt(1 - 0.28**2)])
-        label, conf = zero_shot_label(img, pos, neg, scale=100.0)
+        label, conf = one_pair_label(img, pos, neg, scale=100.0)
         assert label == 1
         assert abs(conf - 1.0 / (1.0 + np.exp(-2.0))) < 1e-9
 
     def test_rejects_non_unit(self):
         with pytest.raises(DataError):
-            zero_shot_label(np.array([2.0, 0.0]), unit([1.0, 0.0]), unit([0.0, 1.0]))
+            one_pair_label(np.array([2.0, 0.0]), unit([1.0, 0.0]), unit([0.0, 1.0]))
+        with pytest.raises(DataError):
+            one_pair_label(unit([1.0, 0.0]), np.array([2.0, 0.0]), unit([0.0, 1.0]))
 
 
 def templates_with_probs(probs, scale):

@@ -137,7 +137,7 @@ class TestAdamW:
                 for p in (params, reference):
                     set_frozen(p, ["encoder.1"])
             _, z, tape = forward_embed(params, rng.standard_normal((6, 6)))
-            grads = backward(params, tape, d_projection=z * rng.standard_normal((6, 1)))
+            grads = backward(params, tape, d_projection=rng.standard_normal(z.shape))
             grads.flat *= 10.0 ** rng.integers(-3, 3)
             lr = schedule.lr(step)
             opt.step(params, grads)
@@ -241,20 +241,27 @@ class TestPretrain:
         X, labels = toy_data(rng, n=16)
         cfg = TrainConfig(batch_size=16, epochs=1, base_lr=0.0, warmup_epochs=0, seed=0)
 
-        def run(loss_cfg):
+        def run(loss_cfg, labels=labels, objective="supcon"):
             params = tiny_params(seed=3)
             opt = AdamW(params, LrSchedule(0.0), weight_decay=0.0)
-            return pretrain_epoch(params, X, labels, [0, 1], loss_cfg, cfg, opt,
+            run_cfg = TrainConfig(**{**vars(cfg), "objective": objective})
+            return pretrain_epoch(params, X, labels, [0, 1], loss_cfg, run_cfg, opt,
                                   substream(0, "s"), substream(0, "v"))
 
         plain = run(LossConfig())
         views = 2 * cfg.batch_size
-        for count in (views, views + 5):  # every anchor: the mean, and the average's gradient
+        for count in (views, views + 5):  # every anchor: the mean, backpropagated as reported
             full = run(LossConfig(topk_enabled=True, topk_count=count))
             assert full["loss"] == pytest.approx(plain["loss"], rel=1e-12)
-            assert full["grad_norm_mean"] * views == pytest.approx(plain["grad_norm_mean"], rel=1e-12)
+            assert full["grad_norm_mean"] == pytest.approx(plain["grad_norm_mean"], rel=1e-12)
         for count in (1, 4, views - 1):
             assert run(LossConfig(topk_enabled=True, topk_count=count))["loss"] >= plain["loss"]
+        # all-distinct labels leave each anchor one positive, its other view: the contrastive objective
+        distinct = np.repeat(np.arange(16)[:, None], 2, axis=1)
+        supcon = run(LossConfig(), distinct)
+        contrastive = run(LossConfig(), distinct, "contrastive")
+        assert contrastive["loss"] == pytest.approx(supcon["loss"], rel=1e-12)
+        assert contrastive["grad_norm_mean"] == pytest.approx(supcon["grad_norm_mean"], rel=1e-12)
 
     def test_empty_dataset(self, rng):
         cfg = TrainConfig(seed=0)
@@ -323,20 +330,19 @@ class TestMetaStep:
         views = np.vstack([X[idx], X[idx]]).astype(np.float64)
         _, Z, tape = forward_embed(params, views)
         batch = MultiviewedBatch(Z, labels[idx])
-        terms, R_list = multi_attribute_anchor_stats(batch, [0, 1], tau)
+        terms, R = multi_attribute_anchor_stats(batch, [0, 1], tau)
         _, g_v = validation_topk_loss(params, val_x, val_y, 3)
 
         from fairssl.network import forward_jvp
 
         _, dZ_dir = forward_jvp(params, tape, g_v)
-        fast = per_sample_alignments(Z, dZ_dir, R_list, tau)
+        fast = per_sample_alignments(Z, dZ_dir, R, tau)
 
         for anchor in range(2 * n):
             u = np.zeros_like(Z)
-            for R in R_list:
-                r = R[anchor]
-                u[anchor] += (r @ Z) / tau / len(R_list)
-                u += np.outer(r, Z[anchor]) / tau / len(R_list)
+            r = R[anchor]
+            u[anchor] += (r @ Z) / tau
+            u += np.outer(r, Z[anchor]) / tau
             g_i = backward(params, tape, d_projection=u)
             assert abs(g_v.dot(g_i) - fast[anchor]) < 1e-10 * max(1.0, abs(fast[anchor]))
 
@@ -378,13 +384,13 @@ class TestMetaStep:
         views = np.vstack([X[idx], X[idx]]).astype(np.float64)
         _, Z, tape = forward_embed(params, views)
         batch = MultiviewedBatch(Z, labels[idx])
-        _, R_list = multi_attribute_anchor_stats(batch, [0, 1], tau)
+        _, R = multi_attribute_anchor_stats(batch, [0, 1], tau)
         _, g_v = validation_topk_loss(params, val_x, val_y, k)
 
         from fairssl.network import forward_jvp
 
         _, dZ_dir = forward_jvp(params, tape, g_v)
-        anchor_align = per_sample_alignments(Z, dZ_dir, R_list, tau)
+        anchor_align = per_sample_alignments(Z, dZ_dir, R, tau)
         sample_align = 0.5 * (anchor_align[:n] + anchor_align[n:])
         grad_eps = meta_weights(sample_align, alpha).grad_eps
 
@@ -392,11 +398,10 @@ class TestMetaStep:
         g = []
         for i in range(n):
             u = np.zeros_like(Z)
-            for R in R_list:
-                for view in (i, i + n):
-                    r = R[view]
-                    u[view] += (r @ Z) / tau * 0.5 / len(R_list)
-                    u += np.outer(r, Z[view]) / tau * 0.5 / len(R_list)
+            for view in (i, i + n):
+                r = R[view]
+                u[view] += (r @ Z) / tau * 0.5
+                u += np.outer(r, Z[view]) / tau * 0.5
             g.append(backward(params, tape, d_projection=u))
 
         def val_at(eps):
