@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import re
 import sys
 import types
 import typing
@@ -25,8 +26,20 @@ from .errors import ConfigError
 from .losses import LossConfig
 from .trainer import TrainConfig
 
+
+def _exponent_floats(base: type) -> type:
+    """``base`` that also reads YAML 1.2's dotless exponent floats such as
+    ``1e-3``, which PyYAML's YAML 1.1 resolver takes for strings."""
+    loader = type(base.__name__, (base,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789")
+    )
+    return loader
+
+
 # libyaml's parser where PyYAML has it; both share the safe constructor and resolver
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_PURE_LOADER = _exponent_floats(yaml.SafeLoader)
+_YAML_LOADER = _exponent_floats(yaml.CSafeLoader) if hasattr(yaml, "CSafeLoader") else _PURE_LOADER
 
 
 @dataclass

@@ -7,13 +7,15 @@ and the problem tiny, (features + 1) x classes parameters, so each step
 solves the exact Hessian system and about ten steps reach the optimum. The
 bias-shift direction, along which softmax is invariant, is removed from
 every step, so the returned biases sum to zero. The same solver fits the
-validation head at the stage-2 switch. All metrics are reported in
-percentage points.
+validation head at the stage-2 switch.
 
-Conventions worth calling out because they differ across the literature:
-the equalized-odds difference is the larger of the across-group TPR gap and
-FPR gap; the degree of bias is the population (not sample) standard
-deviation of the per-group accuracies.
+``build_report`` is the only metric entry point. It tallies each group once
+(samples, correct, positives, negatives, true and false positives, positive
+predictions) and derives every metric from those counts, in percentage
+points. Conventions worth calling out because they differ across the
+literature: the equalized-odds difference is the larger of the across-group
+TPR gap and FPR gap; the degree of bias (STD) is the population (not sample)
+standard deviation of the per-group accuracies.
 """
 
 from __future__ import annotations
@@ -160,89 +162,6 @@ def train_probe(features: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> P
         loss, probs = new_loss, new_probs
 
 
-def _as_arrays(*arrays) -> list[np.ndarray]:
-    out = [np.asarray(a).ravel() for a in arrays]
-    lengths = {a.shape[0] for a in out}
-    if len(lengths) != 1:
-        raise DataError(f"inputs must have equal length, got {sorted(lengths)}")
-    return out
-
-
-def group_accuracy(predictions, labels, groups) -> dict:
-    """Per-group percent correct."""
-    pred, lab, grp = _as_arrays(predictions, labels, groups)
-    result = {}
-    for g in np.unique(grp):
-        mask = grp == g
-        if not mask.any():
-            raise DataError(f"group {_plain(g)!r} is empty")
-        result[_plain(g)] = float(100.0 * np.mean(pred[mask] == lab[mask]))
-    return result
-
-
-def degree_of_bias(per_group_acc) -> float:
-    """Population standard deviation of the per-group accuracies."""
-    values = np.asarray(list(per_group_acc.values()) if isinstance(per_group_acc, dict) else per_group_acc, dtype=np.float64)
-    if values.size < 2:
-        raise DataError("degree of bias needs at least two groups")
-    return float(np.std(values))
-
-
-def selection_rate(per_group_acc) -> float:
-    """100 * (worst group accuracy / best group accuracy)."""
-    values = np.asarray(list(per_group_acc.values()) if isinstance(per_group_acc, dict) else per_group_acc, dtype=np.float64)
-    top = float(values.max())
-    if top <= 0:
-        raise DataError("selection rate undefined when the best group accuracy is 0")
-    return float(100.0 * values.min() / top)
-
-
-def _plain(g):
-    return g.item() if hasattr(g, "item") else g
-
-
-def _rates_by_group(pred, lab, grp) -> tuple[dict, dict]:
-    tpr = {}
-    fpr = {}
-    for g in np.unique(grp):
-        mask = grp == g
-        pos = mask & (lab == 1)
-        neg = mask & (lab == 0)
-        if not pos.any():
-            raise DataError(f"group {_plain(g)!r} has no positive samples; TPR undefined")
-        if not neg.any():
-            raise DataError(f"group {_plain(g)!r} has no negative samples; FPR undefined")
-        tpr[g] = float(np.mean(pred[pos] == 1))
-        fpr[g] = float(np.mean(pred[neg] == 1))
-    return tpr, fpr
-
-
-def equalized_odds_difference(predictions, labels, groups) -> float:
-    """Largest across-group gap in either TPR or FPR, in points."""
-    pred, lab, grp = _as_arrays(predictions, labels, groups)
-    bad = set(np.unique(lab)) | set(np.unique(pred))
-    if not bad <= {0, 1}:
-        raise DataError(f"equalized odds is defined for binary tasks, got values {sorted(bad)}")
-    tpr, fpr = _rates_by_group(pred, lab, grp)
-    tpr_gap = max(tpr.values()) - min(tpr.values())
-    fpr_gap = max(fpr.values()) - min(fpr.values())
-    return float(100.0 * max(tpr_gap, fpr_gap))
-
-
-def demographic_parity_difference(predictions, groups) -> float:
-    """Largest across-group gap in the positive-prediction rate, in points."""
-    pred, grp = _as_arrays(predictions, groups)
-    if not set(np.unique(pred)) <= {0, 1}:
-        raise DataError("demographic parity is defined for binary predictions")
-    rates = []
-    for g in np.unique(grp):
-        mask = grp == g
-        if not mask.any():
-            raise DataError(f"group {g!r} is empty")
-        rates.append(float(np.mean(pred[mask] == 1)))
-    return float(100.0 * (max(rates) - min(rates)))
-
-
 @dataclass
 class FairnessReport:
     """All accuracy and fairness numbers for one probe task, in points."""
@@ -287,22 +206,55 @@ class FairnessReport:
 
 
 def build_report(predictions, labels, groups) -> FairnessReport:
-    """Assemble every metric for one prediction set.
+    """Assemble every metric for one prediction set from one per-group tally.
 
     ``avg_acc`` is the overall accuracy over all samples; the unweighted mean
-    of the group accuracies is reported alongside for comparison.
+    of the group accuracies is reported alongside for comparison. Every rate
+    is a ratio of two tallied counts, so it equals the mean of its mask.
     """
-    pred, lab, grp = _as_arrays(predictions, labels, groups)
-    per_group = group_accuracy(pred, lab, grp)
-    accs = np.asarray(list(per_group.values()))
+    pred, lab, grp = (np.asarray(a).ravel() for a in (predictions, labels, groups))
+    lengths = {pred.shape[0], lab.shape[0], grp.shape[0]}
+    if len(lengths) != 1:
+        raise DataError(f"inputs must have equal length, got {sorted(lengths)}")
+    keys, inverse = np.unique(grp, return_inverse=True)
+    names = keys.tolist()
+    unequal = np.flatnonzero(keys != keys)  # a NaN key: no sample compares equal to it
+    if unequal.size:
+        raise DataError(f"group {names[unequal[0]]!r} is empty")
+    if keys.size < 2:
+        raise DataError("degree of bias needs at least two groups")
+
+    def tally(mask: np.ndarray) -> np.ndarray:
+        return np.bincount(inverse[mask], minlength=keys.size)
+
+    samples = np.bincount(inverse, minlength=keys.size)
+    correct = tally(pred == lab)
+    acc = 100.0 * (correct / samples)
+    if acc.max() <= 0:
+        raise DataError("selection rate undefined when the best group accuracy is 0")
+    bad = set(np.unique(lab)) | set(np.unique(pred))
+    if not bad <= {0, 1}:
+        raise DataError(f"equalized odds is defined for binary tasks, got values {sorted(bad)}")
+    positive, negative = lab == 1, lab == 0
+    pos, neg = tally(positive), tally(negative)
+    undefined = np.flatnonzero((pos == 0) | (neg == 0))
+    if undefined.size:
+        g = undefined[0]
+        if pos[g] == 0:
+            raise DataError(f"group {names[g]!r} has no positive samples; TPR undefined")
+        raise DataError(f"group {names[g]!r} has no negative samples; FPR undefined")
+    predicted = pred == 1
+    tpr = tally(predicted & positive) / pos
+    fpr = tally(predicted & negative) / neg
+    selected = tally(predicted) / samples
     return FairnessReport(
-        avg_acc=float(100.0 * np.mean(pred == lab)),
-        per_group_acc=per_group,
-        group_mean_acc=float(accs.mean()),
-        std_acc=degree_of_bias(per_group),
-        ser=selection_rate(per_group),
-        eod=equalized_odds_difference(pred, lab, grp),
-        dpd=demographic_parity_difference(pred, grp),
-        min_grp_acc=float(accs.min()),
-        max_grp_acc=float(accs.max()),
+        avg_acc=float(100.0 * (correct.sum() / samples.sum())),
+        per_group_acc=dict(zip(names, acc.tolist())),
+        group_mean_acc=float(acc.mean()),
+        std_acc=float(np.std(acc)),
+        ser=float(100.0 * acc.min() / acc.max()),
+        eod=float(100.0 * max(tpr.max() - tpr.min(), fpr.max() - fpr.min())),
+        dpd=float(100.0 * (selected.max() - selected.min())),
+        min_grp_acc=float(acc.min()),
+        max_grp_acc=float(acc.max()),
     )

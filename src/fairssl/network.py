@@ -175,14 +175,6 @@ class ModelParams:
     def named_layers(self) -> list[tuple[str, Layer]]:
         return list(self._layers.items())
 
-    def copy(self) -> "ModelParams":
-        def dup(layer: Layer) -> Layer:  # the new instance copies values into its own vector
-            return Layer(layer.weight, layer.bias, layer.activation, layer.frozen)
-
-        return ModelParams(
-            [dup(l) for l in self.encoder], [dup(l) for l in self.projection], dup(self.head)
-        )
-
     @property
     def input_dim(self) -> int:
         return self.encoder[0].in_dim
@@ -213,18 +205,13 @@ def set_frozen(params: ModelParams, selector: str | list[str], frozen: bool = Tr
 
 
 class GradientBundle:
-    """Gradients in the flat layout of ``ModelParams.flat``.
-
-    Built from a flat vector and its layout, or from per-layer
-    ``(dw, db)`` pairs, which are laid out in the order given. Indexing by
-    layer name returns views into ``flat``. Frozen layers hold zeros.
+    """Gradients in the flat layout of ``ModelParams.flat``: a flat vector
+    and its layout. Indexing by layer name returns views into ``flat``.
+    Frozen layers hold zeros.
     """
 
-    def __init__(self, grads: np.ndarray | dict, layout: dict[str, Span] | None = None):
-        if layout is None:
-            layout = _layout(grads, [np.shape(dw) for dw, _ in grads.values()])
-            grads = np.concatenate([np.ravel(a) for pair in grads.values() for a in pair], dtype=np.float64)
-        self.flat, self.layout = grads, layout
+    def __init__(self, flat: np.ndarray, layout: dict[str, Span]):
+        self.flat, self.layout = flat, layout
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "GradientBundle":
@@ -234,14 +221,8 @@ class GradientBundle:
         span = self.layout[name]
         return self.flat[span.start : span.split].reshape(span.shape), self.flat[span.split : span.stop]
 
-    def dot(self, other: "GradientBundle") -> float:
-        return float(self.flat @ other.flat)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat))
-
-    def scaled(self, c: float) -> "GradientBundle":
-        return GradientBundle(self.flat * c, self.layout)
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())

@@ -27,7 +27,7 @@ from fairssl.losses import (
     multi_attribute_anchor_stats,
     weighted_grad_from_stats,
 )
-from fairssl.network import ModelParams
+from fairssl.network import Layer, ModelParams
 from fairssl.store import SOURCES, DatasetManifest
 from fairssl.trainer import TrainConfig, meta_stage, pretrain_stage
 
@@ -229,6 +229,32 @@ def confusion_rates(pred, labels, groups):
             "pos_rate": (tp + fp) / total,
         }
     return stats
+
+
+def copy_params(params: ModelParams) -> ModelParams:
+    """Same values, activations and freeze flags in a new flat vector."""
+
+    def dup(layer: Layer) -> Layer:  # the new instance copies values into its own vector
+        return Layer(layer.weight, layer.bias, layer.activation, layer.frozen)
+
+    return ModelParams([dup(l) for l in params.encoder], [dup(l) for l in params.projection], dup(params.head))
+
+
+def groups_with_accuracy(correct, sizes, keys=None):
+    """Predictions, labels and groups in which group ``keys[g]`` (default
+    ``g``) has ``sizes[g]`` samples with alternating labels, so both classes
+    once it has two samples, and exactly ``correct[g]`` correct predictions:
+    the last ``sizes[g] - correct[g]`` are flipped."""
+    keys = list(range(len(sizes))) if keys is None else keys
+    pred, lab, grp = [], [], []
+    for key, c, n in zip(keys, correct, sizes):
+        y = np.arange(n) % 2
+        p = y.copy()
+        p[c:] = 1 - p[c:]
+        pred.append(p)
+        lab.append(y)
+        grp += [key] * n
+    return np.concatenate(pred), np.concatenate(lab), np.array(grp)
 
 
 def gd_probe(features, labels, l2: float = 1e-4, seed: int = 0, max_iter: int = 20000,

@@ -13,7 +13,7 @@ import pytest
 
 from fairssl.config import config_from_dict
 from fairssl.curation import _exact_topm, deduplicate, knn_retrieve
-from fairssl.evaluation import build_report, selection_rate
+from fairssl.evaluation import build_report
 from fairssl.losses import (
     LossConfig,
     MultiviewedBatch,
@@ -52,9 +52,11 @@ from oracles import (
     bruteforce_contrastive,
     bruteforce_supcon,
     confusion_rates,
+    copy_params,
     exhaustive_knn,
     fd_gradient,
     fd_param_gradients,
+    groups_with_accuracy,
     multi_attribute_supcon,
     sorted_topk_mean,
     supcon_loss,
@@ -248,7 +250,7 @@ def test_c04_meta_gradient_oracle(criterion):
                 g.append(backward(params, tape, d_projection=u))
 
             def val_at(eps):
-                p = params.copy()
+                p = copy_params(params)
                 for name, layer in p.named_layers():
                     for j in range(n):
                         dw, db = g[j][name]
@@ -272,17 +274,11 @@ def test_c04_meta_gradient_oracle(criterion):
 
         # aligned sample takes all the weight, orthogonal sample none
         params = ModelParams.create(4, [5], [4, 4, 3], seed=0)
-        g_v = GradientBundle(
-            {n_: (rng.standard_normal(l.weight.shape), rng.standard_normal(l.bias.shape))
-             for n_, l in params.named_layers()}
-        )
-        g2 = GradientBundle(
-            {n_: (rng.standard_normal(l.weight.shape), rng.standard_normal(l.bias.shape))
-             for n_, l in params.named_layers()}
-        )
-        coeff = g_v.dot(g2) / g_v.dot(g_v)
-        g2.flat += g_v.scaled(-coeff).flat  # orthogonalize against g_v
-        alignments = np.array([g_v.dot(g_v), g_v.dot(g2)])
+        g_v = GradientBundle(rng.standard_normal(params.flat.size), params.layout)
+        g2 = GradientBundle(rng.standard_normal(params.flat.size), params.layout)
+        coeff = float(g_v.flat @ g2.flat) / float(g_v.flat @ g_v.flat)
+        g2.flat += g_v.flat * (-coeff)  # orthogonalize against g_v
+        alignments = np.array([float(g_v.flat @ g_v.flat), float(g_v.flat @ g2.flat)])
         state = meta_weights(alignments, 0.1)
         assert state.w[0] == 1.0
         assert abs(state.w[1]) < 1e-12
@@ -415,7 +411,9 @@ def test_c07_metrics(criterion):
             r2 = build_report(pred, lab, np.array([relabel[g] for g in grp]))
             assert r2.ser == report.ser and r2.eod == report.eod and r2.dpd == report.dpd
 
-        assert selection_rate([84.15, 95.08]) == pytest.approx(88.50, abs=5e-3)
+        published = build_report(*groups_with_accuracy([1683, 2377], [2000, 2500]))
+        assert (published.min_grp_acc, published.max_grp_acc) == (84.15, 95.08)
+        assert published.ser == pytest.approx(88.50, abs=5e-3)
 
 
 def _pipeline_config(files, out_dir, seed, objective="supcon", stage_split=0.7, workers=1):

@@ -106,7 +106,7 @@ class TestConfig:
             cfg.require_paths("curated_embeddings")
 
 
-_LOADERS = {"libyaml": getattr(yaml, "CSafeLoader", yaml.SafeLoader), "pure": yaml.SafeLoader}
+_LOADERS = {"libyaml": config_module._YAML_LOADER, "pure": config_module._PURE_LOADER}
 
 
 def _bench_workloads():
@@ -122,7 +122,18 @@ class TestYamlFrontDoor:
     with PyYAML's pure-Python parser."""
 
     def test_libyaml_is_used_when_available(self):
-        assert config_module._YAML_LOADER is _LOADERS["libyaml"]
+        assert issubclass(_LOADERS["libyaml"], getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        assert issubclass(_LOADERS["pure"], yaml.SafeLoader)
+        assert not issubclass(_LOADERS["pure"], getattr(yaml, "CParser", ()))
+
+    @pytest.mark.parametrize("loader", list(_LOADERS))
+    def test_exponent_floats_without_a_dot(self, loader, monkeypatch):
+        monkeypatch.setattr(config_module, "_YAML_LOADER", _LOADERS[loader])
+        parsed = apply_overrides({"seed": 1}, ["trainer.base_lr=1e-3", "trainer.weight_decay=-2E+3"])
+        assert parsed["trainer"] == {"base_lr": 0.001, "weight_decay": -2000.0}
+        assert type(parsed["trainer"]["base_lr"]) is float
+        read = {raw: yaml.load(raw, Loader=_LOADERS[loader]) for raw in ["7", "0x10", "yes", "1e", "1.0e-3"]}
+        assert read == {"7": 7, "0x10": 16, "yes": True, "1e": "1e", "1.0e-3": 0.001}
 
     def test_written_configs_load_the_same_both_ways(self, tmp_path, world_dir, monkeypatch):
         wdir, world = world_dir
@@ -386,11 +397,22 @@ class TestStages:
         out = capsys.readouterr().out
         assert "Avg. Acc" in out
 
-        # evaluate re-reads the saved predictions and prints the report JSON
+        # the chain ends with evaluate, which rewrote the report files the
+        # probe hashed in its manifest: their bytes must be the probe's
+        probe_hashes = json.loads((tmp_path / "out" / "run_manifest_probe.json").read_text())["artifacts"]
+        reports = {f"fairness_report_{ext}": tmp_path / "out" / f"fairness_report.{ext}" for ext in ("json", "txt")}
+        written = {name: p.read_bytes() for name, p in reports.items()}
+        assert {name: hashlib.sha256(b).hexdigest() for name, b in written.items()} == {
+            name: probe_hashes[name] for name in reports
+        }
+
+        # evaluate re-reads the saved predictions, prints the report JSON and
+        # rewrites the probe's report files byte for byte
         assert main(["evaluate", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         report = json.loads(out)
         assert set(report) >= {"avg_acc", "ser", "eod", "dpd", "min_grp_acc", "max_grp_acc"}
+        assert {name: p.read_bytes() for name, p in reports.items()} == written
 
     def test_probe_prints_only_from_the_cli(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir

@@ -5,17 +5,9 @@ from hypothesis import strategies as st
 
 from fairssl import evaluation
 from fairssl.errors import DataError, NumericError
-from fairssl.evaluation import (
-    build_report,
-    degree_of_bias,
-    demographic_parity_difference,
-    equalized_odds_difference,
-    group_accuracy,
-    selection_rate,
-    train_probe,
-)
+from fairssl.evaluation import build_report, train_probe
 
-from oracles import confusion_rates, gd_probe
+from oracles import confusion_rates, gd_probe, groups_with_accuracy
 
 
 class TestProbe:
@@ -124,57 +116,64 @@ class TestProbe:
 
 class TestGroupAccuracy:
     def test_all_correct(self):
-        acc = group_accuracy([1, 0, 1], [1, 0, 1], ["a", "b", "a"])
-        assert acc == {"a": 100.0, "b": 100.0}
+        report = build_report([1, 0, 1, 0], [1, 0, 1, 0], ["a", "a", "b", "b"])
+        assert report.per_group_acc == {"a": 100.0, "b": 100.0}
 
     def test_counting(self):
-        pred = [1] * 4 + [0] + [1] * 9 + [0]
-        lab = [1] * 5 + [1] * 10
+        pred = [1, 1, 0, 0, 0] + [1] * 4 + [0] * 6
+        lab = [1, 1, 1, 0, 0] + [1] * 5 + [0] * 5
         grp = ["A"] * 5 + ["B"] * 10
-        acc = group_accuracy(pred, lab, grp)
-        assert acc["A"] == pytest.approx(80.0)
-        assert acc["B"] == pytest.approx(90.0)
+        report = build_report(pred, lab, grp)
+        assert report.per_group_acc["A"] == pytest.approx(80.0)
+        assert report.per_group_acc["B"] == pytest.approx(90.0)
+        assert report.avg_acc == pytest.approx(100 * 13 / 15)
 
     def test_order_invariance(self, rng):
         pred = rng.integers(0, 2, 40)
-        lab = rng.integers(0, 2, 40)
-        grp = rng.integers(0, 3, 40)
+        lab = np.arange(40) % 2
+        grp = (np.arange(40) // 2) % 3  # every group holds both classes
         perm = rng.permutation(40)
-        assert group_accuracy(pred, lab, grp) == group_accuracy(pred[perm], lab[perm], grp[perm])
+        assert build_report(pred, lab, grp) == build_report(pred[perm], lab[perm], grp[perm])
 
     def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            group_accuracy([1, 0], [1], [0, 1])
+        with pytest.raises(DataError, match=r"equal length, got \[1, 2\]"):
+            build_report([1, 0], [1], [0, 1])
 
 
 class TestScalarMetrics:
     def test_degree_of_bias_two_groups(self):
-        assert degree_of_bias({"a": 80.0, "b": 90.0}) == pytest.approx(5.0)
+        report = build_report(*groups_with_accuracy([8, 9], [10, 10], ["a", "b"]))
+        assert report.std_acc == pytest.approx(5.0)
 
     def test_degree_of_bias_equal(self):
-        assert degree_of_bias([75.0, 75.0, 75.0]) == 0.0
+        assert build_report(*groups_with_accuracy([3, 3, 3], [4, 4, 4])).std_acc == 0.0
 
     def test_degree_of_bias_hand_formula(self):
-        vals = [70.54, 92.99, 85.0, 88.0]
+        report = build_report(*groups_with_accuracy([7054, 9299, 8500, 8800], [10000] * 4))
+        vals = list(report.per_group_acc.values())
+        assert vals == pytest.approx([70.54, 92.99, 85.0, 88.0], abs=1e-12)
         mean = sum(vals) / 4
         expected = (sum((v - mean) ** 2 for v in vals) / 4) ** 0.5
-        assert degree_of_bias(vals) == pytest.approx(expected, abs=1e-12)
+        assert report.std_acc == pytest.approx(expected, abs=1e-12)
 
     def test_degree_of_bias_needs_two(self):
-        with pytest.raises(DataError):
-            degree_of_bias([50.0])
+        with pytest.raises(DataError, match="at least two groups"):
+            build_report([1, 0], [1, 0], ["a", "a"])
 
     def test_selection_rate(self):
-        assert selection_rate({"a": 80.0, "b": 90.0}) == pytest.approx(100 * 80 / 90)
-        assert selection_rate([66.0, 66.0]) == 100.0
+        report = build_report(*groups_with_accuracy([8, 9], [10, 10], ["a", "b"]))
+        assert report.ser == pytest.approx(100 * 80 / 90)
+        assert build_report(*groups_with_accuracy([66, 66], [100, 100])).ser == 100.0
 
     def test_selection_rate_published_operating_point(self):
         # min 84.15 / max 95.08 must reproduce the reported ratio 88.50
-        assert selection_rate([84.15, 95.08]) == pytest.approx(88.50, abs=5e-3)
+        report = build_report(*groups_with_accuracy([1683, 2377], [2000, 2500]))
+        assert (report.min_grp_acc, report.max_grp_acc) == (84.15, 95.08)
+        assert report.ser == pytest.approx(88.50, abs=5e-3)
 
     def test_selection_rate_zero_max(self):
-        with pytest.raises(DataError):
-            selection_rate([0.0, 0.0])
+        with pytest.raises(DataError, match="best group accuracy is 0"):
+            build_report(*groups_with_accuracy([0, 0], [4, 4]))
 
 
 class TestEqualizedOdds:
@@ -182,14 +181,14 @@ class TestEqualizedOdds:
         pred = [1, 0, 1, 0, 1, 0, 1, 0]
         lab = [1, 0, 0, 1, 1, 0, 0, 1]
         grp = ["a"] * 4 + ["b"] * 4
-        assert equalized_odds_difference(pred, lab, grp) == 0.0
+        assert build_report(pred, lab, grp).eod == 0.0
 
     def test_single_rate_gap(self):
         # group A: TPR 1.0 FPR 0.0; group B: TPR 0.5 FPR 0.0
         pred = [1, 1, 0] + [1, 0, 0]
         lab = [1, 1, 0] + [1, 1, 0]
         grp = ["A"] * 3 + ["B"] * 3
-        assert equalized_odds_difference(pred, lab, grp) == pytest.approx(50.0)
+        assert build_report(pred, lab, grp).eod == pytest.approx(50.0)
 
     def test_hand_computed_twenty_samples(self, rng):
         pred = rng.integers(0, 2, 20)
@@ -199,34 +198,39 @@ class TestEqualizedOdds:
         tprs = [stats[g]["tpr"] for g in (0, 1)]
         fprs = [stats[g]["fpr"] for g in (0, 1)]
         expected = 100 * max(max(tprs) - min(tprs), max(fprs) - min(fprs))
-        assert equalized_odds_difference(pred, lab, grp) == pytest.approx(expected, abs=1e-12)
+        assert build_report(pred, lab, grp).eod == pytest.approx(expected, abs=1e-12)
 
     def test_missing_class_names_group_and_class(self):
         pred = [1, 0, 1, 1]
         lab = [1, 0, 1, 1]  # group "b" has no negatives
         grp = ["a", "a", "b", "b"]
         with pytest.raises(DataError, match="'b' has no negative"):
-            equalized_odds_difference(pred, lab, grp)
+            build_report(pred, lab, grp)
+        # the first group in key order is named, its positives checked first
+        with pytest.raises(DataError, match="'a' has no positive"):
+            build_report([0, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1], ["b", "b", "b", "a", "c", "c"])
 
     def test_nonbinary_rejected(self):
-        with pytest.raises(DataError):
-            equalized_odds_difference([0, 2], [0, 1], ["a", "a"])
+        with pytest.raises(DataError, match="binary tasks"):
+            build_report([0, 2, 1, 0], [0, 1, 1, 0], ["a", "a", "b", "b"])
 
 
 class TestDemographicParity:
     def test_identical_rates(self):
-        assert demographic_parity_difference([1, 0, 1, 0], ["a", "a", "b", "b"]) == 0.0
+        assert build_report([1, 0, 1, 0], [1, 0, 0, 1], ["a", "a", "b", "b"]).dpd == 0.0
 
     def test_two_rates(self):
         pred = [1] * 7 + [0] * 3 + [1] * 4 + [0] * 6
+        lab = [1, 0] * 10
         grp = ["a"] * 10 + ["b"] * 10
-        assert demographic_parity_difference(pred, grp) == pytest.approx(30.0)
+        assert build_report(pred, lab, grp).dpd == pytest.approx(30.0)
 
     def test_three_groups_max_minus_min(self):
         pred = [1, 0, 0, 0, 0] + [1, 1, 0, 0, 0][:4] + [1] * 9 + [0]
+        lab = np.arange(19) % 2
         grp = ["a"] * 5 + ["b"] * 4 + ["c"] * 10
         # rates a=0.2, b=0.5, c=0.9
-        assert demographic_parity_difference(pred, grp) == pytest.approx(70.0)
+        assert build_report(pred, lab, grp).dpd == pytest.approx(70.0)
 
 
 class TestReport:
@@ -286,12 +290,9 @@ class TestReport:
         pred = rng.integers(0, 2, 40)
         lab = np.array([0, 1] * 20)
         grp = np.array([0] * 20 + [1] * 20)
-        assert equalized_odds_difference(pred, lab, grp) == pytest.approx(
-            equalized_odds_difference(1 - pred, 1 - lab, grp)
-        )
-        assert demographic_parity_difference(pred, grp) == pytest.approx(
-            demographic_parity_difference(1 - pred, grp)
-        )
+        report, swapped = build_report(pred, lab, grp), build_report(1 - pred, 1 - lab, grp)
+        assert report.eod == pytest.approx(swapped.eod)
+        assert report.dpd == pytest.approx(swapped.dpd)
 
     def test_ser_100_iff_std_zero(self, rng):
         lab = rng.integers(0, 2, 30)
@@ -306,3 +307,37 @@ class TestReport:
         header, row = text.splitlines()
         assert "Avg. Acc" in header and "Min Grp Acc" in header
         assert len(header.split()) >= 7
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 30), min_size=2, max_size=5),
+        str_keys=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_confusion_oracle(self, sizes, str_keys, seed):
+        rng = np.random.default_rng(seed)
+        keys = [f"g{i}" for i in range(len(sizes))] if str_keys else [3 * i - 4 for i in range(len(sizes))]
+        grp = np.repeat(keys, sizes)
+        lab = np.concatenate([rng.permutation(np.arange(n) % 2) for n in sizes])
+        pred = rng.integers(0, 2, grp.size)
+        order = rng.permutation(grp.size)
+        pred, lab, grp = pred[order], lab[order], grp[order]
+        stats = confusion_rates(pred.tolist(), lab.tolist(), grp.tolist())
+        accs = {g: s["acc"] for g, s in stats.items()}
+        assume(max(accs.values()) > 0)
+        report = build_report(pred, lab, grp)
+        assert report.per_group_acc == pytest.approx(accs, abs=1e-12)
+        assert all(type(k) is type(keys[0]) for k in report.per_group_acc)
+        assert report.avg_acc == pytest.approx(100 * np.mean(pred == lab), abs=1e-12)
+        values = list(accs.values())
+        mean = sum(values) / len(values)
+        assert report.group_mean_acc == pytest.approx(mean, abs=1e-12)
+        assert report.std_acc == pytest.approx(
+            (sum((a - mean) ** 2 for a in values) / len(values)) ** 0.5, abs=1e-9
+        )
+        assert (report.min_grp_acc, report.max_grp_acc) == pytest.approx((min(values), max(values)), abs=1e-12)
+        assert report.ser == pytest.approx(100 * min(values) / max(values), abs=1e-9)
+        gap = {r: max(s[r] for s in stats.values()) - min(s[r] for s in stats.values())
+               for r in ("tpr", "fpr", "pos_rate")}
+        assert report.eod == pytest.approx(100 * max(gap["tpr"], gap["fpr"]), abs=1e-9)
+        assert report.dpd == pytest.approx(100 * gap["pos_rate"], abs=1e-9)

@@ -19,7 +19,7 @@ from fairssl.network import (
 )
 from fairssl.trainer import AdamW, LrSchedule
 
-from oracles import assert_grad_close, dense_jvp, fd_param_gradients
+from oracles import assert_grad_close, copy_params, dense_jvp, fd_param_gradients
 
 
 def identity_params(d=4):
@@ -197,7 +197,7 @@ class TestFlatLayout:
 
     def test_copy_shares_no_memory(self):
         params = small_params(seed=2)
-        dup = params.copy()
+        dup = copy_params(params)
         assert np.array_equal(dup.flat, params.flat)
         assert not np.shares_memory(dup.flat, params.flat)
         for (_, a), (_, b) in zip(params.named_layers(), dup.named_layers()):
@@ -220,9 +220,8 @@ class TestFlatLayout:
         assert bundle.layout == params.layout
         per_layer = [np.concatenate([bundle[n][0].ravel(), bundle[n][1]]) for n in params.layer_names()]
         assert np.array_equal(bundle.flat, np.concatenate(per_layer))
-        from_pairs = GradientBundle({n: (l.weight, l.bias) for n, l in params.named_layers()})
-        assert from_pairs.layout == params.layout
-        assert np.array_equal(from_pairs.flat, params.flat)
+        pairs = [np.concatenate([l.weight.ravel(), l.bias]) for _, l in params.named_layers()]
+        assert np.array_equal(params.flat, np.concatenate(pairs))
 
     def test_shared_layer_object_rejected(self):
         d = 3
@@ -236,19 +235,14 @@ class TestJvp:
     def test_matches_directional_finite_difference(self, rng):
         params = small_params(seed=2)
         x = rng.standard_normal((4, 6))
-        direction = GradientBundle(
-            {
-                name: (rng.standard_normal(l.weight.shape), rng.standard_normal(l.bias.shape))
-                for name, l in params.named_layers()
-            }
-        )
+        direction = GradientBundle(rng.standard_normal(params.flat.size), params.layout)
         _, _, tape = forward_embed(params, x)
         d_feat, d_z = forward_jvp(params, tape, direction)
 
         eps = 1e-6
 
         def shifted(sign):
-            p = params.copy()
+            p = copy_params(params)
             for name, layer in p.named_layers():
                 dw, db = direction[name]
                 layer.weight += sign * eps * dw

@@ -19,7 +19,7 @@ from fairssl.trainer import (
     stratified_batches,
 )
 
-from oracles import layered_adamw, staged_train
+from oracles import copy_params, layered_adamw, staged_train
 
 
 def tiny_params(seed=0, d=6):
@@ -128,7 +128,7 @@ class TestAdamW:
     def test_flat_step_matches_layered_oracle_bit_for_bit(self, rng):
         params = tiny_params(seed=3)
         set_frozen(params, ["projection.1"])
-        reference = params.copy()
+        reference = copy_params(params)
         schedule = LrSchedule(0.05, warmup_steps=20, total_steps=240)
         opt = AdamW(params, schedule, weight_decay=0.3)
         moments: dict = {}
@@ -344,7 +344,7 @@ class TestMetaStep:
             u[anchor] += (r @ Z) / tau
             u += np.outer(r, Z[anchor]) / tau
             g_i = backward(params, tape, d_projection=u)
-            assert abs(g_v.dot(g_i) - fast[anchor]) < 1e-10 * max(1.0, abs(fast[anchor]))
+            assert abs(float(g_v.flat @ g_i.flat) - fast[anchor]) < 1e-10 * max(1.0, abs(fast[anchor]))
 
     def test_zero_sum_guard_skips_update(self, rng):
         # flipping the validation labels of a fitted head opposes every
@@ -405,7 +405,7 @@ class TestMetaStep:
             g.append(backward(params, tape, d_projection=u))
 
         def val_at(eps):
-            p = params.copy()
+            p = copy_params(params)
             for name, layer in p.named_layers():
                 for j in range(n):
                     dw, db = g[j][name]
