@@ -218,9 +218,9 @@ def build_report(predictions, labels, groups) -> FairnessReport:
         raise DataError(f"inputs must have equal length, got {sorted(lengths)}")
     keys, inverse = np.unique(grp, return_inverse=True)
     names = keys.tolist()
-    unequal = np.flatnonzero(keys != keys)  # a NaN key: no sample compares equal to it
+    unequal = np.flatnonzero(keys != keys)  # NaN: a label that equals no label, itself included
     if unequal.size:
-        raise DataError(f"group {names[unequal[0]]!r} is empty")
+        raise DataError(f"group label {names[unequal[0]]!r} is NaN, which names no group")
     if keys.size < 2:
         raise DataError("degree of bias needs at least two groups")
 

@@ -28,6 +28,7 @@ import itertools
 import json
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,10 @@ SOURCES = ("curated", "uncurated", "retrieved")
 _SOURCE_CODE = {name: code for code, name in enumerate(SOURCES)}
 
 _NORM_TOL = 1e-6
+# Bytes of float64 scratch per row block when rows are normalized or a
+# flagged matrix's norms checked: they bound memory and do not change any
+# output. 2 MiB is 4,096 rows at d=64, so a 30k-row pool takes 8 blocks.
+_ROW_BLOCK_BYTES = 2 * 2**20
 
 
 @dataclass
@@ -58,15 +63,15 @@ class EmbeddingMatrix:
         data = np.asarray(self.data, dtype=np.float32)
         if data.ndim != 2:
             raise DataError(f"embedding matrix must be 2-D, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise DataError("embedding matrix contains non-finite values")
-        if self.normalized and data.shape[0] > 0:
-            norms = np.linalg.norm(data.astype(np.float64), axis=1)
-            worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-            if worst > _NORM_TOL:
-                raise DataError(
-                    f"matrix flagged normalized but a row norm deviates by {worst:.3e}"
-                )
+        worst = 0.0  # norm faults wait until every row is known to be finite
+        for _, rows in _row_blocks(data):
+            if not np.isfinite(rows).all():
+                raise DataError("embedding matrix contains non-finite values")
+            if self.normalized:
+                norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+                worst = max(worst, float(np.max(np.abs(norms - 1.0))))
+        if worst > _NORM_TOL:
+            raise DataError(f"matrix flagged normalized but a row norm deviates by {worst:.3e}")
         self.data = data
 
     @property
@@ -81,16 +86,29 @@ class EmbeddingMatrix:
 def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     """Scale every row to unit L2 norm; direction is preserved exactly.
 
-    Raises DegenerateInputError naming the first zero row, since a zero
-    embedding indicates upstream corruption rather than a valid sample.
+    Each row is divided by its norm in float64 and rounded to float32, one
+    block of rows at a time. Raises DegenerateInputError naming the first
+    zero row, since a zero embedding indicates upstream corruption rather
+    than a valid sample.
     """
-    data = m.data.astype(np.float64)
-    norms = np.linalg.norm(data, axis=1)
-    zero_rows = np.flatnonzero(norms < 1e-30)
-    if zero_rows.size:
-        raise DegenerateInputError(f"cannot normalize zero row at index {zero_rows[0]}")
-    out = (data / norms[:, None]).astype(np.float32)
+    out = np.empty(m.data.shape, dtype=np.float32)
+    for start, rows in _row_blocks(m.data):
+        block = rows.astype(np.float64)
+        norms = np.linalg.norm(block, axis=1)
+        zero_rows = np.flatnonzero(norms < 1e-30)
+        if zero_rows.size:
+            raise DegenerateInputError(f"cannot normalize zero row at index {start + zero_rows[0]}")
+        block /= norms[:, None]
+        out[start : start + block.shape[0]] = block
     return EmbeddingMatrix(out, normalized=True)
+
+
+def _row_blocks(data: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, data[start : start + k])`` over consecutive row blocks of
+    ``data``, k rows being as many as fill ``_ROW_BLOCK_BYTES`` in float64."""
+    step = max(1, _ROW_BLOCK_BYTES // (8 * max(1, data.shape[1])))
+    for start in range(0, data.shape[0], step):
+        yield start, data[start : start + step]
 
 
 def read_bytes(path: str | Path, what: str) -> bytes:
@@ -158,9 +176,10 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Read an embedding file, validating header, size, and finiteness."""
     (n, d, flags), raw = read_container(path, MAGIC, FORMAT_VERSION, _HEADER, "embeddings", _PAYLOAD)
     data = np.frombuffer(raw, dtype=_PAYLOAD, offset=_HEADER.size).reshape(n, d).copy()
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"{path}: payload contains non-finite values")
-    return EmbeddingMatrix(data, normalized=bool(flags & _FLAG_NORMALIZED))
+    try:
+        return EmbeddingMatrix(data, normalized=bool(flags & _FLAG_NORMALIZED))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 @dataclass(eq=False)

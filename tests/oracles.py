@@ -5,8 +5,9 @@ The oracles are deliberately written as plain double loops over the
 defining formulas, sharing no code with the library paths they check. The
 exceptions are marked: the single-attribute and multi-attribute supcon
 wrappers (built from the library's anchor machinery, and checked against
-the brute-force sums here) and the per-layer AdamW step that the flat
-optimizer must match bit for bit.
+the brute-force sums here), the per-layer AdamW step that the flat
+optimizer must match bit for bit, and the whole-matrix normalization that
+the blocked one must match byte for byte.
 """
 
 from __future__ import annotations
@@ -327,6 +328,22 @@ def layered_adamw(params, grads, moments: dict, t: int, lr: float, weight_decay:
             param -= lr_t * update
             if weight_decay and param is layer.weight:
                 param -= lr * weight_decay * param
+
+
+def whole_matrix_normalize(data: np.ndarray) -> np.ndarray:
+    """``store.normalize_rows`` on the whole matrix at once, for rows that
+    are not zero: float64 row norms, one float64 division, one rounding to
+    float32. The blocked library path must match it byte for byte."""
+    wide = np.asarray(data, dtype=np.float32).astype(np.float64)
+    return (wide / np.linalg.norm(wide, axis=1)[:, None]).astype(np.float32)
+
+
+def whole_matrix_norm_deviation(data: np.ndarray) -> float:
+    """Largest ``|norm - 1|`` over the float64 row norms of the whole
+    matrix, 0 for a matrix without rows: what the flagged-normalized check
+    of ``EmbeddingMatrix`` compares with its tolerance."""
+    norms = np.linalg.norm(np.asarray(data, dtype=np.float32).astype(np.float64), axis=1)
+    return float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
 
 
 def manifest_entries(m: DatasetManifest) -> list[tuple]:

@@ -139,6 +139,16 @@ class TestGroupAccuracy:
         with pytest.raises(DataError, match=r"equal length, got \[1, 2\]"):
             build_report([1, 0], [1], [0, 1])
 
+    def test_nan_group_label_named_as_nan(self):
+        # the NaN group has two samples; it is refused for its label, not as empty
+        with pytest.raises(DataError, match="group label nan is NaN"):
+            build_report([1, 0, 1], [1, 0, 1], [0.0, np.nan, np.nan])
+        # checks keep their order: lengths, then NaN labels, then the group count
+        with pytest.raises(DataError, match="equal length"):
+            build_report([1, 0], [1, 0, 1], [0.0, np.nan, np.nan])
+        with pytest.raises(DataError, match="is NaN"):
+            build_report([1, 0, 1], [1, 0, 1], [np.nan] * 3)
+
 
 class TestScalarMetrics:
     def test_degree_of_bias_two_groups(self):

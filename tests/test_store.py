@@ -2,11 +2,16 @@ import ast
 import json
 import stat
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairssl import store
 from fairssl.errors import DataError, DegenerateInputError, FileSizeError, FormatError
 from fairssl.store import (
     DatasetManifest,
@@ -18,7 +23,7 @@ from fairssl.store import (
     write_file,
 )
 
-from oracles import manifest_entries
+from oracles import manifest_entries, whole_matrix_norm_deviation, whole_matrix_normalize
 
 
 def test_round_trip_small(tmp_path):
@@ -73,7 +78,17 @@ def test_nan_payload_is_data_error(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
     path.write_bytes(bytes(raw))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"a\.fssl: embedding matrix contains non-finite values"):
+        load_embeddings(path)
+
+
+def test_flagged_norm_deviation_names_file(tmp_path, make_unit_rows, rng):
+    path = tmp_path / "a.fssl"
+    save_embeddings(EmbeddingMatrix(make_unit_rows(rng, 3, 4).astype(np.float32), normalized=True), path)
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = np.array([2.0], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=r"a\.fssl: matrix flagged normalized but a row norm deviates"):
         load_embeddings(path)
 
 
@@ -114,6 +129,111 @@ def test_normalize_zero_row_names_index():
     data = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32)
     with pytest.raises(DegenerateInputError, match="index 1"):
         normalize_rows(EmbeddingMatrix(data))
+
+
+def _block_rows(d):
+    """Rows per block of the ingest passes at width d."""
+    return store._ROW_BLOCK_BYTES // (8 * d)
+
+
+def _blocks_of(rows, d):
+    """Patch the block size to ``rows`` rows at width d."""
+    return mock.patch.object(store, "_ROW_BLOCK_BYTES", 8 * d * rows)
+
+
+def _spread_rows(rng, n, d):
+    """Float32 rows of mixed scale, a few entries zeroed, none all zero."""
+    data = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-15, 15, (n, 1))
+    data[rng.random((n, d)) < 0.2] = 0.0
+    data[:, 0] += np.all(data == 0.0, axis=1)
+    return data.astype(np.float32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 70),
+    rows_per_block=st.sampled_from([None, 1, 2, 5]),  # None: the module's own
+    blocks_and_extra=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)]),
+    fortran=st.booleans(),
+    bad_row=st.sampled_from(["first", "last", "any"]),
+    deviation=st.sampled_from([0.0, 4e-7, 9e-7, 1.2e-6, 3e-6, 1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_ingest_matches_whole_matrix(d, rows_per_block, blocks_and_extra, fortran, bad_row, deviation, seed):
+    rng = np.random.default_rng(seed)
+    block = rows_per_block or _block_rows(d)
+    n = blocks_and_extra[0] * block + blocks_and_extra[1]
+    data = _spread_rows(rng, n, d)
+    if fortran:
+        data = np.asfortranarray(data)
+    with _blocks_of(block, d):
+        out = normalize_rows(EmbeddingMatrix(data))
+        assert out.normalized and out.data.dtype == np.float32 and out.data.shape == (n, d)
+        assert out.data.tobytes() == whole_matrix_normalize(data).tobytes()
+        if n == 0:
+            return
+        # scale one row off unit norm: the blocked check accepts exactly what
+        # the whole-matrix check accepts and names the same deviation
+        unit = np.array(out.data, order="F" if fortran else "C")
+        r = {"first": 0, "last": n - 1, "any": int(rng.integers(n))}[bad_row]
+        unit[r] *= np.float32(1.0 + deviation)
+        worst = whole_matrix_norm_deviation(unit)
+        if worst <= store._NORM_TOL:
+            assert EmbeddingMatrix(unit, normalized=True).data is unit
+        else:
+            with pytest.raises(DataError, match=f"deviates by {worst:.3e}"):
+                EmbeddingMatrix(unit, normalized=True)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 3])
+def test_norm_check_finds_bad_row_in_last_block(rng, rows_per_block):
+    d = 8
+    block = rows_per_block or _block_rows(d)
+    with _blocks_of(block, d):
+        unit = normalize_rows(EmbeddingMatrix(rng.standard_normal((2 * block + 3, d)).astype(np.float32))).data
+        EmbeddingMatrix(unit, normalized=True)
+        unit[-1] *= np.float32(1.01)
+        with pytest.raises(DataError, match="flagged normalized"):
+            EmbeddingMatrix(unit, normalized=True)
+        EmbeddingMatrix(unit[:-1], normalized=True)
+        # a non-finite value in a later block is named before a norm fault in the first
+        unit[0] *= np.float32(1.01)
+        unit[-1, 0] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            EmbeddingMatrix(unit, normalized=True)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 4])
+def test_normalize_zero_row_in_later_block_names_global_index(rng, rows_per_block):
+    d = 16
+    block = rows_per_block or _block_rows(d)
+    data = rng.standard_normal((3 * block, d)).astype(np.float32)
+    zero = 2 * block + 1
+    data[zero] = 0.0
+    data[zero + 1 :] = 0.0
+    with _blocks_of(block, d), pytest.raises(DegenerateInputError, match=f"zero row at index {zero}$"):
+        normalize_rows(EmbeddingMatrix(data))
+
+
+@pytest.mark.parametrize("build", ["normalize_rows", "normalized_check"])
+def test_ingest_memory_is_a_few_blocks(rng, build):
+    # 3.5 blocks at the module's block size: the float64 work must stay
+    # within a few blocks beyond the float32 output (whole-matrix passes
+    # peak at 7.1 and 4.1 times the payload here)
+    d = 64
+    data = rng.standard_normal((7 * _block_rows(d) // 2, d)).astype(np.float32)
+    unit = whole_matrix_normalize(data)
+    tracemalloc.start()
+    try:
+        if build == "normalize_rows":
+            normalize_rows(EmbeddingMatrix(data))
+        else:
+            EmbeddingMatrix(unit, normalized=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = data.nbytes if build == "normalize_rows" else 0
+    assert peak <= output + 3 * store._ROW_BLOCK_BYTES, peak / data.nbytes
 
 
 def test_manifest_round_trip(tmp_path):
