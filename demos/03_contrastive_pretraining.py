@@ -44,8 +44,7 @@ for objective in ("supcon", "contrastive"):
         batch_size=32, epochs=8, stage_split=1.0, base_lr=1e-3,
         warmup_epochs=1, seed=11, objective=objective,
     )
-    history = pretrain_stage(params, X, labels, [0, 1], loss_cfg, cfg,
-                             stratify_labels=labels[:, 0])
+    history = pretrain_stage(params, X, labels, loss_cfg, cfg, stratify_labels=labels[:, 0])
     curve = " -> ".join(f"{h['loss']:.3f}" for h in history)
     print(f"{objective:>12}: per-anchor loss {curve}")
 

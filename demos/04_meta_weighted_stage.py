@@ -48,11 +48,11 @@ params = ModelParams.create(dim, [32, 16], [32, 32, 8], seed=1)
 cfg = TrainConfig(batch_size=32, epochs=10, stage_split=0.6, base_lr=1e-3,
                   warmup_epochs=1, seed=4, val_subset_size=64, val_topk=16)
 loss_cfg = LossConfig(temperature=0.1)
-pretrain_stage(params, X, labels, [0, 1], loss_cfg, cfg, stratify_labels=labels[:, 0])
+pretrain_stage(params, X, labels, loss_cfg, cfg, stratify_labels=labels[:, 0])
 
 val_idx = select_validation_subset(table, "target", conf_threshold=0.9, m=64, seed=4)
 val_y = labels[val_idx, 0]
-history, summary = meta_stage(params, X, labels, [0, 1], val_idx, val_y, loss_cfg, cfg,
+history, summary = meta_stage(params, X, labels, val_idx, val_y, loss_cfg, cfg,
                               stratify_labels=labels[:, 0])
 
 print(f"\nvalidation worst-{cfg.val_topk} loss at stage switch: "

@@ -49,7 +49,8 @@ class MultiviewedBatch:
     """2N unit views of N samples: views ``i`` and ``i + N`` are the two views
     of sample ``i``, and both carry its labels, so every anchor has a positive.
 
-    ``labels`` is per sample, (N,) or (N, A); ``self.labels`` is per view, (2N, A).
+    ``labels`` is per sample, (N,) or (N, A) with A >= 1; ``self.labels`` is
+    per view, (2N, A). The label-aware losses average over all A columns.
     """
 
     def __init__(self, views: np.ndarray, labels: np.ndarray):
@@ -62,8 +63,8 @@ class MultiviewedBatch:
         labels = np.asarray(labels)
         if labels.ndim == 1:
             labels = labels[:, None]
-        if labels.ndim != 2 or labels.shape[0] != m // 2:
-            raise DataError(f"labels must have one row per sample ({m // 2}), got shape {labels.shape}")
+        if labels.ndim != 2 or labels.shape[0] != m // 2 or labels.shape[1] == 0:
+            raise DataError(f"labels must be (samples={m // 2}, attributes>=1), got shape {labels.shape}")
         norms = np.linalg.norm(self.views, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise DataError("views must be unit vectors")
@@ -126,25 +127,21 @@ def contrastive_loss(batch: MultiviewedBatch, temperature: float) -> tuple[float
     return loss, _grad_from_coeffs(batch.views, R, temperature)
 
 
-def _positives_for_attribute(batch: MultiviewedBatch, attribute: int | list[int]) -> np.ndarray:
-    """Views sharing each anchor's label, diagonal excluded: (2N, 2N) for one
-    attribute, (A, 2N, 2N) for a list of them."""
-    col = batch.labels[:, attribute].T
-    pos = col[..., :, None] == col[..., None, :]
+def _positives_for_attribute(batch: MultiviewedBatch) -> np.ndarray:
+    """Views sharing each anchor's label, diagonal excluded: one (2N, 2N)
+    mask per label column, (A, 2N, 2N)."""
+    col = np.ascontiguousarray(batch.labels.T)  # so each mask is a contiguous (2N, 2N) block
+    pos = col[:, :, None] == col[:, None, :]
     diag = np.arange(batch.num_views)
-    pos[..., diag, diag] = False
+    pos[:, diag, diag] = False
     return pos
 
 
-def multi_attribute_anchor_stats(
-    batch: MultiviewedBatch, attributes: list[int], temperature: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor terms and the coefficient matrix, both averaged over the
-    attributes: (terms, R)."""
-    if not attributes:
-        raise ConfigError("multi-attribute loss needs at least one attribute")
+def multi_attribute_anchor_stats(batch: MultiviewedBatch, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor terms and the coefficient matrix, both averaged over every
+    label column of the batch: (terms, R)."""
     s, lse, q = _scaled_similarities(batch.views, temperature)
-    return _anchor_stats(s, lse, q, _positives_for_attribute(batch, list(attributes)))
+    return _anchor_stats(s, lse, q, _positives_for_attribute(batch))
 
 
 def weighted_grad_from_stats(

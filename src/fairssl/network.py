@@ -3,11 +3,12 @@ projection network with unit-norm output, and a linear classification head.
 
 Gradients are exact reverse-mode, written specifically for this affine/relu
 chain (no general autodiff). The forward pass records a tape of activations;
-``backward`` consumes upstream gradients with respect to any combination of
-the normalized projection, the encoder features, and the head logits.
-``forward_jvp`` provides the matching forward-mode directional derivative,
-which the meta-weighting stage uses to obtain all per-sample gradient inner
-products at the cost of roughly one extra forward pass.
+``backward`` consumes upstream gradients with respect to the normalized
+projection, the head logits, or both. ``forward_jvp`` provides the matching
+forward-mode directional derivative of the projection, which the
+meta-weighting stage uses to obtain all per-sample gradient inner products
+at the cost of roughly one extra forward pass. Every call takes a batch of
+rows, (n, d).
 
 Flat layout: ``ModelParams.flat`` is one float64 vector holding every
 parameter in checkpoint order ``[W0, b0, W1, b1, ...]``; each layer's
@@ -183,10 +184,6 @@ class ModelParams:
     def feature_dim(self) -> int:
         return self.encoder[-1].out_dim
 
-    @property
-    def projection_dim(self) -> int:
-        return self.projection[-1].out_dim
-
 
 def set_frozen(params: ModelParams, selector: str | list[str], frozen: bool = True) -> None:
     """Set freeze flags on the layers matched by ``selector``.
@@ -238,7 +235,6 @@ class Tape:
     projection_inputs: list[np.ndarray] = field(default_factory=list)
     projection_pre: list[np.ndarray] = field(default_factory=list)
     features: np.ndarray | None = None
-    pre_norm: np.ndarray | None = None  # projection output before normalization
     norms: np.ndarray | None = None
     z: np.ndarray | None = None  # normalized projection
 
@@ -252,22 +248,25 @@ def _run_chain(layers: list[Layer], h: np.ndarray, inputs: list, pres: list) -> 
     return h
 
 
-def forward_embed(
-    params: ModelParams, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, Tape]:
-    """Run encoder and projection; returns (features, unit projection, tape).
-
-    Accepts a single vector or a batch of rows; outputs match the input
-    arity. Raises NumericError if any projection output is the zero vector,
-    which cannot be normalized.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    X = np.atleast_2d(arr)
-    if X.shape[1] != params.input_dim:
-        raise DataError(f"input dim {X.shape[1]} does not match encoder input {params.input_dim}")
+def forward_features(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
+    """Encoder-only forward of a batch of rows; the returned tape supports
+    backward passes that do not touch the projection (head gradients)."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.input_dim:
+        raise DataError(f"input must be rows of {params.input_dim} values, got shape {X.shape}")
     tape = Tape(x=X)
-    features = _run_chain(params.encoder, X, tape.encoder_inputs, tape.encoder_pre)
+    tape.features = _run_chain(params.encoder, X, tape.encoder_inputs, tape.encoder_pre)
+    return tape.features, tape
+
+
+def forward_embed(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, Tape]:
+    """Run encoder and projection on a batch of rows; returns (features,
+    unit projection, tape).
+
+    Raises NumericError if any projection output is the zero vector, which
+    cannot be normalized.
+    """
+    features, tape = forward_features(params, x)
     v = _run_chain(params.projection, features, tape.projection_inputs, tape.projection_pre)
     norms = np.linalg.norm(v, axis=1)
     bad = np.flatnonzero(norms < _ZERO_NORM)
@@ -275,36 +274,17 @@ def forward_embed(
         raise NumericError(
             f"projection collapsed to the zero vector for row {bad[0]}; cannot normalize"
         )
-    z = v / norms[:, None]
-    tape.features = features
-    tape.pre_norm = v
     tape.norms = norms
-    tape.z = z
-    if single:
-        return features[0], z[0], tape
-    return features, z, tape
-
-
-def forward_features(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Encoder-only forward; the returned tape supports backward passes that
-    do not touch the projection (head/feature gradients)."""
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if X.shape[1] != params.input_dim:
-        raise DataError(f"input dim {X.shape[1]} does not match encoder input {params.input_dim}")
-    tape = Tape(x=X)
-    tape.features = _run_chain(params.encoder, X, tape.encoder_inputs, tape.encoder_pre)
-    return tape.features, tape
+    tape.z = v / norms[:, None]
+    return features, tape.z, tape
 
 
 def head_forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Affine class logits from encoder features (no nonlinearity)."""
-    feats = np.asarray(features, dtype=np.float64)
-    single = feats.ndim == 1
-    F = np.atleast_2d(feats)
-    if F.shape[1] != params.head.in_dim:
-        raise DataError(f"feature dim {F.shape[1]} does not match head input {params.head.in_dim}")
-    logits = F @ params.head.weight.T + params.head.bias
-    return logits[0] if single else logits
+    """Affine class logits from a batch of encoder features (no nonlinearity)."""
+    F = np.asarray(features, dtype=np.float64)
+    if F.ndim != 2 or F.shape[1] != params.head.in_dim:
+        raise DataError(f"features must be rows of {params.head.in_dim} values, got shape {F.shape}")
+    return F @ params.head.weight.T + params.head.bias
 
 
 def _chain_backward(
@@ -336,21 +316,20 @@ def backward(
     params: ModelParams,
     tape: Tape,
     d_projection: np.ndarray | None = None,
-    d_features: np.ndarray | None = None,
     d_logits: np.ndarray | None = None,
 ) -> GradientBundle:
     """Exact reverse-mode gradients for a scalar loss.
 
     Upstream gradients may arrive at the normalized projection output, the
-    encoder features, the head logits, or any combination; contributions are
-    summed. Frozen layers come back as zeros and cost no gradient GEMM.
+    head logits, or both; contributions are summed. Frozen layers come back
+    as zeros and cost no gradient GEMM.
     """
     bundle = GradientBundle.zeros_like(params)
     n = tape.x.shape[0]
     d_feat_total = np.zeros((n, params.feature_dim), dtype=np.float64)
 
     if d_logits is not None:
-        d_logits = np.atleast_2d(np.asarray(d_logits, dtype=np.float64))
+        d_logits = np.asarray(d_logits, dtype=np.float64)
         if d_logits.shape != (n, params.head.out_dim):
             raise DataError(f"d_logits shape {d_logits.shape} does not match tape")
         if not params.head.frozen:
@@ -360,7 +339,7 @@ def backward(
         d_feat_total += d_logits @ params.head.weight
 
     if d_projection is not None:
-        dz = np.atleast_2d(np.asarray(d_projection, dtype=np.float64))
+        dz = np.asarray(d_projection, dtype=np.float64)
         if dz.shape != tape.z.shape:
             raise DataError(f"d_projection shape {dz.shape} does not match tape")
         # z = v / |v|  =>  dL/dv = (dL/dz - z (z . dL/dz)) / |v|
@@ -370,12 +349,6 @@ def backward(
             params.projection, tape.projection_inputs, tape.projection_pre, dv, bundle,
             "projection", input_grad=True,
         )
-
-    if d_features is not None:
-        df = np.atleast_2d(np.asarray(d_features, dtype=np.float64))
-        if df.shape != (n, params.feature_dim):
-            raise DataError(f"d_features shape {df.shape} does not match tape")
-        d_feat_total += df
 
     _chain_backward(
         params.encoder, tape.encoder_inputs, tape.encoder_pre, d_feat_total, bundle,
@@ -407,10 +380,8 @@ def _chain_jvp(
     return u
 
 
-def forward_jvp(
-    params: ModelParams, tape: Tape, direction: GradientBundle
-) -> tuple[np.ndarray, np.ndarray]:
-    """Directional derivative of (features, normalized projection) along a
+def forward_jvp(params: ModelParams, tape: Tape, direction: GradientBundle) -> np.ndarray:
+    """Directional derivative of the normalized projection along a
     parameter-space direction, reusing a recorded tape.
 
     The input itself is held fixed; only parameters move, and frozen
@@ -422,13 +393,10 @@ def forward_jvp(
     dv = _chain_jvp(
         params.projection, tape.projection_inputs, tape.projection_pre, d_feat, direction, "projection"
     )
-    n = tape.x.shape[0]
-    d_feat = np.zeros((n, params.feature_dim)) if d_feat is None else d_feat
     if dv is None:
-        return d_feat, np.zeros((n, params.projection_dim))
+        return np.zeros_like(tape.z)
     radial = np.sum(tape.z * dv, axis=1, keepdims=True)
-    dz = (dv - tape.z * radial) / tape.norms[:, None]
-    return d_feat, dz
+    return (dv - tape.z * radial) / tape.norms[:, None]
 
 
 _SECTION_CODE = {name: i for i, name in enumerate(_SECTIONS)}

@@ -168,7 +168,6 @@ class _TrainingInputs(NamedTuple):
     X: np.ndarray
     table: PseudoLabelTable
     labels: np.ndarray  # int64 pseudo-labels, one column per attribute
-    attributes: list[int]
     val_attr: str
     val_col: int
 
@@ -182,8 +181,7 @@ def _load_training_inputs(cfg: PipelineConfig, inputs: dict[str, Path]) -> _Trai
         )
     val_attr = cfg.val_attribute or table.attribute_names[0]
     return _TrainingInputs(
-        images.data, table, table.labels.astype(np.int64), list(range(table.num_attributes)),
-        val_attr, table.attribute_index(val_attr),
+        images.data, table, table.labels.astype(np.int64), val_attr, table.attribute_index(val_attr)
     )
 
 
@@ -195,7 +193,7 @@ def _pretrain(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str,
         num_classes=model.num_classes, seed=cfg.seed,
     )
     history = pretrain_stage(
-        params, data.X, data.labels, data.attributes, cfg.loss, cfg.trainer,
+        params, data.X, data.labels, cfg.loss, cfg.trainer,
         stratify_labels=data.labels[:, data.val_col],
     )
     save_checkpoint(params, artifacts["pretrain_checkpoint"])
@@ -212,7 +210,7 @@ def _train_meta(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[st
             data.table, data.val_attr, cfg.pseudolabel.conf_threshold, tcfg.val_subset_size, cfg.seed
         )
         history, summary = meta_stage(
-            params, data.X, data.labels, data.attributes, val_idx, data.labels[val_idx, data.val_col],
+            params, data.X, data.labels, val_idx, data.labels[val_idx, data.val_col],
             cfg.loss, tcfg, stratify_labels=data.labels[:, data.val_col],
         )
     save_checkpoint(params, artifacts["final_checkpoint"])

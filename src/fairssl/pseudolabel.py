@@ -106,7 +106,7 @@ def names_path(path: str | Path) -> Path:
 
 @dataclass
 class PseudoLabelTable:
-    """n x a binary labels with confidences in [0.5, 1]."""
+    """n x a binary labels with confidences in [0.5, 1], a >= 1."""
 
     labels: np.ndarray
     confidences: np.ndarray
@@ -119,6 +119,8 @@ class PseudoLabelTable:
             raise DataError("labels and confidences must be matching 2-D arrays")
         if self.labels.shape[1] != len(self.attribute_names):
             raise DataError("attribute name count does not match table width")
+        if self.labels.shape[1] == 0:
+            raise DataError("pseudo-label table needs at least one attribute column")
         if not np.all((self.confidences >= 0.5 - 1e-6) & (self.confidences <= 1 + 1e-6)):  # NaN fails
             raise DataError("confidences must lie in [0.5, 1]")
         if np.any(self.labels > 1):

@@ -173,9 +173,13 @@ def save_embeddings(m: EmbeddingMatrix, path: str | Path) -> None:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
-    """Read an embedding file, validating header, size, and finiteness."""
+    """Read an embedding file, validating header, size, and finiteness.
+
+    The matrix is a read-only view over the bytes read, so a load holds one
+    copy of the payload; copy ``data`` before writing to it.
+    """
     (n, d, flags), raw = read_container(path, MAGIC, FORMAT_VERSION, _HEADER, "embeddings", _PAYLOAD)
-    data = np.frombuffer(raw, dtype=_PAYLOAD, offset=_HEADER.size).reshape(n, d).copy()
+    data = np.frombuffer(raw, dtype=_PAYLOAD, offset=_HEADER.size).reshape(n, d)
     try:
         return EmbeddingMatrix(data, normalized=bool(flags & _FLAG_NORMALIZED))
     except DataError as exc:

@@ -206,16 +206,16 @@ def make_views(
     mask_prob: float = 0.1,
     scale_jitter: float = 0.1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two independently augmented copies of each input row.
+    """Two independently augmented copies of each row of the batch ``x`` (n, d).
 
     Each view applies, in order: coordinate masking with probability
     ``mask_prob``, additive Gaussian noise, and a single multiplicative
     jitter factor per row. Degenerate parameters (all zero) give identity
     views.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    X = np.atleast_2d(arr)
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2:
+        raise DataError(f"make_views takes a batch of rows, got shape {X.shape}")
 
     def one_view() -> np.ndarray:
         keep = rng.random(X.shape) >= mask_prob
@@ -223,10 +223,7 @@ def make_views(
         scale = rng.uniform(1.0 - scale_jitter, 1.0 + scale_jitter, size=(X.shape[0], 1))
         return (X * keep + noise) * scale
 
-    v1, v2 = one_view(), one_view()
-    if single:
-        return v1[0], v2[0]
-    return v1, v2
+    return one_view(), one_view()
 
 
 def stratified_batches(
@@ -260,7 +257,7 @@ def _embed_views(
 ) -> tuple[np.ndarray, object, MultiviewedBatch]:
     """Two augmented views of the rows ``idx``, forwarded: (Z, tape, batch).
     View ``i`` pairs with view ``i + idx.size``, the batch's layout."""
-    v1, v2 = make_views(X[idx].astype(np.float64), rng, cfg.noise_sigma, cfg.mask_prob, cfg.scale_jitter)
+    v1, v2 = make_views(X[idx], rng, cfg.noise_sigma, cfg.mask_prob, cfg.scale_jitter)
     _, Z, tape = forward_embed(params, np.vstack([v1, v2]))
     batch = MultiviewedBatch(Z, labels[idx])
     return Z, tape, batch
@@ -270,7 +267,6 @@ def pretrain_epoch(
     params: ModelParams,
     X: np.ndarray,
     labels: np.ndarray,
-    attributes: list[int],
     loss_cfg: LossConfig,
     cfg: TrainConfig,
     optimizer: AdamW,
@@ -278,7 +274,8 @@ def pretrain_epoch(
     rng_views: np.random.Generator,
     stratify_labels: np.ndarray | None = None,
 ) -> dict:
-    """One shuffled pass over the dataset with the stage-1 objective.
+    """One shuffled pass over the dataset with the stage-1 objective, which
+    averages over every column of ``labels`` (N, A).
 
     The loss of a batch is the mean of its anchor terms, or with the top-k
     wrapper enabled the mean of the k largest; every path backpropagates
@@ -298,7 +295,7 @@ def pretrain_epoch(
                 loss /= batch.num_views
                 dZ /= batch.num_views
             else:
-                terms, R = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
+                terms, R = multi_attribute_anchor_stats(batch, loss_cfg.temperature)
                 k = min(loss_cfg.topk_count, terms.size) if loss_cfg.topk_enabled else terms.size
                 loss, mask = topk_average(terms, k)
                 dZ = weighted_grad_from_stats(Z, R, mask / k, loss_cfg.temperature)
@@ -362,7 +359,6 @@ def meta_step(
     idx: np.ndarray,
     val_x: np.ndarray,
     val_y: np.ndarray,
-    attributes: list[int],
     loss_cfg: LossConfig,
     cfg: TrainConfig,
     optimizer: AdamW,
@@ -378,13 +374,13 @@ def meta_step(
     if val_x.shape[0] == 0:
         raise DataError("validation batch is empty")
     Z, tape, batch = _embed_views(params, X, labels, idx, rng_views, cfg)
-    terms, R = multi_attribute_anchor_stats(batch, attributes, loss_cfg.temperature)
+    terms, R = multi_attribute_anchor_stats(batch, loss_cfg.temperature)
     n = idx.size
     sample_terms = 0.5 * (terms[:n] + terms[n:])
 
     k_val = min(cfg.val_topk, val_x.shape[0])
     val_loss, g_v = validation_topk_loss(params, val_x, val_y, k_val)
-    _, dZ_dir = forward_jvp(params, tape, g_v)
+    dZ_dir = forward_jvp(params, tape, g_v)
     anchor_align = per_sample_alignments(Z, dZ_dir, R, loss_cfg.temperature)
     sample_align = 0.5 * (anchor_align[:n] + anchor_align[n:])
     state = meta_weights(sample_align, cfg.inner_lr)
@@ -443,7 +439,6 @@ def pretrain_stage(
     params: ModelParams,
     X: np.ndarray,
     labels: np.ndarray,
-    attributes: list[int],
     loss_cfg: LossConfig,
     cfg: TrainConfig,
     stratify_labels: np.ndarray | None = None,
@@ -456,8 +451,7 @@ def pretrain_stage(
     history = []
     for epoch in range(1, cfg.stage1_epochs + 1):
         metrics = pretrain_epoch(
-            params, X, labels, attributes, loss_cfg, cfg, optimizer,
-            rng_shuffle, rng_views, stratify_labels,
+            params, X, labels, loss_cfg, cfg, optimizer, rng_shuffle, rng_views, stratify_labels,
         )
         metrics.update(epoch=epoch, stage="pretrain")
         history.append(metrics)
@@ -469,7 +463,6 @@ def meta_stage(
     params: ModelParams,
     X: np.ndarray,
     labels: np.ndarray,
-    attributes: list[int],
     val_idx: np.ndarray,
     val_y: np.ndarray,
     loss_cfg: LossConfig,
@@ -528,7 +521,7 @@ def meta_stage(
             metrics = meta_step(
                 params, X, labels, idx,
                 X[val_idx[chosen]].astype(np.float64), val_y[chosen],
-                attributes, loss_cfg, cfg, optimizer, rng_views,
+                loss_cfg, cfg, optimizer, rng_views,
             )
             if metrics["skipped"]:
                 skipped += 1

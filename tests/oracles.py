@@ -82,13 +82,18 @@ def bruteforce_supcon_anchor_terms(Z: np.ndarray, labels: np.ndarray, tau: float
     return out
 
 
+def _select_columns(batch: MultiviewedBatch, columns) -> MultiviewedBatch:
+    """The batch's views with only the given label columns."""
+    return MultiviewedBatch(batch.views, batch.labels[: batch.num_origins][:, columns])
+
+
 def supcon_loss(
     batch: MultiviewedBatch, attribute: int, temperature: float
 ) -> tuple[float, np.ndarray]:
     """Label-aware contrastive objective: positives are all views sharing the
     anchor's label for the given attribute. Library machinery, test-only."""
     s, lse, q = _scaled_similarities(batch.views, temperature)
-    terms, R = _anchor_stats(s, lse, q, _positives_for_attribute(batch, attribute))
+    terms, R = _anchor_stats(s, lse, q, _positives_for_attribute(_select_columns(batch, [attribute])))
     return float(terms.sum()), _grad_from_coeffs(batch.views, R, temperature)
 
 
@@ -97,7 +102,7 @@ def multi_attribute_supcon(
 ) -> tuple[float, np.ndarray]:
     """Mean of the per-attribute label-aware losses. Library machinery,
     test-only."""
-    terms, R = multi_attribute_anchor_stats(batch, attributes, temperature)
+    terms, R = multi_attribute_anchor_stats(_select_columns(batch, attributes), temperature)
     weights = np.ones(batch.num_views)
     grad = weighted_grad_from_stats(batch.views, R, weights, temperature)
     return float(terms.sum()), grad
@@ -358,7 +363,7 @@ def manifest_entries(m: DatasetManifest) -> list[tuple]:
     ]
 
 
-def dense_jvp(params, tape, direction) -> tuple[np.ndarray, np.ndarray]:
+def dense_jvp(params, tape, direction) -> np.ndarray:
     """``forward_jvp`` computing every term: the tangent starts as zeros at
     the input, and every layer, frozen or not, adds its direction term."""
 
@@ -372,14 +377,13 @@ def dense_jvp(params, tape, direction) -> tuple[np.ndarray, np.ndarray]:
     d_feat = chain(params.encoder, tape.encoder_inputs, tape.encoder_pre, np.zeros_like(tape.x), "encoder")
     dv = chain(params.projection, tape.projection_inputs, tape.projection_pre, d_feat, "projection")
     radial = np.sum(tape.z * dv, axis=1, keepdims=True)
-    return d_feat, (dv - tape.z * radial) / tape.norms[:, None]
+    return (dv - tape.z * radial) / tape.norms[:, None]
 
 
 def staged_train(
     params: ModelParams,
     X: np.ndarray,
     labels: np.ndarray,
-    attributes: list[int],
     val_idx: np.ndarray | None,
     val_y: np.ndarray | None,
     loss_cfg: LossConfig,
@@ -390,15 +394,13 @@ def staged_train(
     for the remainder, as the pretrain and train-meta stages chain them.
     With stage_split == 1.0 no meta stage runs and no validation subset is
     needed."""
-    history = pretrain_stage(
-        params, X, labels, attributes, loss_cfg, cfg, stratify_labels=stratify_labels
-    )
+    history = pretrain_stage(params, X, labels, loss_cfg, cfg, stratify_labels=stratify_labels)
     summary: dict = {"meta_epochs": 0}
     if cfg.meta_epochs > 0:
         if val_idx is None or val_y is None:
             raise ConfigError("meta stage requires a validation subset")
         meta_hist, summary = meta_stage(
-            params, X, labels, attributes, val_idx, val_y, loss_cfg, cfg,
+            params, X, labels, val_idx, val_y, loss_cfg, cfg,
             stratify_labels=stratify_labels,
         )
         history.extend(meta_hist)

@@ -125,7 +125,7 @@ def test_c01_gradient_suite(criterion):
             k = int(rng.integers(1, 8))
 
             def topk_loss(b):
-                terms, R = multi_attribute_anchor_stats(b, [0, 1], tau)
+                terms, R = multi_attribute_anchor_stats(b, tau)
                 value, mask = topk_average(terms, k)
                 grad = weighted_grad_from_stats(b.views, R, mask / k, tau)
                 return value, grad
@@ -233,9 +233,9 @@ def test_c04_meta_gradient_oracle(criterion):
 
             _, Z, tape = forward_embed(params, X)
             batch = MultiviewedBatch(Z, lab)
-            _, R = multi_attribute_anchor_stats(batch, list(range(n_attrs)), tau)
+            _, R = multi_attribute_anchor_stats(batch, tau)
             _, g_v = validation_topk_loss(params, val_x, val_y, k)
-            _, dZ_dir = forward_jvp(params, tape, g_v)
+            dZ_dir = forward_jvp(params, tape, g_v)
             anchor_align = per_sample_alignments(Z, dZ_dir, R, tau)
             sample_align = 0.5 * (anchor_align[:n] + anchor_align[n:])
             grad_eps = meta_weights(sample_align, alpha).grad_eps
@@ -501,7 +501,6 @@ def test_c10_staged_training_cost(criterion):
         n, d, n_attrs = 512, 16, 8
         X = rng.standard_normal((n, d)).astype(np.float32)
         labels = rng.integers(0, 2, (n, n_attrs))
-        attrs = list(range(n_attrs))
         cfg = TrainConfig(batch_size=32, epochs=4, warmup_epochs=0, base_lr=1e-3, seed=0)
         loss_cfg = LossConfig(temperature=0.1)
 
@@ -514,7 +513,7 @@ def test_c10_staged_training_cost(criterion):
             for _ in range(3):
                 batches = stratified_batches(n, 32, rng_s)
                 t0 = time.perf_counter()
-                pretrain_epoch(params, X, labels, attrs, loss_cfg, cfg, opt, rng_s, rng_v)
+                pretrain_epoch(params, X, labels, loss_cfg, cfg, opt, rng_s, rng_v)
                 times.append((time.perf_counter() - t0) / len(batches))
             return float(np.median(times))
 
@@ -530,7 +529,7 @@ def test_c10_staged_training_cost(criterion):
             batches = stratified_batches(n, 32, rng_s)
             t0 = time.perf_counter()
             for idx in batches:
-                meta_step(params, X, labels, idx, val_x, val_y, attrs, loss_cfg, cfg, opt2, rng_v)
+                meta_step(params, X, labels, idx, val_x, val_y, loss_cfg, cfg, opt2, rng_v)
             times2.append((time.perf_counter() - t0) / len(batches))
         stage2 = float(np.median(times2))
 

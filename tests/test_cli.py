@@ -364,6 +364,20 @@ class TestCliExitCodes:
         assert "augmented.fssl" in marker["partial_artifacts"]
 
 
+    def test_template_bank_without_attributes_exits_3_at_pseudolabel(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        bank = tmp_path / "bank.json"
+        bank.write_text("{}")
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", dict(world.files, template_bank=str(bank)), out)
+        assert main(["curate", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["pseudolabel", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "data error: pseudo-label table needs at least one attribute column" in err.splitlines()
+        assert "Traceback" not in err
+        assert not (out / "pseudolabels.fspl").exists()
+
 # every stage that reads an upstream artifact, and the stage a fresh out dir must run first
 STAGE_ORDER = [
     ("pseudolabel", "curate"), ("pretrain", "curate"), ("train-meta", "curate"),
@@ -446,6 +460,24 @@ class TestStages:
         header = (out / "pretrain_history.csv").read_text().splitlines(keepends=True)[0]
         assert (out / "meta_history.csv").read_text() == header
         assert json.loads((out / "training_summary.json").read_text()) == {"meta_epochs": 0}
+
+    def test_val_attribute_picks_the_stratifying_column(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        for stage in ("curate", "pseudolabel"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+
+        def pretrain(*overrides):
+            assert main(["pretrain", "--config", str(cfg_path), *overrides]) == 0
+            return (out / "pretrain_checkpoint.fsck").read_bytes()
+
+        default = pretrain()  # the bank's first attribute in sorted order: attr_context
+        assert pretrain("--set", "val_attribute=attr_target") != default
+        assert pretrain("--set", "val_attribute=attr_context") == default
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(cfg_path), "--set", "val_attribute=attr_nope"]) == 3
+        assert "data error: unknown attribute 'attr_nope'" in capsys.readouterr().err.splitlines()
 
     @pytest.mark.parametrize("stage, producer", STAGE_ORDER)
     def test_stage_order_enforced(self, tmp_path, world_dir, capsys, stage, producer):

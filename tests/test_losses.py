@@ -42,9 +42,10 @@ class TestBatch:
             assert np.array_equal(batch.labels[pair[i]], batch.labels[i])
 
     def test_rejects_labels_without_one_row_per_sample(self, rng, make_unit_rows):
-        for rows in (4, 1):  # per view (2N) and one short (N - 1), for N = 2
+        # per view (2N), one short (N - 1) and no label column, for N = 2
+        for labels in (np.zeros(4), np.zeros(1), np.zeros((2, 0))):
             with pytest.raises(DataError):
-                MultiviewedBatch(make_unit_rows(rng, 4, 3), np.zeros(rows))
+                MultiviewedBatch(make_unit_rows(rng, 4, 3), labels)
 
     def test_rejects_non_unit_views(self, rng):
         with pytest.raises(DataError):
@@ -65,13 +66,13 @@ def two_view_batches(draw):
 @given(drawn=two_view_batches(), tau=st.floats(0.05, 2.0))
 def test_two_view_contract(drawn, tau):
     views, labels = drawn
-    n, a = labels.shape
+    n = labels.shape[0]
     batch = MultiviewedBatch(views, labels)
     pair = batch.pair_index()
     assert np.array_equal(pair, (np.arange(2 * n) + n) % (2 * n))
     assert np.array_equal(batch.labels, np.vstack([labels, labels]))
     assert np.array_equal(batch.labels[pair], batch.labels)  # the pair is a positive under every attribute
-    terms, R = multi_attribute_anchor_stats(batch, list(range(a)), tau)
+    terms, R = multi_attribute_anchor_stats(batch, tau)
     assert terms.shape == (2 * n,) and np.isfinite(terms).all()
     assert R.shape == (2 * n, 2 * n) and np.isfinite(R).all()
 

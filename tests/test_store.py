@@ -236,6 +236,26 @@ def test_ingest_memory_is_a_few_blocks(rng, build):
     assert peak <= output + 3 * store._ROW_BLOCK_BYTES, peak / data.nbytes
 
 
+@pytest.mark.parametrize("normalized", [False, True])
+def test_load_holds_one_payload_read_only(tmp_path, rng, normalized):
+    # the matrix is a view over the bytes read; copying it out of them held
+    # two payloads at once (2.0 and 2.5 times the payload here)
+    d = 64
+    data = rng.standard_normal((8 * _block_rows(d), d)).astype(np.float32)
+    if normalized:
+        data = whole_matrix_normalize(data)
+    save_embeddings(EmbeddingMatrix(data, normalized=normalized), tmp_path / "a.fssl")
+    tracemalloc.start()
+    try:
+        loaded = load_embeddings(tmp_path / "a.fssl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= data.nbytes + 3 * store._ROW_BLOCK_BYTES, peak / data.nbytes
+    assert np.array_equal(loaded.data, data)
+    assert not loaded.data.flags.writeable
+
+
 def test_manifest_round_trip(tmp_path):
     manifest = DatasetManifest.from_columns(
         ["a", "b", "c"], [0, 1, 2], ["curated", "retrieved", "uncurated"],
@@ -439,3 +459,32 @@ def test_only_store_writes_files():
     prints = {name: _prints(text) for name, text in sources.items() if name != "cli.py"}
     assert {name: lines for name, lines in prints.items() if lines} == {}
     assert _prints("log.info(s)\nprinter(s)\nx.print(s)\nprint(s, file=f)\nf(print(s))") == [4, 5]
+
+
+def _public_definitions(source: str) -> list[str]:
+    """Names of the public functions and classes defined at the top level of ``source``."""
+    return [
+        node.name for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def _references(source: str) -> set[str]:
+    """Every name ``source`` uses, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_public_surface_has_a_caller_outside_tests():
+    # a public function or class that only tests use belongs in tests/oracles.py
+    repo = Path(__file__).resolve().parent.parent
+    src = sorted((repo / "src" / "fairssl").glob("*.py"))
+    defined = {name: p.name for p in src for name in _public_definitions(p.read_text())}
+    callers = [*src, *sorted((repo / "demos").glob("*.py")), *sorted((repo / "bench").glob("*.py"))]
+    used = set().union(*(_references(p.read_text()) for p in callers))
+    assert {name: module for name, module in defined.items() if name not in used} == {}
+    assert _public_definitions("def f(): pass\nclass C: pass\ndef _g(): pass\nx = 1") == ["f", "C"]
+    assert _references("f(a.b)\nimport c\ndef g(): return C") == {"f", "a", "b", "C"}

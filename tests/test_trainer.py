@@ -53,8 +53,8 @@ class TestMakeViews:
         assert abs(var - 0.01) < 0.05 * 0.01
 
     def test_single_vector(self, rng):
-        v1, v2 = make_views(np.ones(5), rng, 0.0, 0.0, 0.0)
-        assert v1.shape == (5,)
+        with pytest.raises(DataError, match="batch of rows"):
+            make_views(np.ones(5), rng, 0.0, 0.0, 0.0)
 
 
 class TestSchedule:
@@ -191,7 +191,7 @@ class TestPretrain:
         snap = {n: l.weight.copy() for n, l in params.named_layers()}
         cfg = TrainConfig(batch_size=16, epochs=1, base_lr=0.0, warmup_epochs=0, seed=0)
         opt = AdamW(params, LrSchedule(0.0), weight_decay=0.0)
-        pretrain_epoch(params, X, labels, [0, 1], LossConfig(), cfg, opt,
+        pretrain_epoch(params, X, labels, LossConfig(), cfg, opt,
                        substream(0, "s"), substream(0, "v"))
         for name, layer in params.named_layers():
             assert np.array_equal(layer.weight, snap[name])
@@ -205,7 +205,7 @@ class TestPretrain:
         opt = AdamW(params, LrSchedule(5e-3), weight_decay=0.0)
         losses = []
         for _ in range(200):
-            m = pretrain_epoch(params, X, labels, [0], LossConfig(temperature=0.2), cfg, opt,
+            m = pretrain_epoch(params, X, labels, LossConfig(temperature=0.2), cfg, opt,
                                substream(0, "s"), substream(0, "v"))
             losses.append(m["loss"])
         first = np.mean(losses[:20])
@@ -218,7 +218,7 @@ class TestPretrain:
         def run():
             params = tiny_params(seed=1)
             cfg = TrainConfig(batch_size=16, epochs=2, base_lr=1e-3, warmup_epochs=1, seed=5)
-            pretrain_stage(params, X, labels, [0, 1], LossConfig(), cfg)
+            pretrain_stage(params, X, labels, LossConfig(), cfg)
             return {n: (l.weight.copy(), l.bias.copy()) for n, l in params.named_layers()}
 
         a, b = run(), run()
@@ -232,7 +232,7 @@ class TestPretrain:
         cfg = TrainConfig(batch_size=16, epochs=1, base_lr=1e-3, warmup_epochs=0,
                           seed=0, objective="contrastive")
         opt = AdamW(params, LrSchedule(1e-3))
-        m = pretrain_epoch(params, X, labels, [0, 1], LossConfig(), cfg, opt,
+        m = pretrain_epoch(params, X, labels, LossConfig(), cfg, opt,
                            substream(0, "s"), substream(0, "v"))
         assert np.isfinite(m["loss"])
 
@@ -245,7 +245,7 @@ class TestPretrain:
             params = tiny_params(seed=3)
             opt = AdamW(params, LrSchedule(0.0), weight_decay=0.0)
             run_cfg = TrainConfig(**{**vars(cfg), "objective": objective})
-            return pretrain_epoch(params, X, labels, [0, 1], loss_cfg, run_cfg, opt,
+            return pretrain_epoch(params, X, labels, loss_cfg, run_cfg, opt,
                                   substream(0, "s"), substream(0, "v"))
 
         plain = run(LossConfig())
@@ -267,7 +267,7 @@ class TestPretrain:
         cfg = TrainConfig(seed=0)
         with pytest.raises(DataError):
             pretrain_epoch(tiny_params(), np.zeros((0, 6), dtype=np.float32), np.zeros((0, 1)),
-                           [0], LossConfig(), cfg, AdamW(tiny_params(), LrSchedule(1e-3)),
+                           LossConfig(), cfg, AdamW(tiny_params(), LrSchedule(1e-3)),
                            substream(0, "s"), substream(0, "v"))
 
 
@@ -330,12 +330,12 @@ class TestMetaStep:
         views = np.vstack([X[idx], X[idx]]).astype(np.float64)
         _, Z, tape = forward_embed(params, views)
         batch = MultiviewedBatch(Z, labels[idx])
-        terms, R = multi_attribute_anchor_stats(batch, [0, 1], tau)
+        terms, R = multi_attribute_anchor_stats(batch, tau)
         _, g_v = validation_topk_loss(params, val_x, val_y, 3)
 
         from fairssl.network import forward_jvp
 
-        _, dZ_dir = forward_jvp(params, tape, g_v)
+        dZ_dir = forward_jvp(params, tape, g_v)
         fast = per_sample_alignments(Z, dZ_dir, R, tau)
 
         for anchor in range(2 * n):
@@ -356,7 +356,7 @@ class TestMetaStep:
                               scale_jitter=0.0, train_head_in_meta=True)
             opt = AdamW(params, LrSchedule(1e-3))
             snap = {n_: (l.weight.copy(), l.bias.copy()) for n_, l in params.named_layers()}
-            metrics = meta_step(params, X, labels, idx, val_x, val_y, [0, 1],
+            metrics = meta_step(params, X, labels, idx, val_x, val_y,
                                 LossConfig(), cfg, opt, substream(seed, "v"))
             if metrics["skipped"]:
                 for name, layer in params.named_layers():
@@ -369,7 +369,7 @@ class TestMetaStep:
         params, X, labels, idx, val_x, val_y = build_meta_inputs(rng, seed=4)
         cfg = TrainConfig(batch_size=8, seed=0)
         opt = AdamW(params, LrSchedule(1e-3))
-        metrics = meta_step(params, X, labels, idx, val_x, val_y, [0, 1],
+        metrics = meta_step(params, X, labels, idx, val_x, val_y,
                             LossConfig(), cfg, opt, substream(1, "v"))
         state = metrics["meta_state"]
         assert np.all(state.w >= 0)
@@ -384,12 +384,12 @@ class TestMetaStep:
         views = np.vstack([X[idx], X[idx]]).astype(np.float64)
         _, Z, tape = forward_embed(params, views)
         batch = MultiviewedBatch(Z, labels[idx])
-        _, R = multi_attribute_anchor_stats(batch, [0, 1], tau)
+        _, R = multi_attribute_anchor_stats(batch, tau)
         _, g_v = validation_topk_loss(params, val_x, val_y, k)
 
         from fairssl.network import forward_jvp
 
-        _, dZ_dir = forward_jvp(params, tape, g_v)
+        dZ_dir = forward_jvp(params, tape, g_v)
         anchor_align = per_sample_alignments(Z, dZ_dir, R, tau)
         sample_align = 0.5 * (anchor_align[:n] + anchor_align[n:])
         grad_eps = meta_weights(sample_align, alpha).grad_eps
@@ -426,7 +426,7 @@ class TestStagedTraining:
         X, labels = toy_data(rng, n=48)
         params = tiny_params()
         cfg = TrainConfig(batch_size=16, epochs=4, stage_split=1.0, warmup_epochs=0, seed=3)
-        history, summary = staged_train(params, X, labels, [0, 1], None, None, LossConfig(), cfg)
+        history, summary = staged_train(params, X, labels, None, None, LossConfig(), cfg)
         assert len(history) == 4
         assert all(h["stage"] == "pretrain" for h in history)
         assert summary["meta_epochs"] == 0
@@ -438,7 +438,7 @@ class TestStagedTraining:
                           seed=3, val_subset_size=16, val_topk=4, val_batch_size=8)
         val_idx = np.arange(16)
         val_y = labels[:16, 0]
-        history, summary = staged_train(params, X, labels, [0, 1], val_idx, val_y,
+        history, summary = staged_train(params, X, labels, val_idx, val_y,
                                         LossConfig(), cfg)
         stages = [h["stage"] for h in history]
         assert stages.count("pretrain") == 7
@@ -451,14 +451,14 @@ class TestStagedTraining:
         params = tiny_params(seed=6)
         cfg = TrainConfig(batch_size=16, epochs=4, stage_split=0.5, warmup_epochs=0,
                           seed=2, val_subset_size=16, val_topk=4, val_batch_size=8)
-        pretrain_stage(params, X, labels, [0, 1], LossConfig(), cfg)
+        pretrain_stage(params, X, labels, LossConfig(), cfg)
         frozen_names = [f"encoder.{i}" for i in range(len(params.encoder) - 1)]
         before = {}
         # meta_stage freezes and fits the head; snapshot the to-be-frozen layers first
         for name in frozen_names:
             layer = params.layer(name)
             before[name] = (layer.weight.tobytes(), layer.bias.tobytes())
-        meta_stage(params, X, labels, [0, 1], np.arange(16), labels[:16, 0],
+        meta_stage(params, X, labels, np.arange(16), labels[:16, 0],
                    LossConfig(), cfg)
         for name in frozen_names:
             layer = params.layer(name)
@@ -469,4 +469,4 @@ class TestStagedTraining:
         X, labels = toy_data(rng, n=32)
         cfg = TrainConfig(batch_size=16, epochs=4, stage_split=0.5, seed=0)
         with pytest.raises(ConfigError):
-            staged_train(tiny_params(), X, labels, [0, 1], None, None, LossConfig(), cfg)
+            staged_train(tiny_params(), X, labels, None, None, LossConfig(), cfg)
