@@ -339,6 +339,8 @@ def backward(
         d_feat_total += d_logits @ params.head.weight
 
     if d_projection is not None:
+        if tape.z is None:
+            raise DataError("d_projection needs a tape from forward_embed; this tape has no projection")
         dz = np.asarray(d_projection, dtype=np.float64)
         if dz.shape != tape.z.shape:
             raise DataError(f"d_projection shape {dz.shape} does not match tape")

@@ -223,16 +223,17 @@ def _probe(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Pa
     embeddings = load_embeddings(inputs["eval_embeddings"])
     manifest = DatasetManifest.load(inputs["eval_manifest"])
     manifest.validate_rows(embeddings.n)
-    label_by_id = dict(read_jsonl(inputs["eval_labels"], {"id": str, "label": int}))
+    label_ids, label_values = read_jsonl(inputs["eval_labels"], {"id": str, "label": int})
+    label_at = _positions(label_ids, inputs["eval_labels"])
 
     ids = manifest.ids
-    labels = [label_by_id.get(sid) for sid in ids]
-    bad = np.flatnonzero(np.equal(np.array(labels, dtype=object), None) | ~manifest.has_group)
+    at = np.array([label_at.get(sid, -1) for sid in ids], dtype=np.int64)
+    bad = np.flatnonzero((at < 0) | ~manifest.has_group)
     if bad.size:  # name the first sample without a label or a group
-        if labels[bad[0]] is None:
+        if at[bad[0]] < 0:
             raise DataError(f"no evaluation label for sample {ids[bad[0]]!r}")
         raise DataError(f"sample {ids[bad[0]]!r} has no group label; probing needs groups")
-    labels_arr = np.asarray(labels, dtype=np.int64)
+    labels_arr = label_values[at]
 
     features, _ = forward_features(params, embeddings.data[manifest.rows].astype(np.float64))
     rng = substream(cfg.seed, "probe", "split")
@@ -260,8 +261,8 @@ def _evaluate(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str,
     manifest = DatasetManifest.load(inputs["eval_manifest"])
     position = dict(zip(manifest.ids, range(len(manifest))))
 
-    rows = read_jsonl(inputs["predictions"], {"id": str, "pred": int, "label": int})
-    ids, preds, labels = zip(*rows) if rows else ((), (), ())
+    ids, preds, labels = read_jsonl(inputs["predictions"], {"id": str, "pred": int, "label": int})
+    _positions(ids, inputs["predictions"])  # a prediction counts once
     at = np.array([position.get(sid, -1) for sid in ids], dtype=np.int64)
     # an unknown id (at -1) picks the appended False: ungrouped, and named as unknown
     bad = np.flatnonzero(~np.append(manifest.has_group, False)[at])
@@ -269,8 +270,21 @@ def _evaluate(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str,
         if at[bad[0]] < 0:
             raise DataError(f"prediction names unknown sample id {ids[bad[0]]!r}")
         raise DataError(f"sample {ids[bad[0]]!r} has no group label in the manifest")
-    report = build_report(np.asarray(preds), np.asarray(labels), manifest.group[at])
+    report = build_report(preds, labels, manifest.group[at])
     _write_report(artifacts, report)
+
+
+def _positions(ids: list[str], path: Path) -> dict[str, int]:
+    """Each id's position in ``ids``, read from ``path``; an id that repeats
+    is a DataError naming the file and the first id seen twice."""
+    position = dict(zip(ids, range(len(ids))))
+    if len(position) < len(ids):
+        seen = set()
+        for sid in ids:
+            if sid in seen:
+                raise DataError(f"{path}: sample id {sid!r} appears more than once")
+            seen.add(sid)
+    return position
 
 
 def _pipeline(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:

@@ -11,8 +11,8 @@ Binary layout (little-endian)::
 
 Flag bit 0 marks a row-normalized matrix. Manifest records are one JSON
 object per line with keys ``id``, ``row``, ``source`` and optional
-``quality`` and ``group``; :func:`read_jsonl` reads them and every other
-JSON-lines file of the pipeline.
+``quality`` and ``group``; :func:`read_jsonl` reads them, and every other
+JSON-lines file of the pipeline, into typed columns.
 
 The pipeline's files are read and written by three helpers here:
 :func:`read_bytes` (the one place a read OSError becomes a DataError),
@@ -22,13 +22,16 @@ files) and :func:`write_file`, which replaces a file atomically.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import copy
+import io
 import itertools
 import json
+import operator
 import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -232,16 +235,13 @@ class DatasetManifest:
         ids = list(ids)
         if isinstance(sources, str):
             sources = [sources] * len(ids)
-        codes = list(map(_SOURCE_CODE.get, sources))
-        if None in codes:
-            i = codes.index(None)
-            raise DataError(f"unknown source {sources[i]!r} for sample {ids[i]!r}")
+        absent = [None] * len(ids)
         return cls(
             ids,
             np.asarray(rows, dtype=np.int64),
-            np.asarray(codes, dtype=np.uint8),
-            *_optional_column(quality, len(ids), np.float64),
-            *_optional_column(group, len(ids), np.int64),
+            _source_codes(ids, sources),
+            *_Column.of(float, absent if quality is None else quality, optional=True),
+            *_Column.of(int, absent if group is None else group, optional=True),
         )
 
     def __len__(self) -> int:
@@ -278,17 +278,20 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
-        rows = read_jsonl(path, _MANIFEST_FIELDS, optional=("quality", "group"))
-        return cls.from_columns(*zip(*rows)) if rows else cls.from_columns([], [], [])
+        ids, rows, sources, quality, group = read_jsonl(path, _MANIFEST_FIELDS, optional=("quality", "group"))
+        # names become codes once every line has parsed: a FormatError on
+        # any line wins over an unknown source
+        return cls(ids, rows, _source_codes(ids, sources), *quality, *group)
 
 
-def _optional_column(values, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """An optional column and its presence mask, from None or n values
-    with None where a value is absent."""
-    column = np.array((None,) * n if values is None else values, dtype=object)
-    present = np.not_equal(column, None)
-    column[~present] = 0
-    return column.astype(dtype), present
+def _source_codes(ids: list[str], sources: list[str]) -> np.ndarray:
+    """The uint8 code of each sample's source name; an unknown name is a
+    DataError naming the first sample that has one."""
+    codes = list(map(_SOURCE_CODE.get, sources))
+    if None in codes:
+        i = codes.index(None)
+        raise DataError(f"unknown source {sources[i]!r} for sample {ids[i]!r}")
+    return np.asarray(codes, dtype=np.uint8)
 
 
 _MANIFEST_FIELDS = {"id": str, "row": int, "source": str, "quality": float, "group": int}
@@ -307,44 +310,61 @@ _encode_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_k
 _INT_RANGE = {int: (-(2**63), 2**63 - 1), float: (1 - 2**1024 + 2**970, 2**1024 - 2**970 - 1)}
 
 
-def read_jsonl(
-    path: str | Path, fields: dict[str, type], optional: tuple[str, ...] = ()
-) -> list[tuple]:
-    """Read a JSON-lines file into one tuple of field values per non-blank line.
+def read_jsonl(path: str | Path, fields: dict[str, type], optional: tuple[str, ...] = ()) -> list:
+    """Read a JSON-lines file into one typed column per field, decoding one
+    non-blank line at a time.
 
-    ``fields`` maps each key, in tuple order, to ``str``, ``int`` or
-    ``float`` (a float field also takes an integer and returns it as a
-    float). Keys named in ``optional`` may be absent or null and read as
-    None; other keys are ignored. Undecodable bytes, invalid JSON, a line
-    that is not an object, a missing, null or wrong-typed field, and an
-    integer outside int64 (or, in a float field, outside the float range)
-    and the non-standard constants NaN, Infinity and -Infinity raise
-    FormatError naming ``path:line``.
+    ``fields`` maps each key, in column order, to ``str``, ``int`` or
+    ``float``, whose column is a list of str, an int64 array or a float64
+    array (a float field also takes an integer). Keys named in ``optional``
+    may be absent or null; their column is a ``(values, present)`` pair in
+    which absent values read 0 (or ""). Other keys are ignored.
+    Undecodable bytes, invalid JSON, a line that is not an object, a
+    missing, null or wrong-typed field, and an integer outside int64 (or,
+    in a float field, outside the float range) and the non-standard
+    constants NaN, Infinity and -Infinity raise FormatError naming
+    ``path:line``.
     """
     raw = read_bytes(path, "JSON-lines file")
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")  # the whole file first: a later line's bad byte still wins
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
+    columns = [_Column(kind, key in optional) for key, kind in fields.items()]
+    lines = _parse_lines(raw, path, fields, optional)
+    while block := list(itertools.islice(lines, _LINE_BLOCK)):
+        for column, values in zip(columns, zip(*block)):
+            column.extend(values)
+    return [column.finish() for column in columns]
+
+
+# Parsed lines move into the columns this many at a time, so the per-value
+# work runs in C while a block's tuples and values (about 200 KB of a
+# manifest) bound the transient.
+_LINE_BLOCK = 1024
+
+
+def _parse_lines(
+    raw: bytes, path: str | Path, fields: dict[str, type], optional: tuple[str, ...]
+) -> Iterator[tuple]:
+    """The tuple of ``fields`` values of each non-blank line of ``raw``,
+    None where an optional value is absent, checked as :func:`read_jsonl`
+    describes."""
     keys = tuple(fields)
     ranges = [_INT_RANGE.get(kind) for kind in fields.values()]
     # every accepted tuple of value types, mapped to the positions that
-    # hold an integer and to those of them that a float field widens
+    # hold an integer
     choices = [
         _JSON_TYPES[kind] + ((type(None),) if key in optional else ())
         for key, kind in fields.items()
     ]
     accepted = {
-        types: (
-            tuple(i for i, t in enumerate(types) if t is int),
-            tuple(i for i, t in enumerate(types) if t is int and fields[keys[i]] is float),
-        )
-        for types in itertools.product(*choices)
+        types: tuple(i for i, t in enumerate(types) if t is int) for types in itertools.product(*choices)
     }
-    rows = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip(" \t\r")  # JSON whitespace
+    # io.BytesIO shares the bytes: only one line at a time is decoded
+    for lineno, line in enumerate(io.BytesIO(raw), start=1):
+        line = line.decode().strip(" \t\r\n")  # JSON whitespace
         if not line:
             continue
         try:
@@ -356,17 +376,57 @@ def read_jsonl(
         if type(obj) is not dict:
             raise FormatError(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
         values = tuple(map(obj.get, keys))
-        ints, widen = accepted.get(tuple(map(type, values)), (None, None))
+        ints = accepted.get(tuple(map(type, values)))
         if ints is None:
             raise FormatError(f"{path}:{lineno}: {_field_problem(obj, fields, optional)}")
         for i in ints:
             if not ranges[i][0] <= values[i] <= ranges[i][1]:
                 kind = "int64" if fields[keys[i]] is int else "float"
                 raise FormatError(f"{path}:{lineno}: {keys[i]!r} is outside the {kind} range")
-        if widen:
-            values = tuple(float(v) if i in widen else v for i, v in enumerate(values))
-        rows.append(values)
-    return rows
+        yield values
+
+
+# the array typecode and dtype of an int (int64) and a float (float64) column
+_ARRAY_TYPES = {int: ("q", np.int64), float: ("d", np.float64)}
+
+
+class _Column:
+    """One typed column, built a block of values at a time: a list for str,
+    an int64 or float64 array for int or float (a float column also takes
+    ints). An optional column also takes None, which reads as ``kind()``,
+    and keeps a presence mask."""
+
+    def __init__(self, kind: type, optional: bool):
+        self.kind, self.optional = kind, optional
+        self.values = [] if kind is str else array.array(_ARRAY_TYPES[kind][0])
+        self.present = bytearray()
+
+    @classmethod
+    def of(cls, kind: type, values: Sequence, optional: bool):
+        """The finished column of ``values``."""
+        column = cls(kind, optional)
+        column.extend(values)
+        return column.finish()
+
+    def extend(self, values: Sequence) -> None:
+        if self.optional:
+            self.present.extend(map(operator.is_not, values, itertools.repeat(None)))
+            if None in values:
+                zero = self.kind()
+                values = [zero if value is None else value for value in values]
+        if self.kind is str:
+            # equal values in one block share a string, so a name repeated
+            # over many lines (a manifest's source) costs about a pointer
+            memo = {}
+            values = map(memo.setdefault, values, values)
+        self.values.extend(values)
+
+    def finish(self):
+        """The column: its values, or ``(values, present)`` if optional."""
+        values = self.values
+        if self.kind is not str:  # a view: the array's buffer is the column
+            values = np.frombuffer(values, dtype=_ARRAY_TYPES[self.kind][1])
+        return (values, np.frombuffer(self.present, dtype=bool)) if self.optional else values
 
 
 def _field_problem(obj: dict, fields: dict[str, type], optional: tuple[str, ...]) -> str:

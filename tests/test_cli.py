@@ -534,6 +534,34 @@ class TestStages:
         assert "pool.jsonl:5: 'quality' is outside the float range" in err
         assert "Traceback" not in err
 
+    def test_repeated_evaluation_label_exits_3_naming_file_and_id(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        out.mkdir()
+        save_checkpoint(ModelParams.create(world.eval_set.embeddings.d, [8], [8, 8, 4]), out / "final_checkpoint.fsck")
+        labels = open(world.files["eval_labels"]).read().splitlines()
+        first = json.loads(labels[2])
+        labels.append(json.dumps({"id": first["id"], "label": 1 - first["label"]}))  # a conflicting second label
+        (tmp_path / "labels.jsonl").write_text("\n".join(labels) + "\n")
+        cfg_path = write_config(tmp_path / "cfg.yaml", dict(world.files, eval_labels=str(tmp_path / "labels.jsonl")), out)
+        assert main(["probe", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "labels.jsonl: sample id 'eval-000002' appears more than once" in err
+        assert "Traceback" not in err
+
+    def test_repeated_prediction_exits_3_naming_file_and_id(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "probe_predictions.jsonl").write_text("".join(
+            json.dumps({"id": i, "pred": 1, "label": 0}) + "\n" for i in ("eval-000001", "eval-000004", "eval-000001")
+        ))
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        assert main(["evaluate", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "probe_predictions.jsonl: sample id 'eval-000001' appears more than once" in err
+        assert "Traceback" not in err
+
     def test_probe_join_names_first_unjoined_sample(self, tmp_path, world_dir):
         wdir, world = world_dir
         out = tmp_path / "out"

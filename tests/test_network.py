@@ -120,6 +120,14 @@ class TestBackward:
         bundle = backward(params, tape, d_projection=(z - z))
         assert bundle.norm() == 0.0
 
+    def test_projection_gradient_on_features_tape_is_data_error(self, rng):
+        params = small_params()
+        features, tape = forward_features(params, rng.standard_normal((3, 6)))
+        with pytest.raises(DataError, match="this tape has no projection"):
+            backward(params, tape, d_projection=rng.standard_normal((3, 4)))
+        # the head path needs no projection
+        backward(params, tape, d_logits=np.ones((3, params.head.out_dim)))
+
     def test_all_frozen_gives_zero_bundle(self, rng):
         params = small_params()
         set_frozen(params, ["encoder.*", "projection.*", "head"])

@@ -341,6 +341,76 @@ def test_malformed_manifest_line_names_path_and_line(tmp_path, bad, problem):
         DatasetManifest.load(path)
 
 
+@pytest.mark.parametrize(
+    "line2",
+    [b'{"id": "b", "row": 1, "source": "scraped"}',
+     b'{"id": "a", "row": 1, "source": "curated"}',
+     b'{"id": "b", "row": 0, "source": "curated"}'],
+    ids=["unknown-source", "duplicate-id", "duplicate-row"],
+)
+def test_invalid_line_wins_over_an_earlier_bad_sample(tmp_path, line2):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(GOOD_LINE + b"\n" + line2 + b'\n{"id": "c", "row": 2\n')
+    with pytest.raises(FormatError, match=r"m\.jsonl:3: invalid JSON"):
+        DatasetManifest.load(path)
+
+
+def test_unknown_source_wins_over_a_later_duplicate_id(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(
+        GOOD_LINE + b'\n{"id": "b", "row": 1, "source": "scraped"}\n{"id": "a", "row": 2, "source": "curated"}\n'
+    )
+    with pytest.raises(DataError, match=r"^unknown source 'scraped' for sample 'b'$"):
+        DatasetManifest.load(path)
+
+
+def test_bad_byte_wins_over_an_earlier_invalid_line(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(GOOD_LINE + b'\n{"id": "b"\n{"id": "\xff", "row": 2, "source": "curated"}\n')
+    with pytest.raises(FormatError, match=r"m\.jsonl:3: not UTF-8"):
+        DatasetManifest.load(path)
+
+
+@pytest.mark.parametrize("raw", [b"", b"\n \n\t\r\n\n"], ids=["empty", "blank-lines"])
+def test_empty_manifest_file_loads_empty(tmp_path, raw):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(raw)
+    manifest = DatasetManifest.load(path)
+    assert len(manifest) == 0 and manifest_entries(manifest) == []
+    assert manifest.rows.dtype == manifest.group.dtype == np.int64 and manifest.quality.dtype == np.float64
+
+
+def test_manifest_load_memory_is_about_one_file(tmp_path, rng):
+    # a 5,000-line pool manifest: the load may hold the file's bytes and the
+    # columns it keeps, not every line's tuple and object arrays besides
+    # (those peaked at 2.8 times the columns plus the file)
+    n = 5000
+    path = tmp_path / "m.jsonl"
+    DatasetManifest.from_columns(
+        [f"pool-{i:06d}" for i in range(n)], np.arange(n), "uncurated", quality=rng.uniform(0.2, 1.0, n)
+    ).save(path)
+    tracemalloc.start()
+    try:
+        manifest = DatasetManifest.load(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(manifest) == n
+    base = kept + path.stat().st_size
+    assert peak <= 2 * base, peak / base
+
+
+def _per_line(columns: list) -> list[tuple]:
+    """``read_jsonl``'s columns as one tuple per line, None where an
+    optional value is absent."""
+    per_field = [
+        [v if p else None for v, p in zip(c[0].tolist(), c[1].tolist())] if isinstance(c, tuple)
+        else c if isinstance(c, list) else c.tolist()
+        for c in columns
+    ]
+    return list(zip(*per_field))
+
+
 def test_read_jsonl_optional_and_widened_fields(tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text(
@@ -348,9 +418,12 @@ def test_read_jsonl_optional_and_widened_fields(tmp_path):
         "\n"
         '{"id": "b", "row": 1, "source": "retrieved", "quality": null, "group": 2}\n'
     )
-    rows = read_jsonl(path, {"id": str, "quality": float, "group": int}, optional=("quality", "group"))
-    assert rows == [("a", 1.0, None), ("b", None, 2)]
-    assert type(rows[0][1]) is float
+    columns = read_jsonl(path, {"id": str, "quality": float, "group": int}, optional=("quality", "group"))
+    assert _per_line(columns) == [("a", 1.0, None), ("b", None, 2)]
+    ids, (quality, has_quality), (group, has_group) = columns
+    assert type(ids) is list and quality.dtype == np.float64 and group.dtype == np.int64
+    assert has_quality.dtype == has_group.dtype == bool
+    assert quality[1] == group[0] == 0  # absent values read 0
     assert manifest_entries(DatasetManifest.load(path)) == [
         ("a", 0, "curated", 1.0, None),
         ("b", 1, "retrieved", None, 2),
@@ -376,8 +449,8 @@ def test_read_jsonl_integer_range_edges(tmp_path):
     big = 2**1024 - 2**970  # the least integer that rounds past the largest float
     lines = [(-(2**63), 2**63 - 1, big - 1), (0, 0, 1 - big)]
     path.write_text("".join(json.dumps({"a": a, "b": b, "q": q}) + "\n" for a, b, q in lines))
-    rows = read_jsonl(path, {"a": int, "b": int, "q": float})
-    assert rows == [(-(2**63), 2**63 - 1, sys.float_info.max), (0, 0, -sys.float_info.max)]
+    columns = read_jsonl(path, {"a": int, "b": int, "q": float})
+    assert _per_line(columns) == [(-(2**63), 2**63 - 1, sys.float_info.max), (0, 0, -sys.float_info.max)]
     path.write_text(json.dumps({"a": 0, "b": 0, "q": big}) + "\n")
     with pytest.raises(FormatError, match="m.jsonl:1: 'q' is outside the float range"):
         read_jsonl(path, {"a": int, "b": int, "q": float})
