@@ -108,6 +108,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.loss.topk_enabled and self.trainer.objective == "contrastive":
+            raise ConfigError("loss.topk_enabled needs trainer.objective: supcon; "
+                              "the contrastive objective has no top-k wrapper")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

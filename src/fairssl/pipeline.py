@@ -81,8 +81,8 @@ def _write_history(path: Path, history: list[dict]) -> None:
     writer = csv.writer(buffer)
     writer.writerow(_HISTORY_COLUMNS)
     for row in history:
-        floats = (repr(float(row[k])) if k in row and row[k] == row[k] else "" for k in _HISTORY_COLUMNS[2:])
-        writer.writerow([row.get("epoch", ""), row.get("stage", ""), *floats])
+        floats = (repr(float(row[k])) if row[k] == row[k] else "" for k in _HISTORY_COLUMNS[2:])
+        writer.writerow([row["epoch"], row["stage"], *floats])
     write_file(path, buffer.getvalue())
 
 

@@ -259,8 +259,46 @@ def _embed_views(
     View ``i`` pairs with view ``i + idx.size``, the batch's layout."""
     v1, v2 = make_views(X[idx], rng, cfg.noise_sigma, cfg.mask_prob, cfg.scale_jitter)
     _, Z, tape = forward_embed(params, np.vstack([v1, v2]))
-    batch = MultiviewedBatch(Z, labels[idx])
-    return Z, tape, batch
+    return Z, tape, MultiviewedBatch(Z, labels[idx])
+
+
+def _run_epoch(step, n: int, cfg: TrainConfig, optimizer: AdamW, rng_shuffle: np.random.Generator,
+               stratify_labels: np.ndarray | None) -> dict:
+    """One shuffled pass of ``n`` samples: run ``step`` on every batch of
+    indices and fold its per-step metrics into one history row.
+
+    A step returns ``skipped`` and any of ``loss``, ``weight_entropy``,
+    ``grad_norm`` and ``active_samples`` (a skipped one reports no loss).
+    Skipped steps and batches that raise DegenerateBatchError count in
+    ``skipped_batches``. A key folds over the steps that report it, or is
+    NaN, as is ``val_topk_loss`` until a stage that validates sets it.
+    """
+    if n == 0:
+        raise DataError("cannot train on an empty dataset")
+    skipped, values = 0, {key: [] for key in ("loss", "weight_entropy", "grad_norm", "active_samples")}
+    for idx in stratified_batches(n, cfg.batch_size, rng_shuffle, stratify_labels):
+        try:
+            metrics = step(idx)
+        except DegenerateBatchError as exc:
+            log.warning("skipping degenerate batch: %s", exc)
+            metrics = {"skipped": True}
+        skipped += metrics["skipped"]
+        for key in values.keys() & metrics.keys():
+            values[key].append(metrics[key])
+
+    def fold(key: str, reduce):
+        return reduce(values[key]).item() if values[key] else float("nan")
+
+    return {
+        "loss": fold("loss", np.mean),
+        "val_topk_loss": float("nan"),
+        "weight_entropy": fold("weight_entropy", np.mean),
+        "grad_norm_mean": fold("grad_norm", np.mean),
+        "grad_norm_max": fold("grad_norm", np.max),
+        "skipped_batches": skipped,
+        "active_samples": fold("active_samples", np.sum),
+        "lr": optimizer.current_lr,
+    }
 
 
 def pretrain_epoch(
@@ -274,46 +312,30 @@ def pretrain_epoch(
     rng_views: np.random.Generator,
     stratify_labels: np.ndarray | None = None,
 ) -> dict:
-    """One shuffled pass over the dataset with the stage-1 objective, which
-    averages over every column of ``labels`` (N, A).
+    """One shuffled pass with the stage-1 objective, which averages over
+    every column of ``labels`` (N, A); returns the epoch's history row.
 
     The loss of a batch is the mean of its anchor terms, or with the top-k
     wrapper enabled the mean of the k largest; every path backpropagates
     exactly the loss it reports.
     """
-    if X.shape[0] == 0:
-        raise DataError("cannot train on an empty dataset")
-    batches = stratified_batches(X.shape[0], cfg.batch_size, rng_shuffle, stratify_labels)
-    losses = []
-    grad_norms = []
-    skipped = 0
-    for idx in batches:
-        try:
-            Z, tape, batch = _embed_views(params, X, labels, idx, rng_views, cfg)
-            if cfg.objective == "contrastive":
-                loss, dZ = contrastive_loss(batch, loss_cfg.temperature)
-                loss /= batch.num_views
-                dZ /= batch.num_views
-            else:
-                terms, R = multi_attribute_anchor_stats(batch, loss_cfg.temperature)
-                k = min(loss_cfg.topk_count, terms.size) if loss_cfg.topk_enabled else terms.size
-                loss, mask = topk_average(terms, k)
-                dZ = weighted_grad_from_stats(Z, R, mask / k, loss_cfg.temperature)
-            bundle = backward(params, tape, d_projection=dZ)
-        except DegenerateBatchError as exc:
-            skipped += 1
-            log.warning("skipping degenerate batch: %s", exc)
-            continue
+
+    def step(idx: np.ndarray) -> dict:
+        Z, tape, batch = _embed_views(params, X, labels, idx, rng_views, cfg)
+        if cfg.objective == "contrastive":
+            loss, dZ = contrastive_loss(batch, loss_cfg.temperature)
+            loss /= batch.num_views
+            dZ /= batch.num_views
+        else:
+            terms, R = multi_attribute_anchor_stats(batch, loss_cfg.temperature)
+            k = min(loss_cfg.topk_count, terms.size) if loss_cfg.topk_enabled else terms.size
+            loss, mask = topk_average(terms, k)
+            dZ = weighted_grad_from_stats(Z, R, mask / k, loss_cfg.temperature)
+        bundle = backward(params, tape, d_projection=dZ)
         optimizer.step(params, bundle)
-        losses.append(loss)
-        grad_norms.append(bundle.norm())
-    return {
-        "loss": float(np.mean(losses)) if losses else float("nan"),
-        "grad_norm_mean": float(np.mean(grad_norms)) if grad_norms else float("nan"),
-        "grad_norm_max": float(np.max(grad_norms)) if grad_norms else float("nan"),
-        "skipped_batches": skipped,
-        "lr": optimizer.current_lr,
-    }
+        return {"skipped": False, "loss": loss, "grad_norm": bundle.norm()}
+
+    return _run_epoch(step, X.shape[0], cfg, optimizer, rng_shuffle, stratify_labels)
 
 
 def meta_weights(alignments: np.ndarray, inner_lr: float) -> MetaState:
@@ -379,21 +401,13 @@ def meta_step(
     sample_terms = 0.5 * (terms[:n] + terms[n:])
 
     k_val = min(cfg.val_topk, val_x.shape[0])
-    val_loss, g_v = validation_topk_loss(params, val_x, val_y, k_val)
+    _, g_v = validation_topk_loss(params, val_x, val_y, k_val)
     dZ_dir = forward_jvp(params, tape, g_v)
     anchor_align = per_sample_alignments(Z, dZ_dir, R, loss_cfg.temperature)
     sample_align = 0.5 * (anchor_align[:n] + anchor_align[n:])
     state = meta_weights(sample_align, cfg.inner_lr)
 
-    metrics = {
-        "val_topk_loss": val_loss,
-        "weight_entropy": 0.0,
-        "skipped": state.skipped,
-        "loss": float("nan"),
-        "lr": optimizer.current_lr,
-        "active_samples": int(np.count_nonzero(state.w)),
-        "meta_state": state,
-    }
+    metrics = {"skipped": state.skipped, "active_samples": int(np.count_nonzero(state.w)), "meta_state": state}
     if state.skipped:
         return metrics
     w = state.w
@@ -435,6 +449,19 @@ def _optimizer(params: ModelParams, n: int, cfg: TrainConfig, epochs: int, warmu
     return AdamW(params, schedule, weight_decay=cfg.weight_decay)
 
 
+def _run_stage(stage: str, epochs: range, run_epoch) -> list[dict]:
+    """The history of one stage: ``run_epoch()`` once per epoch number, each
+    row stamped with its epoch and stage."""
+    history = []
+    for epoch in epochs:
+        row = run_epoch()
+        row.update(epoch=epoch, stage=stage)
+        history.append(row)
+        log.info("%s epoch %d: loss=%.4f val_topk=%.4f skipped=%d lr=%.2e", stage, epoch,
+                 row["loss"], row["val_topk_loss"], row["skipped_batches"], row["lr"])
+    return history
+
+
 def pretrain_stage(
     params: ModelParams,
     X: np.ndarray,
@@ -448,15 +475,9 @@ def pretrain_stage(
     optimizer = _optimizer(params, X.shape[0], cfg, cfg.stage1_epochs, cfg.warmup_epochs)
     rng_shuffle = substream(cfg.seed, "stage1", "shuffle")
     rng_views = substream(cfg.seed, "stage1", "views")
-    history = []
-    for epoch in range(1, cfg.stage1_epochs + 1):
-        metrics = pretrain_epoch(
-            params, X, labels, loss_cfg, cfg, optimizer, rng_shuffle, rng_views, stratify_labels,
-        )
-        metrics.update(epoch=epoch, stage="pretrain")
-        history.append(metrics)
-        log.info("pretrain epoch %d: loss=%.4f lr=%.2e", epoch, metrics["loss"], metrics["lr"])
-    return history
+    return _run_stage("pretrain", range(1, cfg.stage1_epochs + 1), lambda: pretrain_epoch(
+        params, X, labels, loss_cfg, cfg, optimizer, rng_shuffle, rng_views, stratify_labels,
+    ))
 
 
 def meta_stage(
@@ -509,39 +530,18 @@ def meta_stage(
     rng_views = substream(cfg.seed, "stage2", "views")
     rng_val = substream(cfg.seed, "stage2", "valsample")
 
-    history = []
-    for epoch in range(cfg.stage1_epochs + 1, cfg.epochs + 1):
-        batches = stratified_batches(n, cfg.batch_size, rng_shuffle, stratify_labels)
-        step_losses = []
-        entropies = []
-        skipped = 0
-        for idx in batches:
-            take = min(cfg.val_batch_size, val_idx.size)
-            chosen = rng_val.choice(val_idx.size, size=take, replace=False)
-            metrics = meta_step(
-                params, X, labels, idx,
-                X[val_idx[chosen]].astype(np.float64), val_y[chosen],
-                loss_cfg, cfg, optimizer, rng_views,
-            )
-            if metrics["skipped"]:
-                skipped += 1
-            else:
-                step_losses.append(metrics["loss"])
-                entropies.append(metrics["weight_entropy"])
-        val_epoch = full_validation_loss(params, X, val_idx, val_y, cfg.val_topk)
-        row = {
-            "epoch": epoch,
-            "stage": "meta",
-            "loss": float(np.mean(step_losses)) if step_losses else float("nan"),
-            "val_topk_loss": val_epoch,
-            "weight_entropy": float(np.mean(entropies)) if entropies else float("nan"),
-            "skipped_batches": skipped,
-            "lr": optimizer.current_lr,
-        }
-        history.append(row)
-        log.info(
-            "meta epoch %d: loss=%.4f val_topk=%.4f", row["epoch"], row["loss"], row["val_topk_loss"]
+    def step(idx: np.ndarray) -> dict:
+        chosen = rng_val.choice(val_idx.size, size=min(cfg.val_batch_size, val_idx.size), replace=False)
+        return meta_step(
+            params, X, labels, idx, X[val_idx[chosen]].astype(np.float64), val_y[chosen],
+            loss_cfg, cfg, optimizer, rng_views,
         )
+
+    def epoch() -> dict:
+        return {**_run_epoch(step, n, cfg, optimizer, rng_shuffle, stratify_labels),
+                "val_topk_loss": full_validation_loss(params, X, val_idx, val_y, cfg.val_topk)}
+
+    history = _run_stage("meta", range(cfg.stage1_epochs + 1, cfg.epochs + 1), epoch)
     summary = {
         "val_topk_at_switch": val_at_switch,
         "val_topk_final": history[-1]["val_topk_loss"],

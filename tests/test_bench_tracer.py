@@ -3,7 +3,9 @@
 ``bench/run.py --trace 1`` fails when a traced name is renamed or a hooked
 function loses an argument its hook reads, but only after minutes of
 benchmark runs. This checks the same bindings statically, without calling
-``Tracer.install()``, which rebinds module attributes for the whole process.
+``Tracer.install()``, which rebinds module attributes for the whole process,
+and checks that the training stages reach the traced trainer names through
+the module attribute, so a rebinding sees every call.
 """
 
 import ast
@@ -65,3 +67,37 @@ def test_hooks_read_the_expected_arguments():
     assert reads["curation.deduplicate"] == {"pool"}
     assert reads["curation.knn_retrieve"] == {"curated", "m"}
     assert reads["trainer.meta_step"] == {"idx"}
+
+
+def test_stages_call_the_traced_trainer_names(monkeypatch):
+    # the tracer rebinds module attributes, so the stages must look both up at call time
+    import numpy as np
+
+    from fairssl import trainer
+    from fairssl.losses import LossConfig
+    from fairssl.network import ModelParams
+
+    calls = {"pretrain_epoch": 0, "meta_step": 0}
+
+    def counting(name):
+        inner = getattr(trainer, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(trainer, name, counting(name))
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((40, 6)).astype(np.float32)
+    labels = rng.integers(0, 2, size=(40, 2))
+    params = ModelParams.create(6, [8, 5], [6, 6, 4], num_classes=2, seed=0)
+    cfg = trainer.TrainConfig(batch_size=8, epochs=5, stage_split=0.6, warmup_epochs=0, seed=0,
+                              val_subset_size=16, val_topk=4, val_batch_size=8)
+    trainer.pretrain_stage(params, X, labels, LossConfig(), cfg)
+    assert calls == {"pretrain_epoch": cfg.stage1_epochs, "meta_step": 0}
+    trainer.meta_stage(params, X, labels, np.arange(16), labels[:16, 0], LossConfig(), cfg)
+    batches_per_epoch = X.shape[0] // cfg.batch_size
+    assert calls == {"pretrain_epoch": cfg.stage1_epochs, "meta_step": cfg.meta_epochs * batches_per_epoch}

@@ -279,6 +279,19 @@ class TestCliExitCodes:
         assert err.startswith("configuration error:") and key in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_topk_with_contrastive_objective_exits_2(self, tmp_path, world_dir, capsys):
+        # the pairwise objective has no top-k wrapper: the pair would train as if top-k were off
+        wdir, world = world_dir
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")
+        topk, contrastive = "loss.topk_enabled=true", "trainer.objective=contrastive"
+        assert main(["pipeline", "--config", str(cfg_path), "--set", topk, "--set", contrastive]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "Traceback" not in err
+        assert "loss.topk_enabled" in err and "trainer.objective" in err
+        assert not (tmp_path / "out").exists()
+        assert load_config(cfg_path, [topk]).loss.topk_enabled
+        assert load_config(cfg_path, [contrastive]).trainer.objective == "contrastive"
+
     def test_integer_for_float_runs_and_is_not_converted(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir
         cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")

@@ -470,3 +470,63 @@ class TestStagedTraining:
         cfg = TrainConfig(batch_size=16, epochs=4, stage_split=0.5, seed=0)
         with pytest.raises(ConfigError):
             staged_train(tiny_params(), X, labels, None, None, LossConfig(), cfg)
+
+
+class TestEpochFold:
+    def test_degenerate_batch_counts_as_skipped(self, rng):
+        # one sample: the pairwise objective has no negatives, so its only batch is skipped
+        X, labels = toy_data(rng, n=1)
+        params = tiny_params(seed=5)
+        before = params.flat.copy()
+        cfg = TrainConfig(batch_size=16, epochs=1, stage_split=1.0, warmup_epochs=0, seed=0,
+                          objective="contrastive")
+        [row] = pretrain_stage(params, X, labels, LossConfig(), cfg)
+        assert row["skipped_batches"] == 1
+        assert np.isnan(row["loss"])
+        assert np.isnan(row["grad_norm_mean"]) and np.isnan(row["grad_norm_max"])
+        assert np.array_equal(params.flat, before)
+
+    def test_meta_rows_fold_the_steps_that_ran(self, rng, monkeypatch):
+        import fairssl.trainer as trainer
+
+        X, labels = toy_data(rng, n=48)
+        params = tiny_params(seed=6)
+        cfg = TrainConfig(batch_size=4, epochs=6, stage_split=0.5, warmup_epochs=0, seed=4,
+                          val_subset_size=16, val_topk=4, val_batch_size=8)
+        pretrain_stage(params, X, labels, LossConfig(), cfg)
+        steps = []
+
+        def recording(*args, **kwargs):
+            steps.append(meta_step(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(trainer, "meta_step", recording)
+        history, _ = meta_stage(params, X, labels, np.arange(16), labels[:16, 0], LossConfig(), cfg)
+        per_epoch = X.shape[0] // cfg.batch_size
+        assert len(steps) == cfg.meta_epochs * per_epoch
+        assert any(m["skipped"] for m in steps) and not all(m["skipped"] for m in steps)
+        for i, row in enumerate(history):
+            epoch_steps = steps[i * per_epoch : (i + 1) * per_epoch]
+            ran = [m for m in epoch_steps if not m["skipped"]]
+            assert row["skipped_batches"] == len(epoch_steps) - len(ran)
+            assert row["loss"] == np.mean([m["loss"] for m in ran])
+            assert row["weight_entropy"] == np.mean([m["weight_entropy"] for m in ran])
+
+    def test_every_row_carries_every_key(self, rng):
+        X, labels = toy_data(rng, n=48)
+        cfg = TrainConfig(batch_size=8, epochs=4, stage_split=0.5, warmup_epochs=0, seed=1,
+                          val_subset_size=16, val_topk=4, val_batch_size=8)
+        history, _ = staged_train(tiny_params(seed=2), X, labels, np.arange(16), labels[:16, 0],
+                                  LossConfig(), cfg)
+        keys = {"epoch", "stage", "loss", "val_topk_loss", "weight_entropy", "grad_norm_mean",
+                "grad_norm_max", "skipped_batches", "active_samples", "lr"}
+        assert all(set(row) == keys for row in history)
+        pretrain, meta = history[:2], history[2:]
+        # a key no step of the stage reports is NaN
+        for row in pretrain:
+            assert np.isnan([row["val_topk_loss"], row["weight_entropy"], row["active_samples"]]).all()
+            assert row["grad_norm_max"] >= row["grad_norm_mean"] > 0
+        for row in meta:
+            assert np.isnan([row["grad_norm_mean"], row["grad_norm_max"]]).all()
+            assert np.isfinite(row["val_topk_loss"])
+            assert 0 <= row["active_samples"] <= (X.shape[0] // cfg.batch_size) * cfg.batch_size
