@@ -37,6 +37,14 @@ rows delta is about 8.1e-6.
 
 So outputs equal a plain float64 scan's, given that BLAS computes a pair's
 float64 dot the same way whatever other rows share the GEMM.
+
+Both searches work in the pool's own buffer, so curation holds one
+pool-sized matrix. Dedup moves each block's survivors to the front of the
+pool as it scans and reads its kept-row chunks from that prefix; it puts
+every row back before it returns, saving only the dropped rows the prefix
+overwrote. Top-m scores every pool row and sets the rows left out of the
+kept set to -inf in each block of scores, so it gathers no candidate
+matrix.
 """
 
 from __future__ import annotations
@@ -112,45 +120,83 @@ def deduplicate(pool: EmbeddingMatrix, threshold: float) -> np.ndarray:
     survivors' float64 Gram matrix settles first-wins inside the block.
     Deterministic by construction; returns the kept indices sorted
     ascending.
+
+    The kept rows are compacted into the front of ``pool.data`` as the scan
+    goes: a block's survivors land at or before the block's start, so no
+    unread row is overwritten, and the chunks are read from that prefix.
+    The dropped rows the prefix overwrites are saved, and every row is put
+    back in a ``finally``, so ``pool`` is left byte-identical even when the
+    scan raises. A read-only or non-contiguous pool is scanned in one copy.
     """
     _require_normalized(pool, "dedup pool")
     delta = _screen_margin(pool.d, _max_norm(pool.data) ** 2)
-    kept_rows = np.empty((pool.n, pool.d), dtype=np.float32)  # filled prefix only
-    kept: list[np.ndarray] = []
-    n_kept = 0
-    for start in range(0, pool.n, _DEDUP_BLOCK):
-        block = pool.data[start : start + _DEDUP_BLOCK]
-        block64 = block.astype(np.float64)
-        alive = np.arange(block.shape[0])
-        for c0 in range(0, n_kept, _DEDUP_CHUNK):
-            chunk = kept_rows[c0 : min(c0 + _DEDUP_CHUNK, n_kept)]
-            best = (chunk @ block[alive].T).max(axis=0).astype(np.float64)
-            unsure = np.abs(best - threshold) <= delta
-            if unsure.any():
-                exact = block64[alive[unsure]] @ chunk.astype(np.float64).T
-                best[unsure] = exact.max(axis=1)
-            alive = alive[~(best >= threshold)]
-        rows = block64[alive]
-        clash = np.triu(rows @ rows.T >= threshold, k=1)
-        keep = np.ones(alive.size, dtype=bool)
-        for j in np.flatnonzero(clash.any(axis=1)):
-            if keep[j]:
-                keep[clash[j]] = False
-        alive = alive[keep]
-        kept_rows[n_kept : n_kept + alive.size] = block[alive]
-        n_kept += alive.size
-        kept.append(start + alive)
-    return np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+    in_place = pool.data.flags.writeable and pool.data.flags.c_contiguous
+    data = pool.data if in_place else np.array(pool.data, order="C")
+    kept = np.zeros(pool.n, dtype=bool)
+    n_kept = 0  # data[:n_kept] holds the kept rows, in order
+    saved: list[tuple[np.ndarray, np.ndarray]] = []  # (positions, rows) the prefix overwrote
+    try:
+        for start in range(0, pool.n, _DEDUP_BLOCK):
+            block = data[start : start + _DEDUP_BLOCK]
+            block64 = block.astype(np.float64)
+            alive = np.arange(block.shape[0])
+            for c0 in range(0, n_kept, _DEDUP_CHUNK):
+                chunk = data[c0 : min(c0 + _DEDUP_CHUNK, n_kept)]
+                best = (chunk @ block[alive].T).max(axis=0).astype(np.float64)
+                unsure = np.abs(best - threshold) <= delta
+                if unsure.any():
+                    exact = block64[alive[unsure]] @ chunk.astype(np.float64).T
+                    best[unsure] = exact.max(axis=1)
+                alive = alive[~(best >= threshold)]
+            rows = block64[alive]
+            clash = np.triu(rows @ rows.T >= threshold, k=1)
+            keep = np.ones(alive.size, dtype=bool)
+            for j in np.flatnonzero(clash.any(axis=1)):
+                if keep[j]:
+                    keep[clash[j]] = False
+            alive = alive[keep]
+            kept[start + alive] = True
+            end = n_kept + alive.size
+            if in_place:
+                lost = n_kept + np.flatnonzero(~kept[n_kept:end])
+                if lost.size:
+                    saved.append((lost, data[lost]))
+            data[n_kept:end] = block[alive]
+            n_kept = end
+    finally:
+        if in_place:
+            _restore_rows(data, np.flatnonzero(kept)[:n_kept], saved)
+    return np.flatnonzero(kept)
 
 
-def _exact_topm(queries: np.ndarray, candidates: np.ndarray, m: int) -> np.ndarray:
-    """Indices (into ``candidates``) of the m highest-dot rows per query.
+def _restore_rows(
+    data: np.ndarray, kept: np.ndarray, saved: list[tuple[np.ndarray, np.ndarray]]
+) -> None:
+    """Undo ``deduplicate``'s compaction: kept row ``kept[r]`` sits at
+    position r, and ``saved`` holds the dropped rows it overwrote."""
+    # kept[r] - r never falls with r: ranks below the first moved row sit
+    # where they started. Moving the highest ranks first never overwrites a
+    # rank still to move, since kept[r] >= r.
+    first = int(np.searchsorted(kept - np.arange(kept.size), 1))
+    for r1 in range(kept.size, first, -_DEDUP_CHUNK):
+        r0 = max(first, r1 - _DEDUP_CHUNK)
+        data[kept[r0:r1]] = data[r0:r1].copy()
+    for lost, rows in saved:
+        data[lost] = rows
+
+
+def _exact_topm(
+    queries: np.ndarray, candidates: np.ndarray, m: int, excluded: np.ndarray | None = None
+) -> np.ndarray:
+    """Indices (into ``candidates``) of the m highest-dot rows per query,
+    never picking a row listed in ``excluded``.
 
     Works on blocks of queries whose float32 scores fill
-    ``_TOPM_BLOCK_BYTES``. A partition finds each query's m-th largest
-    float32 score ``t``; every candidate scoring at least ``t - 2*delta``
-    is rescored in float64 and the shortlist is ordered by score
-    descending, then index ascending, so ties resolve to the lower index.
+    ``_TOPM_BLOCK_BYTES``; the excluded rows score -inf in every block. A
+    partition finds each query's m-th largest float32 score ``t``; every
+    candidate scoring at least ``t - 2*delta`` is rescored in float64 and
+    the shortlist is ordered by score descending, then index ascending, so
+    ties resolve to the lower index. At least m rows must be left.
     """
     n_q, n_c = queries.shape[0], candidates.shape[0]
     q32 = np.asarray(queries, dtype=np.float32)
@@ -161,6 +207,8 @@ def _exact_topm(queries: np.ndarray, candidates: np.ndarray, m: int) -> np.ndarr
     block = max(1, _TOPM_BLOCK_BYTES // (4 * n_c))
     for q0 in range(0, n_q, block):
         sims = q32[q0 : q0 + block] @ c32.T
+        if excluded is not None:
+            sims[:, excluded] = -np.inf
         mth = np.partition(sims, n_c - m, axis=1)[:, n_c - m]
         # t - 2*delta, rounded down to float32 so the shortlist can only grow
         floor = (mth.astype(np.float64) - 2.0 * delta).astype(np.float32)
@@ -183,19 +231,26 @@ def knn_retrieve(
 ) -> np.ndarray:
     """Retrieve, for every curated row, its m nearest kept pool rows by cosine.
 
-    Exact search; returns the deduplicated union of all retrieved pool
-    indices, sorted ascending.
+    Exact search over ``pool.data`` itself: the rows not in ``kept`` score
+    -inf, so no candidate matrix is gathered. Ties resolve to the lower pool
+    index. Returns the deduplicated union of all retrieved pool indices,
+    sorted ascending.
     """
     _require_normalized(curated, "curated matrix")
     _require_normalized(pool, "pool matrix")
     if curated.d != pool.d:
         raise DataError(f"dimension mismatch: curated d={curated.d}, pool d={pool.d}")
-    kept = np.sort(np.asarray(kept, dtype=np.int64))  # ties resolve to lower pool index
+    kept = np.asarray(kept, dtype=np.int64)
+    if kept.size and not (0 <= kept.min() and kept.max() < pool.n):
+        raise DataError(f"kept rows must index the {pool.n} pool rows")
+    excluded = np.ones(pool.n, dtype=bool)
+    excluded[kept] = False
+    n_kept = pool.n - int(np.count_nonzero(excluded))
     if m < 1:
         raise ConfigError(f"m must be >= 1, got {m}")
-    if m > kept.size:
-        raise ConfigError(f"m={m} exceeds the {kept.size} kept pool rows")
-    return np.unique(kept[_exact_topm(curated.data, pool.data[kept], m)])
+    if m > n_kept:
+        raise ConfigError(f"m={m} exceeds the {n_kept} kept pool rows")
+    return np.unique(_exact_topm(curated.data, pool.data, m, np.flatnonzero(excluded)))
 
 
 def build_augmented_curated(

@@ -368,14 +368,16 @@ def _chain_jvp(
     prefix: str,
 ) -> np.ndarray | None:
     """Push the tangent ``u`` through the chain; None stands for a zero
-    tangent. Frozen layers move no parameter, so they only carry ``u``."""
+    tangent. Frozen layers, and layers whose direction span is all zero
+    (such as the projection spans of a features-only ``backward``), move no
+    parameter, so they only carry ``u``."""
     for i, layer in enumerate(layers):
-        if layer.frozen:
+        dw, db = direction[f"{prefix}.{i}"]
+        if layer.frozen or not (dw.any() or db.any()):
             if u is None:
                 continue
             u_pre = u @ layer.weight.T
         else:
-            dw, db = direction[f"{prefix}.{i}"]
             move = inputs[i] @ dw.T
             u_pre = (move if u is None else u @ layer.weight.T + move) + db
         u = u_pre * (pres[i] > 0.0) if layer.activation == "relu" else u_pre
@@ -389,7 +391,8 @@ def forward_jvp(params: ModelParams, tape: Tape, direction: GradientBundle) -> n
     The input itself is held fixed; only parameters move, and frozen
     layers not at all: the direction's frozen spans are taken as zero, as
     ``backward`` leaves them. Cost is at most one forward pass; layers
-    below the lowest trainable one cost nothing.
+    whose direction span is zero skip their parameter term, and layers
+    below the lowest moving one cost nothing.
     """
     d_feat = _chain_jvp(params.encoder, tape.encoder_inputs, tape.encoder_pre, None, direction, "encoder")
     dv = _chain_jvp(

@@ -16,7 +16,7 @@ from fairssl.curation import (
     knn_retrieve,
 )
 from fairssl.errors import ConfigError, DataError
-from fairssl.store import DatasetManifest, EmbeddingMatrix, normalize_rows
+from fairssl.store import DatasetManifest, EmbeddingMatrix, load_embeddings, normalize_rows, save_embeddings
 
 from oracles import cosine_similarity, exhaustive_knn, greedy_dedup, manifest_entries, stable_topm
 
@@ -126,6 +126,13 @@ class TestKnnRetrieve:
         curated = EmbeddingMatrix(pool.data[:1].copy(), normalized=True)
         with pytest.raises(ConfigError):
             knn_retrieve(curated, pool, np.arange(3), 4)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_kept_rows_outside_pool(self, rng, make_unit_rows, bad):
+        pool = EmbeddingMatrix(make_unit_rows(rng, 5, 4).astype(np.float32), normalized=True)
+        curated = EmbeddingMatrix(pool.data[:1].copy(), normalized=True)
+        with pytest.raises(DataError, match="kept rows"):
+            knn_retrieve(curated, pool, np.array([0, 1, bad]), 1)
 
     def test_tie_breaks_to_lower_index(self):
         pool = unit([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -304,6 +311,62 @@ class TestDedupMatchesPerRowScan:
     def test_tiny_pools(self, n):
         pool = as_pool(sign_rows(np.arange(n)))
         assert self.check(pool, 0.9) == list(range(n))
+
+
+class TestDedupLeavesPoolAsFound:
+    """``deduplicate`` compacts the kept rows into the front of the pool's
+    own buffer while it scans, and must put every row back."""
+
+    def duplicate_heavy(self, rng, n=240):
+        # at least half the rows repeat an earlier one, so the prefix of
+        # kept rows falls well behind the scan
+        codes = rng.integers(0, 2**SIGN_D, size=n // 3)
+        return as_pool(sign_rows(codes[rng.integers(0, codes.size, size=n)]))
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_tiny_blocks_match_per_row_scan(self, rng, block, chunk):
+        pool = self.duplicate_heavy(rng)
+        before = pool.data.tobytes()
+        expected = greedy_dedup(pool.data, 0.9)
+        assert expected.size <= pool.n // 2
+        with mock.patch.multiple(curation, _DEDUP_BLOCK=block, _DEDUP_CHUNK=chunk):
+            got = deduplicate(pool, 0.9)
+        assert np.array_equal(got, expected)
+        assert pool.data.tobytes() == before
+
+    def test_pool_bytes_unchanged(self, rng):
+        pool = self.duplicate_heavy(rng, n=2000)
+        before = pool.data.tobytes()
+        deduplicate(pool, 0.75)
+        assert pool.data.tobytes() == before
+
+    def test_pool_restored_after_error_mid_scan(self, rng):
+        pool = self.duplicate_heavy(rng)
+        before = pool.data.tobytes()
+        triu, calls = np.triu, []
+
+        def failing_triu(*args, **kwargs):  # called once per block
+            calls.append(None)
+            if len(calls) == 30:
+                raise RuntimeError("injected")
+            return triu(*args, **kwargs)
+
+        with mock.patch.multiple(curation, _DEDUP_BLOCK=4, _DEDUP_CHUNK=3), \
+                mock.patch.object(np, "triu", failing_triu), pytest.raises(RuntimeError, match="injected"):
+            deduplicate(pool, 0.9)
+        assert len(calls) == 30
+        assert pool.data.tobytes() == before
+
+    def test_read_only_pool(self, rng, tmp_path):
+        pool = self.duplicate_heavy(rng)
+        save_embeddings(pool, tmp_path / "pool.fssl")
+        loaded = load_embeddings(tmp_path / "pool.fssl")
+        assert loaded.normalized and not loaded.data.flags.writeable
+        with mock.patch.multiple(curation, _DEDUP_BLOCK=5, _DEDUP_CHUNK=4):
+            got = deduplicate(loaded, 0.9)
+        assert np.array_equal(got, greedy_dedup(pool.data, 0.9))
+        assert loaded.data.tobytes() == pool.data.tobytes()
 
 
 def topm_blocks_of(rows, candidates):
@@ -486,6 +549,27 @@ def test_knn_retrieve_scratch_independent_of_query_count(rng, make_unit_rows):
     candidate_bytes = pool.n * pool.d * 8
     peak = traced_peak(lambda: knn_retrieve(curated, pool, np.arange(pool.n), 4))
     assert peak < candidate_bytes + 16 * 2**20
+
+
+def test_dedup_scratch_below_half_the_pool(rng, make_unit_rows):
+    # the kept rows live in the pool's own buffer, not in a pool-sized copy;
+    # a smaller kept-row chunk keeps the GEMM scores clear of the bound
+    rows = make_unit_rows(rng, 20000, 64).astype(np.float32)
+    rows[100::2000] = rows[5:15]  # a few duplicates, so some rows move
+    pool = EmbeddingMatrix(rows, normalized=True)
+    with mock.patch.object(curation, "_DEDUP_CHUNK", 1024):
+        peak = traced_peak(lambda: deduplicate(pool, 0.95))
+    assert peak < pool.data.nbytes / 2
+
+
+def test_knn_retrieve_scratch_below_half_the_pool(rng, make_unit_rows):
+    # the dropped rows are masked in the score blocks, not gathered out
+    pool = EmbeddingMatrix(make_unit_rows(rng, 20000, 64).astype(np.float32), normalized=True)
+    curated = EmbeddingMatrix(make_unit_rows(rng, 400, 64).astype(np.float32), normalized=True)
+    kept = np.delete(np.arange(pool.n), [3, 500, 7000])
+    with mock.patch.object(curation, "_TOPM_BLOCK_BYTES", 2**18):
+        peak = traced_peak(lambda: knn_retrieve(curated, pool, kept, 4))
+    assert peak < pool.data.nbytes / 2
 
 
 def test_knn_retrieve_memory_bounded(rng, make_unit_rows):

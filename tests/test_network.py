@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairssl.errors import ConfigError, DataError, FileSizeError, FormatError, NumericError
+from fairssl.losses import validation_topk_loss
 from fairssl.network import (
     GradientBundle,
     Layer,
@@ -287,6 +288,23 @@ class TestJvp:
         if frozen == ["encoder.*", "projection.*"]:
             assert not np.any(got)
 
+
+    @pytest.mark.parametrize("frozen", [[], ["encoder.0"]])
+    def test_features_only_direction_matches_dense_bytes(self, rng, frozen):
+        # the meta step's validation direction: head and encoder spans only,
+        # so every projection span is zero and its term is skipped
+        params = small_params(seed=5)
+        if frozen:
+            set_frozen(params, frozen)
+        _, g_v = validation_topk_loss(params, rng.standard_normal((9, 6)), rng.integers(0, 2, 9), 4)
+        for i in range(len(params.projection)):
+            dw, db = g_v[f"projection.{i}"]
+            assert not dw.any() and not db.any()
+        assert np.any(g_v["head"][0]) and np.any(g_v[f"encoder.{len(params.encoder) - 1}"][0])
+        _, _, tape = forward_embed(params, rng.standard_normal((7, 6)))
+        got = forward_jvp(params, tape, g_v)
+        assert np.any(got)
+        assert got.tobytes() == dense_jvp(params, tape, g_v).tobytes()
 
 class TestFreezing:
     def test_freeze_all_encoder_layers(self, rng):
