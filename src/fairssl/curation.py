@@ -126,12 +126,12 @@ def deduplicate(pool: EmbeddingMatrix, threshold: float) -> np.ndarray:
     unread row is overwritten, and the chunks are read from that prefix.
     The dropped rows the prefix overwrites are saved, and every row is put
     back in a ``finally``, so ``pool`` is left byte-identical even when the
-    scan raises. A read-only or non-contiguous pool is scanned in one copy.
+    scan raises. A read-only or non-contiguous pool is copied first, and the
+    copy is scanned the same way.
     """
     _require_normalized(pool, "dedup pool")
     delta = _screen_margin(pool.d, _max_norm(pool.data) ** 2)
-    in_place = pool.data.flags.writeable and pool.data.flags.c_contiguous
-    data = pool.data if in_place else np.array(pool.data, order="C")
+    data = np.require(pool.data, requirements=("C", "W"))  # a copy if it is read-only or strided
     kept = np.zeros(pool.n, dtype=bool)
     n_kept = 0  # data[:n_kept] holds the kept rows, in order
     saved: list[tuple[np.ndarray, np.ndarray]] = []  # (positions, rows) the prefix overwrote
@@ -157,15 +157,13 @@ def deduplicate(pool: EmbeddingMatrix, threshold: float) -> np.ndarray:
             alive = alive[keep]
             kept[start + alive] = True
             end = n_kept + alive.size
-            if in_place:
-                lost = n_kept + np.flatnonzero(~kept[n_kept:end])
-                if lost.size:
-                    saved.append((lost, data[lost]))
+            lost = n_kept + np.flatnonzero(~kept[n_kept:end])
+            if lost.size:
+                saved.append((lost, data[lost]))
             data[n_kept:end] = block[alive]
             n_kept = end
     finally:
-        if in_place:
-            _restore_rows(data, np.flatnonzero(kept)[:n_kept], saved)
+        _restore_rows(data, np.flatnonzero(kept)[:n_kept], saved)
     return np.flatnonzero(kept)
 
 

@@ -20,7 +20,6 @@ standard deviation of the per-group accuracies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +50,21 @@ class ProbeModel:
         return np.argmax(self.logits(features), axis=1)
 
 
+def softmax_cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row softmax cross-entropy of the class logits against the labels
+    ``y``, and the softmax probabilities, both from max-shifted logits."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    denom = ex.sum(axis=1)
+    return np.log(denom) - shifted[np.arange(y.size), y], ex / denom[:, None]
+
+
 def _loss_and_probs(theta, Xa, y, l2):
     """Mean cross-entropy plus the L2 term on the weight columns, and the
     softmax probabilities, for parameters ``[W | b]`` over ``[X | 1]``."""
-    logits = Xa @ theta.T
-    logits -= logits.max(axis=1, keepdims=True)
-    ex = np.exp(logits)
-    denom = ex.sum(axis=1)
+    ce, probs = softmax_cross_entropy(Xa @ theta.T, y)
     W = theta[:, :-1]
-    loss = float(np.mean(np.log(denom) - logits[np.arange(y.size), y]) + 0.5 * l2 * np.sum(W * W))
-    return loss, ex / denom[:, None]
+    return float(np.mean(ce) + 0.5 * l2 * np.sum(W * W)), probs
 
 
 def _gradient(theta, probs, Xa, y, l2):
@@ -188,9 +192,6 @@ class FairnessReport:
             "min_grp_acc": self.min_grp_acc,
             "max_grp_acc": self.max_grp_acc,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_text_table(self) -> str:
         headers = ["Avg. Acc", "STD", "SeR", "EOD", "DPD", "Min Grp Acc", "Max Grp Acc"]

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateBatchError
+from .evaluation import softmax_cross_entropy
 from .network import GradientBundle, ModelParams, backward, forward_features, head_forward
 
 _UNIT_TOL = 1e-5
@@ -171,19 +172,6 @@ def topk_average(values: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     return result, mask
 
 
-def _cross_entropy_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row softmax cross entropy and d/d logits (before any weighting)."""
-    shift = logits.max(axis=1, keepdims=True)
-    ex = np.exp(logits - shift)
-    denom = ex.sum(axis=1, keepdims=True)
-    log_probs = (logits - shift) - np.log(denom)
-    n = logits.shape[0]
-    ce = -log_probs[np.arange(n), targets]
-    d = ex / denom
-    d[np.arange(n), targets] -= 1.0
-    return ce, d
-
-
 def validation_topk_loss(
     params: ModelParams, val_x: np.ndarray, val_y: np.ndarray, k: int
 ) -> tuple[float, GradientBundle]:
@@ -203,7 +191,8 @@ def validation_topk_loss(
         raise ConfigError(f"k={k} out of range for {X.shape[0]} validation samples")
     features, tape = forward_features(params, X)
     logits = head_forward(params, features)
-    ce, d_logits = _cross_entropy_rows(logits, y)
+    ce, d_logits = softmax_cross_entropy(logits, y)
+    d_logits[np.arange(y.size), y] -= 1.0
     loss, mask = topk_average(ce, k)
     d_logits *= (mask.astype(np.float64) / k)[:, None]
     bundle = backward(params, tape, d_logits=d_logits)

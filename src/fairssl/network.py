@@ -287,6 +287,13 @@ def head_forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return F @ params.head.weight.T + params.head.bias
 
 
+def _unit_tangent(tape: Tape, d: np.ndarray) -> np.ndarray:
+    """``(d - z (z . d)) / |v|`` per row, for the normalization z = v / |v|
+    on ``tape``: the projection of ``d`` onto the tangent space at z, scaled.
+    It maps dL/dz to dL/dv in ``backward`` and dv to dz in ``forward_jvp``."""
+    return (d - tape.z * np.sum(tape.z * d, axis=1, keepdims=True)) / tape.norms[:, None]
+
+
 def _chain_backward(
     layers: list[Layer],
     inputs: list[np.ndarray],
@@ -344,11 +351,8 @@ def backward(
         dz = np.asarray(d_projection, dtype=np.float64)
         if dz.shape != tape.z.shape:
             raise DataError(f"d_projection shape {dz.shape} does not match tape")
-        # z = v / |v|  =>  dL/dv = (dL/dz - z (z . dL/dz)) / |v|
-        radial = np.sum(tape.z * dz, axis=1, keepdims=True)
-        dv = (dz - tape.z * radial) / tape.norms[:, None]
         d_feat_total += _chain_backward(
-            params.projection, tape.projection_inputs, tape.projection_pre, dv, bundle,
+            params.projection, tape.projection_inputs, tape.projection_pre, _unit_tangent(tape, dz), bundle,
             "projection", input_grad=True,
         )
 
@@ -398,10 +402,7 @@ def forward_jvp(params: ModelParams, tape: Tape, direction: GradientBundle) -> n
     dv = _chain_jvp(
         params.projection, tape.projection_inputs, tape.projection_pre, d_feat, direction, "projection"
     )
-    if dv is None:
-        return np.zeros_like(tape.z)
-    radial = np.sum(tape.z * dv, axis=1, keepdims=True)
-    return (dv - tape.z * radial) / tape.norms[:, None]
+    return np.zeros_like(tape.z) if dv is None else _unit_tangent(tape, dv)
 
 
 _SECTION_CODE = {name: i for i, name in enumerate(_SECTIONS)}

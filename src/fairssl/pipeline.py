@@ -42,7 +42,7 @@ from .pseudolabel import (
     select_validation_subset,
 )
 from .seeding import substream
-from .store import DatasetManifest, load_embeddings, normalize_rows, read_jsonl, save_embeddings, write_file
+from .store import DatasetManifest, load_embeddings, normalize_rows, read_jsonl, save_embeddings, write_file, write_jsonl
 from .trainer import meta_stage, pretrain_stage
 
 ARTIFACTS = {
@@ -87,7 +87,7 @@ def _write_history(path: Path, history: list[dict]) -> None:
 
 
 def _write_report(artifacts: dict[str, Path], report: FairnessReport) -> None:
-    write_file(artifacts["fairness_report_json"], report.to_json(), "\n")
+    _write_json(artifacts["fairness_report_json"], report.to_dict())
     write_file(artifacts["fairness_report_txt"], report.to_text_table(), "\n")
 
 
@@ -243,11 +243,9 @@ def _probe(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Pa
     probe = train_probe(features[train_sel], labels_arr[train_sel], l2=cfg.probe.l2)
     preds = probe.predict(features[test_sel])
 
-    lines = [
-        json.dumps({"id": ids[i], "pred": int(p), "label": int(labels_arr[i])}, sort_keys=True)
-        for i, p in zip(test_sel, preds)
-    ]
-    write_file(artifacts["predictions"], "\n".join(lines), "\n")
+    write_jsonl(artifacts["predictions"], {
+        "id": [ids[i] for i in test_sel.tolist()], "pred": preds.tolist(), "label": labels_arr[test_sel].tolist(),
+    })
     report = build_report(preds, labels_arr[test_sel], manifest.group[test_sel])
     _write_report(artifacts, report)
     return {

@@ -12,7 +12,8 @@ Binary layout (little-endian)::
 Flag bit 0 marks a row-normalized matrix. Manifest records are one JSON
 object per line with keys ``id``, ``row``, ``source`` and optional
 ``quality`` and ``group``; :func:`read_jsonl` reads them, and every other
-JSON-lines file of the pipeline, into typed columns.
+JSON-lines file of the pipeline, into typed columns, and
+:func:`write_jsonl` writes them all.
 
 The pipeline's files are read and written by three helpers here:
 :func:`read_bytes` (the one place a read OSError becomes a DataError),
@@ -263,18 +264,13 @@ class DatasetManifest:
         return stripped
 
     def save(self, path: str | Path) -> None:
-        columns = (self.rows, self.sources, self.quality, self.has_quality, self.group, self.has_group)
-        lines = []
-        for sid, row, source, quality, has_quality, group, has_group in zip(
-            self.ids, *(column.tolist() for column in columns)
-        ):
-            obj: dict = {"id": sid, "row": row, "source": SOURCES[source]}
-            if has_quality:
-                obj["quality"] = quality
-            if has_group:
-                obj["group"] = group
-            lines.append(_encode_json(obj))
-        write_file(path, "\n".join(lines), "\n" if lines else "")
+        write_jsonl(path, {
+            "id": self.ids,
+            "row": self.rows.tolist(),
+            "source": [SOURCES[code] for code in self.sources.tolist()],
+            "quality": [q if has else None for q, has in zip(self.quality.tolist(), self.has_quality.tolist())],
+            "group": [g if has else None for g, has in zip(self.group.tolist(), self.has_group.tolist())],
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
@@ -337,6 +333,19 @@ def read_jsonl(path: str | Path, fields: dict[str, type], optional: tuple[str, .
         for column, values in zip(columns, zip(*block)):
             column.extend(values)
     return [column.finish() for column in columns]
+
+
+def write_jsonl(path: str | Path, columns: dict[str, Sequence]) -> None:
+    """Write one JSON object per row of ``columns`` (key -> one value per
+    row), keys sorted; a None value leaves its key out of that row, which
+    :func:`read_jsonl` reads as absent. Every line ends in a newline, so no
+    rows make an empty file."""
+    keys = sorted(columns)
+    lines = [
+        _encode_json({key: value for key, value in zip(keys, row) if value is not None})
+        for row in zip(*(columns[key] for key in keys), strict=True)
+    ]
+    write_file(path, "\n".join(lines), "\n" if lines else "")
 
 
 # Parsed lines move into the columns this many at a time, so the per-value

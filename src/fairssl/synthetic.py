@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .seeding import substream
-from .store import DatasetManifest, EmbeddingMatrix, normalize_rows, save_embeddings, write_file
+from .store import DatasetManifest, EmbeddingMatrix, normalize_rows, save_embeddings, write_file, write_jsonl
 
 TARGET_ATTRIBUTE = "attr_target"
 CONTEXT_ATTRIBUTE = "attr_context"
@@ -175,11 +175,10 @@ def write_world_files(world: World, out_dir: Path, seed: int) -> dict:
     save_embeddings(world.eval_set.embeddings, out_dir / "eval.fssl")
     manifest_for(world.eval_set, "eval", "curated", False, True).save(out_dir / "eval_manifest.jsonl")
 
-    labels_lines = [
-        json.dumps({"id": f"eval-{i:06d}", "label": int(world.eval_set.target[i])})
-        for i in range(world.eval_set.raw.shape[0])
-    ]
-    write_file(out_dir / "eval_labels.jsonl", "\n".join(labels_lines), "\n")
+    write_jsonl(out_dir / "eval_labels.jsonl", {
+        "id": [f"eval-{i:06d}" for i in range(world.eval_set.raw.shape[0])],
+        "label": world.eval_set.target.tolist(),
+    })
 
     template_dir = out_dir / "templates"
     template_dir.mkdir(exist_ok=True)

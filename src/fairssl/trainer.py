@@ -393,8 +393,6 @@ def meta_step(
     every alignment is non-positive the whole step (including any head
     update) is skipped.
     """
-    if val_x.shape[0] == 0:
-        raise DataError("validation batch is empty")
     Z, tape, batch = _embed_views(params, X, labels, idx, rng_views, cfg)
     terms, R = multi_attribute_anchor_stats(batch, loss_cfg.temperature)
     n = idx.size
