@@ -71,7 +71,6 @@ class PseudoLabelConfig:
 class ModelConfig:
     encoder_dims: list[int] = field(default_factory=lambda: [128, 64])
     projection_dims: list[int] = field(default_factory=lambda: [128, 128, 32])
-    num_classes: int = 2
 
     def __post_init__(self) -> None:
         if len(self.projection_dims) != 3:

@@ -20,7 +20,7 @@ standard deviation of the per-group accuracies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -181,17 +181,7 @@ class FairnessReport:
     max_grp_acc: float
 
     def to_dict(self) -> dict:
-        return {
-            "avg_acc": self.avg_acc,
-            "per_group_acc": {str(k): v for k, v in self.per_group_acc.items()},
-            "group_mean_acc": self.group_mean_acc,
-            "std_acc": self.std_acc,
-            "ser": self.ser,
-            "eod": self.eod,
-            "dpd": self.dpd,
-            "min_grp_acc": self.min_grp_acc,
-            "max_grp_acc": self.max_grp_acc,
-        }
+        return {**asdict(self), "per_group_acc": {str(k): v for k, v in self.per_group_acc.items()}}
 
     def to_text_table(self) -> str:
         headers = ["Avg. Acc", "STD", "SeR", "EOD", "DPD", "Min Grp Acc", "Max Grp Acc"]

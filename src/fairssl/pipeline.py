@@ -42,7 +42,9 @@ from .pseudolabel import (
     select_validation_subset,
 )
 from .seeding import substream
-from .store import DatasetManifest, load_embeddings, normalize_rows, read_jsonl, save_embeddings, write_file, write_jsonl
+from .store import (
+    DatasetManifest, load_embeddings, normalize_rows, read_jsonl, save_embeddings, write_file, write_jsonl,
+)
 from .trainer import meta_stage, pretrain_stage
 
 ARTIFACTS = {
@@ -61,7 +63,10 @@ ARTIFACTS = {
     "fairness_report_txt": "fairness_report.txt",
 }
 
-_HISTORY_COLUMNS = ["epoch", "stage", "loss", "val_topk_loss", "weight_entropy", "lr"]
+_HISTORY_COLUMNS = [
+    "epoch", "stage", "loss", "val_topk_loss", "weight_entropy", "lr",
+    "skipped_batches", "grad_norm_mean", "grad_norm_max", "active_samples",
+]
 
 
 def _sha256(path: Path) -> str:
@@ -81,9 +86,15 @@ def _write_history(path: Path, history: list[dict]) -> None:
     writer = csv.writer(buffer)
     writer.writerow(_HISTORY_COLUMNS)
     for row in history:
-        floats = (repr(float(row[k])) if row[k] == row[k] else "" for k in _HISTORY_COLUMNS[2:])
-        writer.writerow([row["epoch"], row["stage"], *floats])
+        writer.writerow([_history_cell(row[key]) for key in _HISTORY_COLUMNS])
     write_file(path, buffer.getvalue())
+
+
+def _history_cell(value) -> str:
+    """A name or an integer as it is, a float by its repr, NaN (no value) empty."""
+    if isinstance(value, (str, int)):
+        return str(value)
+    return repr(float(value)) if value == value else ""
 
 
 def _write_report(artifacts: dict[str, Path], report: FairnessReport) -> None:
@@ -187,11 +198,7 @@ def _load_training_inputs(cfg: PipelineConfig, inputs: dict[str, Path]) -> _Trai
 
 def _pretrain(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:
     data = _load_training_inputs(cfg, inputs)
-    model = cfg.model
-    params = ModelParams.create(
-        data.X.shape[1], model.encoder_dims, model.projection_dims,
-        num_classes=model.num_classes, seed=cfg.seed,
-    )
+    params = ModelParams.create(data.X.shape[1], cfg.model.encoder_dims, cfg.model.projection_dims, seed=cfg.seed)
     history = pretrain_stage(
         params, data.X, data.labels, cfg.loss, cfg.trainer,
         stratify_labels=data.labels[:, data.val_col],

@@ -158,10 +158,6 @@ class AdamW:
         self.step_count = 0
         self.m, self.v, self._a, self._b = (np.zeros_like(params.flat) for _ in range(4))
 
-    @property
-    def current_lr(self) -> float:
-        return self.schedule.lr(self.step_count)
-
     def step(self, params: ModelParams, grads: GradientBundle) -> None:
         if not grads.is_finite():
             bad = [n for n, s in grads.layout.items() if not np.isfinite(grads.flat[s.start : s.stop]).all()]
@@ -272,9 +268,11 @@ def _run_epoch(step, n: int, cfg: TrainConfig, optimizer: AdamW, rng_shuffle: np
     Skipped steps and batches that raise DegenerateBatchError count in
     ``skipped_batches``. A key folds over the steps that report it, or is
     NaN, as is ``val_topk_loss`` until a stage that validates sets it.
+    ``lr`` is the rate of the epoch's last optimizer step, NaN if none ran.
     """
     if n == 0:
         raise DataError("cannot train on an empty dataset")
+    first_step = optimizer.step_count
     skipped, values = 0, {key: [] for key in ("loss", "weight_entropy", "grad_norm", "active_samples")}
     for idx in stratified_batches(n, cfg.batch_size, rng_shuffle, stratify_labels):
         try:
@@ -297,7 +295,7 @@ def _run_epoch(step, n: int, cfg: TrainConfig, optimizer: AdamW, rng_shuffle: np
         "grad_norm_max": fold("grad_norm", np.max),
         "skipped_batches": skipped,
         "active_samples": fold("active_samples", np.sum),
-        "lr": optimizer.current_lr,
+        "lr": optimizer.schedule.lr(optimizer.step_count - 1) if optimizer.step_count > first_step else float("nan"),
     }
 
 
@@ -514,9 +512,9 @@ def meta_stage(
         "validation head fit: probe_iterations=%d probe_grad_norm=%.3e probe_loss=%.6f",
         probe.iterations, probe.grad_norm, probe.final_loss,
     )
-    if probe.weight.shape != params.head.weight.shape:
-        raise ConfigError(f"model.num_classes is {params.head.out_dim} but the validation "
-                          f"pseudo-labels have {probe.weight.shape[0]} classes")
+    if probe.weight.shape != params.head.weight.shape:  # a checkpoint made elsewhere
+        raise DataError(f"the checkpoint's head has {params.head.out_dim} classes but the validation "
+                        f"pseudo-labels have {probe.weight.shape[0]}")
     params.head.weight[...] = probe.weight
     params.head.bias[...] = probe.bias
 

@@ -119,6 +119,12 @@ def zero_shot_label(img: np.ndarray, pos: np.ndarray, neg: np.ndarray, scale: fl
     return int(probs[0] >= probs[1]), float(probs.max())
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise float64 log-softmax by pairwise log-add-exp, with no max shift."""
+    logits = np.asarray(logits, dtype=np.float64)
+    return logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+
+
 def sorted_topk_mean(values: np.ndarray, k: int) -> float:
     """Mean of the k largest values via explicit sorting."""
     ordered = sorted(values, reverse=True)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import errno
 import hashlib
@@ -299,21 +300,33 @@ class TestCliExitCodes:
         assert type(cfg.trainer.base_lr) is int  # hashes as 1, not 1.0
         assert main(["pipeline", "--config", str(cfg_path), "--set", "trainer.base_lr=1"]) == 0
 
-    def test_head_class_mismatch_exits_2(self, tmp_path, world_dir, capsys):
+    def test_removed_num_classes_key_exits_2_at_load(self, tmp_path, world_dir, capsys):
+        # the head always has the two classes of the binary pseudo-labels
+        wdir, world = world_dir
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")
+        for value in (2, 3):
+            assert main(["pipeline", "--config", str(cfg_path), "--set", f"model.num_classes={value}"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and "num_classes" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_head_class_mismatch_exits_3(self, tmp_path, world_dir, capsys):
+        # a pretrain checkpoint made elsewhere, whose head has 3 classes: the pseudo-labels are binary
         wdir, world = world_dir
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
-        three = ["--set", "model.num_classes=3"]  # the pseudo-labels are binary
-        for stage in ("curate", "pseudolabel", "pretrain"):
-            assert main([stage, "--config", str(cfg_path), *three]) == 0
+        for stage in ("curate", "pseudolabel"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        three = ModelParams.create(world.config.dim, [16, 8], [16, 16, 6], num_classes=3, seed=17)
+        save_checkpoint(three, out / "pretrain_checkpoint.fsck")
         capsys.readouterr()
-        assert main(["train-meta", "--config", str(cfg_path), *three]) == 2
+        assert main(["train-meta", "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
-        assert "model.num_classes is 3" in err and "have 2 classes" in err
+        assert "checkpoint's head has 3 classes" in err and "pseudo-labels have 2" in err
         assert "Traceback" not in err
         marker = json.loads((out / "run_manifest_train_meta.json").read_text())
         assert marker["status"] == "failed"
-        assert "model.num_classes" in marker["error"]
+        assert "head has 3 classes" in marker["error"]
 
     def test_failed_pipeline_rerun_marks_the_failing_stage(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir
@@ -321,11 +334,12 @@ class TestCliExitCodes:
         cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
         assert main(["pipeline", "--config", str(cfg_path)]) == 0
         # the re-run fails in train-meta: its manifest from the first run must not stay "ok"
-        assert main(["pipeline", "--config", str(cfg_path), "--set", "model.num_classes=3"]) == 2
-        rerun_hash = load_config(cfg_path, ["model.num_classes=3"]).config_hash()
+        too_many = "trainer.val_subset_size=100000"  # more rows than reach the confidence threshold
+        assert main(["pipeline", "--config", str(cfg_path), "--set", too_many]) == 3
+        rerun_hash = load_config(cfg_path, [too_many]).config_hash()
         for command in ("train_meta", "probe", "evaluate", "pipeline"):
             marker = json.loads((out / f"run_manifest_{command}.json").read_text())
-            assert marker["status"] == "failed" and "model.num_classes" in marker["error"]
+            assert marker["status"] == "failed" and "need 100000" in marker["error"]
             assert marker["config_hash"] == rerun_hash
         pretrain = json.loads((out / "run_manifest_pretrain.json").read_text())
         assert pretrain["status"] == "ok" and pretrain["config_hash"] == rerun_hash
@@ -462,6 +476,23 @@ class TestStages:
         assert printed == (out / "fairness_report.txt").read_text()
         rerun = json.loads((out / "run_manifest_probe.json").read_text())["metrics"]
         assert rerun == metrics
+
+    def test_histories_record_step_diagnostics_and_the_last_step_rate(self, tmp_path, world_dir):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        for stage in ("curate", "pseudolabel", "pretrain", "train-meta"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        pretrain, meta = (list(csv.DictReader((out / f"{name}_history.csv").open())) for name in ("pretrain", "meta"))
+        for rows in (pretrain, meta):
+            assert {"skipped_batches", "grad_norm_mean", "grad_norm_max", "active_samples"} <= set(rows[0])
+            assert float(rows[-1]["lr"]) > 0  # the rate the stage's last step ran at
+            assert all(row["skipped_batches"].isdigit() for row in rows)
+        # pretrain steps report gradient norms, meta steps active samples
+        assert all(float(r["grad_norm_max"]) >= float(r["grad_norm_mean"]) > 0 for r in pretrain)
+        assert all(r["active_samples"] == "" for r in pretrain)
+        assert all(r["grad_norm_mean"] == r["grad_norm_max"] == "" for r in meta)
+        assert all(r["active_samples"].isdigit() for r in meta)
 
     def test_train_meta_at_full_stage_split_keeps_pretrained_model(self, tmp_path, world_dir):
         wdir, world = world_dir

@@ -5,9 +5,24 @@ from hypothesis import strategies as st
 
 from fairssl import evaluation
 from fairssl.errors import DataError, NumericError
-from fairssl.evaluation import build_report, train_probe
+from fairssl.evaluation import build_report, softmax_cross_entropy, train_probe
 
-from oracles import confusion_rates, gd_probe, groups_with_accuracy
+from oracles import confusion_rates, gd_probe, groups_with_accuracy, log_softmax
+
+
+@pytest.mark.parametrize("scale", [1.0, 50.0, 1e3])
+def test_softmax_cross_entropy_matches_a_log_softmax_oracle(rng, scale):
+    logits = rng.standard_normal((8, 3)) * scale
+    logits[:3] = [[1e3, -1e3, 0.0], [-1e3, -1e3, -1e3], [1e3, 1e3, -1e3]]
+    y = np.array([1, 2, 0, 0, 1, 2, 0, 1])
+    loss, probs = softmax_cross_entropy(logits, y)
+    expected = log_softmax(logits)
+    assert np.isfinite(loss).all() and np.isfinite(probs).all()
+    # log-probabilities carry the rounding of the largest logit: a few ulps of it
+    tol = 16 * np.finfo(np.float64).eps * np.abs(logits).max()
+    np.testing.assert_allclose(loss, -expected[np.arange(y.size), y], rtol=0, atol=tol)
+    np.testing.assert_allclose(probs, np.exp(expected), rtol=tol, atol=1e-300)
+    assert loss[0] == 2e3 and loss[1] == np.log(3.0)  # a 2,000-nat gap is exact in float64
 
 
 class TestProbe:

@@ -21,6 +21,7 @@ from fairssl.store import (
     read_jsonl,
     save_embeddings,
     write_file,
+    write_jsonl,
 )
 
 from oracles import manifest_entries, whole_matrix_norm_deviation, whole_matrix_normalize
@@ -461,6 +462,48 @@ def test_read_jsonl_missing_file_is_data_error(tmp_path):
         read_jsonl(tmp_path / "absent.jsonl", {"id": str})
 
 
+_INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1])
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
+_JSONL_FIELDS = {"id": str, "n": int, "x": float, "g": int, "q": float}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.text() | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\r\t\x7f", "\u00e9\u6f22\u2028\U0001f642"]),
+    _INT64, _FLOAT, st.none() | _INT64, st.none() | _FLOAT,
+), max_size=6))
+def test_write_jsonl_round_trips_through_read_jsonl(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("jsonl") / "t.jsonl"
+    columns = [list(column) for column in zip(*rows)] or [[]] * len(_JSONL_FIELDS)
+    write_jsonl(path, dict(zip(_JSONL_FIELDS, columns)))
+    text = path.read_text(encoding="ascii")
+    assert text.count("\n") == len(rows) and text.endswith("\n") == bool(rows)  # no rows: an empty file
+    for line, row in zip(text.splitlines(), rows):
+        obj = json.loads(line)
+        assert list(obj) == sorted(obj)  # keys sorted
+        assert set(obj) == {key for key, value in zip(_JSONL_FIELDS, row) if value is not None}
+    back = _per_line(read_jsonl(path, _JSONL_FIELDS, optional=("g", "q")))
+    assert [tuple(map(repr, row)) for row in back] == [tuple(map(repr, row)) for row in rows]  # -0.0 too
+
+
+def test_manifest_save_writes_the_bytes_of_per_record_json_dumps(tmp_path):
+    entries = [
+        ("a\"b", 3, "retrieved", 0.25, None),
+        ("c\u00e9", 0, "curated", None, None),
+        ("d", 1, "uncurated", None, -2),
+        ("e", 2, "curated", 1.0, 7),
+    ]
+    DatasetManifest.from_columns(*zip(*entries)).save(tmp_path / "m.jsonl")
+    keys = ("id", "row", "source", "quality", "group")
+    expected = "".join(
+        json.dumps({k: v for k, v in zip(keys, entry) if v is not None}, sort_keys=True) + "\n"
+        for entry in entries
+    )
+    assert (tmp_path / "m.jsonl").read_bytes() == expected.encode()
+    DatasetManifest.from_columns([], [], "curated").save(tmp_path / "empty.jsonl")
+    assert (tmp_path / "empty.jsonl").read_bytes() == b""
+
+
 def test_write_file_writes_chunks_in_order(tmp_path):
     path = tmp_path / "f.bin"
     path.write_bytes(b"older and longer contents")
@@ -534,6 +577,26 @@ def test_only_store_writes_files():
     assert _prints("log.info(s)\nprinter(s)\nx.print(s)\nprint(s, file=f)\nf(print(s))") == [4, 5]
 
 
+def test_private_definitions_have_a_caller_in_src():
+    # a consolidation must not leave behind a private function or class that no src module uses
+    src = sorted((Path(__file__).resolve().parent.parent / "src" / "fairssl").glob("*.py"))
+    assert _orphans([p.read_text() for p in src]) == set()
+    assert _orphans(["def _f(): return _f()\ndef _g(): pass\ndef h(): return _g\nclass _C: pass", "x = m._C"]) == {"_f"}
+
+
+def _orphans(sources: list[str]) -> set[str]:
+    """Private top-level functions and classes of ``sources`` that no other
+    top-level statement of them uses; a call from its own body does not count."""
+    statements = [
+        (getattr(node, "name", None), _references(node))
+        for source in sources for node in ast.parse(source).body
+    ]
+    return {
+        name for name, _ in statements
+        if name and name.startswith("_") and not any(name in used for other, used in statements if other != name)
+    }
+
+
 def _public_definitions(source: str) -> list[str]:
     """Names of the public functions and classes defined at the top level of ``source``."""
     return [
@@ -542,11 +605,12 @@ def _public_definitions(source: str) -> list[str]:
     ]
 
 
-def _references(source: str) -> set[str]:
-    """Every name ``source`` uses, bare or as an attribute."""
+def _references(source: str | ast.AST) -> set[str]:
+    """Every name ``source`` (code or a parsed node) uses, bare or as an attribute."""
+    tree = ast.parse(source) if isinstance(source, str) else source
     return {
         node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
 

@@ -486,6 +486,20 @@ class TestEpochFold:
         assert np.isnan(row["grad_norm_mean"]) and np.isnan(row["grad_norm_max"])
         assert np.array_equal(params.flat, before)
 
+    def test_lr_is_the_rate_of_the_epochs_last_step(self, rng):
+        # 48 samples in batches of 8: 6 steps an epoch, the first epoch warming up
+        X, labels = toy_data(rng, n=48)
+        cfg = TrainConfig(batch_size=8, epochs=3, stage_split=1.0, warmup_epochs=1)
+        history = pretrain_stage(tiny_params(seed=3), X, labels, LossConfig(), cfg)
+        schedule = LrSchedule(cfg.base_lr, warmup_steps=6, total_steps=18)
+        assert [row["lr"] for row in history] == [schedule.lr(5), schedule.lr(11), schedule.lr(17)]
+        assert history[-1]["lr"] > 0
+        # an epoch whose only batch is skipped takes no step, so it has no rate
+        X, labels = toy_data(rng, n=1)
+        cfg = TrainConfig(batch_size=16, epochs=1, stage_split=1.0, warmup_epochs=0, objective="contrastive")
+        [row] = pretrain_stage(tiny_params(seed=5), X, labels, LossConfig(), cfg)
+        assert np.isnan(row["lr"])
+
     def test_meta_rows_fold_the_steps_that_ran(self, rng, monkeypatch):
         import fairssl.trainer as trainer
 
