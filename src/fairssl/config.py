@@ -24,6 +24,7 @@ import yaml
 from .curation import CurationConfig
 from .errors import ConfigError
 from .losses import LossConfig
+from .pseudolabel import DEFAULT_SCALE
 from .trainer import TrainConfig
 
 
@@ -57,7 +58,7 @@ class PathsConfig:
 
 @dataclass
 class PseudoLabelConfig:
-    scale: float = 100.0
+    scale: float = DEFAULT_SCALE
     conf_threshold: float = 0.9
 
     def __post_init__(self) -> None:
@@ -111,13 +112,10 @@ class PipelineConfig:
             raise ConfigError("loss.topk_enabled needs trainer.objective: supcon; "
                               "the contrastive objective has no top-k wrapper")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def config_hash(self) -> str:
         """Digest of every setting but ``paths``: where a run reads and writes
         does not change it (run manifests hash the inputs themselves)."""
-        settings = self.to_dict()
+        settings = dataclasses.asdict(self)
         del settings["paths"]
         canonical = json.dumps(settings, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
@@ -142,17 +140,6 @@ class PipelineConfig:
         except OSError as exc:
             raise ConfigError(f"paths.out_dir: cannot create directory {p}: {exc}") from exc
         return p
-
-
-_SECTIONS = {
-    "paths": PathsConfig,
-    "curation": CurationConfig,
-    "pseudolabel": PseudoLabelConfig,
-    "loss": LossConfig,
-    "trainer": TrainConfig,
-    "model": ModelConfig,
-    "probe": ProbeConfig,
-}
 
 
 def _matches(value, hint) -> bool:
@@ -196,10 +183,13 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig
     data = dict(data)
     if data.get("seed") is None:
         raise ConfigError("seed is mandatory; set a top-level 'seed' key")
-    top = {key: data.pop(key) for key in ("seed", "workers", "val_attribute") if key in data}
+    # a field typed as a dataclass is a section; the others are top-level keys
+    hints = {f.name: _field_type(PipelineConfig, f.name) for f in dataclasses.fields(PipelineConfig)}
+    section_types = {name: cls for name, cls in hints.items() if dataclasses.is_dataclass(cls)}
+    top = {key: data.pop(key) for key in hints if key not in section_types and key in data}
     _check_types(PipelineConfig, top, "config")
     sections = {}
-    for name, cls in _SECTIONS.items():
+    for name, cls in section_types.items():
         body = data.pop(name, {}) or {}
         if not isinstance(body, dict):
             raise ConfigError(f"section {name!r} must be a mapping")

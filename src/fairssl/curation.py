@@ -83,7 +83,6 @@ class CurationConfig:
 
 @dataclass
 class CurationResult:
-    kept_uncurated: np.ndarray
     retrieved: np.ndarray
     augmented_manifest: DatasetManifest
     counts: dict = field(default_factory=dict)
@@ -311,7 +310,7 @@ def build_augmented_curated(
         "augmented_total": total,
     }
     log.info("curation counts: %s", counts)
-    return CurationResult(kept_uncurated, pool_manifest.rows[at], augmented, counts)
+    return CurationResult(pool_manifest.rows[at], augmented, counts)
 
 
 def curate(

@@ -50,13 +50,21 @@ class ProbeModel:
         return np.argmax(self.logits(features), axis=1)
 
 
+def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax over the last axis, from max-shifted logits: the shift (the
+    maxima), the log of the shifted denominator and the probabilities. Their
+    log-sum-exp is ``shift + log_denom``; a ``-inf`` logit gets probability 0."""
+    shift = logits.max(axis=-1)
+    ex = np.exp(logits - shift[..., None])
+    denom = ex.sum(axis=-1)
+    return shift, np.log(denom), ex / denom[..., None]
+
+
 def softmax_cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row softmax cross-entropy of the class logits against the labels
-    ``y``, and the softmax probabilities, both from max-shifted logits."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    denom = ex.sum(axis=1)
-    return np.log(denom) - shifted[np.arange(y.size), y], ex / denom[:, None]
+    ``y``, and the softmax probabilities."""
+    shift, log_denom, probs = softmax(logits)
+    return log_denom - (logits[np.arange(y.size), y] - shift), probs
 
 
 def _loss_and_probs(theta, Xa, y, l2):

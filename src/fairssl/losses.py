@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateBatchError
-from .evaluation import softmax_cross_entropy
+from .evaluation import softmax, softmax_cross_entropy
 from .network import GradientBundle, ModelParams, backward, forward_features, head_forward
 
 _UNIT_TOL = 1e-5
@@ -89,13 +89,8 @@ def _scaled_similarities(Z: np.ndarray, temperature: float) -> tuple[np.ndarray,
     s = (Z @ Z.T) / temperature
     masked = s.copy()
     np.fill_diagonal(masked, -np.inf)
-    row_max = masked.max(axis=1)
-    ex = np.exp(masked - row_max[:, None])
-    np.fill_diagonal(ex, 0.0)
-    denom = ex.sum(axis=1)
-    lse = row_max + np.log(denom)
-    q = ex / denom[:, None]
-    return s, lse, q
+    shift, log_denom, q = softmax(masked)
+    return s, shift + log_denom, q
 
 
 def _anchor_stats(

@@ -102,6 +102,21 @@ def _write_report(artifacts: dict[str, Path], report: FairnessReport) -> None:
     write_file(artifacts["fairness_report_txt"], report.to_text_table(), "\n")
 
 
+def _write_manifest(cfg: PipelineConfig, command: str, status: str, fields: dict) -> Path:
+    """Write the manifest of ``command``: its identity fields, then ``fields``."""
+    path = cfg.out_dir() / f"run_manifest_{command.replace('-', '_')}.json"
+    _write_json(path, {
+        "command": command,
+        "status": status,
+        "seed": cfg.seed,
+        "workers": cfg.workers,
+        "config_hash": cfg.config_hash(),
+        "package_version": __version__,
+        **fields,
+    })
+    return path
+
+
 def write_run_manifest(
     cfg: PipelineConfig,
     command: str,
@@ -111,42 +126,24 @@ def write_run_manifest(
 ) -> Path:
     """Record a finished stage. ``metrics`` holds deterministic diagnostics
     that are not artifacts (so they are not hashed)."""
-    manifest = {
-        "command": command,
-        "status": "ok",
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-        "config_hash": cfg.config_hash(),
-        "package_version": __version__,
+    fields = {
         "inputs": {name: _sha256(p) for name, p in sorted(inputs.items())},
         "artifacts": {name: _sha256(p) for name, p in sorted(artifacts.items())},
     }
     if metrics is not None:
-        manifest["metrics"] = metrics
-    path = cfg.out_dir() / f"run_manifest_{command.replace('-', '_')}.json"
-    _write_json(path, manifest)
-    return path
+        fields["metrics"] = metrics
+    return _write_manifest(cfg, command, "ok", fields)
 
 
 def write_failure_manifest(cfg: PipelineConfig, command: str, error: Exception | str) -> None:
     """Mark a failed run: record the error and whatever files the output
     directory holds, so partial artifacts are never mistaken for a clean run."""
     try:
-        out = cfg.out_dir()
         partial = sorted(
-            p.name for p in out.iterdir()
+            p.name for p in cfg.out_dir().iterdir()
             if p.is_file() and not p.name.startswith("run_manifest")
         )
-        manifest = {
-            "command": command,
-            "status": "failed",
-            "error": str(error),
-            "seed": cfg.seed,
-            "config_hash": cfg.config_hash(),
-            "package_version": __version__,
-            "partial_artifacts": partial,
-        }
-        _write_json(out / f"run_manifest_{command.replace('-', '_')}.json", manifest)
+        _write_manifest(cfg, command, "failed", {"error": str(error), "partial_artifacts": partial})
     except (OSError, PipelineError):
         pass  # reporting the original failure matters more than the marker
 

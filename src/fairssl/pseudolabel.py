@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, FormatError, SelectionError
+from .evaluation import softmax
 from .seeding import substream
 from .store import EmbeddingMatrix, load_embeddings, read_bytes, read_container, write_file
 
@@ -168,14 +169,6 @@ def _load_json(path: Path, what: str):
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _pair_probabilities(pos_sim: np.ndarray, neg_sim: np.ndarray, scale: float) -> np.ndarray:
-    """Two-class softmax over scaled (positive, negative) similarities."""
-    logits = scale * np.stack([pos_sim, neg_sim], axis=-1)
-    shift = logits.max(axis=-1, keepdims=True)
-    ex = np.exp(logits - shift)
-    return ex / ex.sum(axis=-1, keepdims=True)
-
-
 def attribute_probabilities(
     images: EmbeddingMatrix, templates: AttributeTemplates, scale: float = DEFAULT_SCALE
 ) -> np.ndarray:
@@ -188,7 +181,7 @@ def attribute_probabilities(
     data = images.data.astype(np.float64)
     pos_sims = data @ templates.pos.T  # (n, T)
     neg_sims = data @ templates.neg.T
-    probs = _pair_probabilities(pos_sims, neg_sims, scale)  # (n, T, 2)
+    _, _, probs = softmax(scale * np.stack([pos_sims, neg_sims], axis=-1))  # (n, T, 2)
     return probs.mean(axis=1)
 
 

@@ -74,6 +74,10 @@ class World:
     files: dict = field(default_factory=dict)
 
 
+def _sample_set(raw: np.ndarray, target: np.ndarray, context: np.ndarray, groups: np.ndarray) -> SampleSet:
+    return SampleSet(raw, normalize_rows(EmbeddingMatrix(raw.astype(np.float32))), target, context, groups)
+
+
 def _draw(
     config: WorldConfig, n: int, minority_fraction: float, rng: np.random.Generator
 ) -> SampleSet:
@@ -81,14 +85,7 @@ def _draw(
     target = rng.integers(0, 2, size=n)
     context = rng.integers(0, 2, size=n)
     means = np.stack([config.mean(g, t, c) for g, t, c in zip(groups, target, context)])
-    raw = means + rng.normal(0.0, config.noise_sigma, size=(n, config.dim))
-    return SampleSet(
-        raw=raw,
-        embeddings=normalize_rows(EmbeddingMatrix(raw.astype(np.float32))),
-        target=target,
-        context=context,
-        groups=groups,
-    )
+    return _sample_set(means + rng.normal(0.0, config.noise_sigma, size=(n, config.dim)), target, context, groups)
 
 
 def _inject_duplicates(s: SampleSet, fraction: float, rng: np.random.Generator) -> SampleSet:
@@ -100,21 +97,10 @@ def _inject_duplicates(s: SampleSet, fraction: float, rng: np.random.Generator) 
         return s
     victims = rng.choice(np.arange(n // 2, n), size=n_dup, replace=False)
     sources = rng.choice(np.arange(0, n // 2), size=n_dup, replace=True)
-    raw = s.raw.copy()
-    raw[victims] = raw[sources]
-    target = s.target.copy()
-    context = s.context.copy()
-    groups = s.groups.copy()
-    target[victims] = target[sources]
-    context[victims] = context[sources]
-    groups[victims] = groups[sources]
-    return SampleSet(
-        raw=raw,
-        embeddings=normalize_rows(EmbeddingMatrix(raw.astype(np.float32))),
-        target=target,
-        context=context,
-        groups=groups,
-    )
+    columns = [column.copy() for column in (s.raw, s.target, s.context, s.groups)]
+    for column in columns:
+        column[victims] = column[sources]
+    return _sample_set(*columns)
 
 
 def _templates(config: WorldConfig, axis: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -155,53 +141,47 @@ def generate_world(
 
 def write_world_files(world: World, out_dir: Path, seed: int) -> dict:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    template_dir = out_dir / "templates"
+    files = {
+        "uncurated_embeddings": out_dir / "uncurated.fssl",
+        "uncurated_manifest": out_dir / "uncurated_manifest.jsonl",
+        "curated_embeddings": out_dir / "curated.fssl",
+        "curated_manifest": out_dir / "curated_manifest.jsonl",
+        "eval_embeddings": out_dir / "eval.fssl",
+        "eval_manifest": out_dir / "eval_manifest.jsonl",
+        "eval_labels": out_dir / "eval_labels.jsonl",
+        "template_bank": template_dir / "template_bank.json",
+    }
+    template_dir.mkdir(parents=True, exist_ok=True)
     cfg = world.config
     rng_quality = substream(seed, "world", "quality")
-    files = {}
-
-    def manifest_for(s: SampleSet, prefix: str, source: str, with_quality: bool, with_groups: bool):
+    sets = (  # file key, samples, id prefix, source, with quality, with groups
+        ("uncurated", world.pool, "pool", "uncurated", True, False),
+        ("curated", world.curated, "cur", "curated", False, False),
+        ("eval", world.eval_set, "eval", "curated", False, True),
+    )
+    for key, s, prefix, source, with_quality, with_groups in sets:
         n = s.raw.shape[0]
-        quality = rng_quality.uniform(*cfg.quality_range, size=n) if with_quality else None
-        return DatasetManifest.from_columns(
+        save_embeddings(s.embeddings, files[f"{key}_embeddings"])
+        DatasetManifest.from_columns(
             [f"{prefix}-{i:06d}" for i in range(n)], np.arange(n), source,
-            quality=quality, group=s.groups if with_groups else None,
-        )
+            quality=rng_quality.uniform(*cfg.quality_range, size=n) if with_quality else None,
+            group=s.groups if with_groups else None,
+        ).save(files[f"{key}_manifest"])
 
-    save_embeddings(world.pool.embeddings, out_dir / "uncurated.fssl")
-    manifest_for(world.pool, "pool", "uncurated", True, False).save(out_dir / "uncurated_manifest.jsonl")
-    save_embeddings(world.curated.embeddings, out_dir / "curated.fssl")
-    manifest_for(world.curated, "cur", "curated", False, False).save(out_dir / "curated_manifest.jsonl")
-    save_embeddings(world.eval_set.embeddings, out_dir / "eval.fssl")
-    manifest_for(world.eval_set, "eval", "curated", False, True).save(out_dir / "eval_manifest.jsonl")
-
-    write_jsonl(out_dir / "eval_labels.jsonl", {
+    write_jsonl(files["eval_labels"], {
         "id": [f"eval-{i:06d}" for i in range(world.eval_set.raw.shape[0])],
         "label": world.eval_set.target.tolist(),
     })
 
-    template_dir = out_dir / "templates"
-    template_dir.mkdir(exist_ok=True)
     rng_t = substream(seed, "world", "templates")
     index = {}
     for name, axis in ((TARGET_ATTRIBUTE, 0), (CONTEXT_ATTRIBUTE, 1)):
-        pos, neg = _templates(cfg, axis, rng_t)
-        save_embeddings(EmbeddingMatrix(pos.astype(np.float32), normalized=True), template_dir / f"{name}_pos.fssl")
-        save_embeddings(EmbeddingMatrix(neg.astype(np.float32), normalized=True), template_dir / f"{name}_neg.fssl")
-        index[name] = {"pos": f"{name}_pos.fssl", "neg": f"{name}_neg.fssl"}
-    write_file(template_dir / "template_bank.json", json.dumps(index, sort_keys=True, indent=2))
-
-    files = {
-        "uncurated_embeddings": str(out_dir / "uncurated.fssl"),
-        "uncurated_manifest": str(out_dir / "uncurated_manifest.jsonl"),
-        "curated_embeddings": str(out_dir / "curated.fssl"),
-        "curated_manifest": str(out_dir / "curated_manifest.jsonl"),
-        "eval_embeddings": str(out_dir / "eval.fssl"),
-        "eval_manifest": str(out_dir / "eval_manifest.jsonl"),
-        "eval_labels": str(out_dir / "eval_labels.jsonl"),
-        "template_bank": str(template_dir / "template_bank.json"),
-    }
-    return files
+        index[name] = {side: f"{name}_{side}.fssl" for side in ("pos", "neg")}
+        for side, rows in zip(("pos", "neg"), _templates(cfg, axis, rng_t)):
+            save_embeddings(EmbeddingMatrix(rows.astype(np.float32), normalized=True), template_dir / index[name][side])
+    write_file(files["template_bank"], json.dumps(index, sort_keys=True, indent=2))
+    return {key: str(path) for key, path in files.items()}
 
 
 def bayes_accuracy(config: WorldConfig, raw: np.ndarray, target: np.ndarray,

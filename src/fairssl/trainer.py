@@ -3,10 +3,10 @@
 Stage 1 pretrains with the label-aware contrastive objective on two
 randomly augmented views of every sample (coordinate masking, additive
 noise, scale jitter — the embedding-space analogue of image augmentations).
-Stage 2 freezes most of the encoder and reweights samples each step: the
-weight of a sample is the positively clamped, normalized alignment between
-its training-loss gradient and the gradient of a top-k classification loss
-on a high-confidence pseudo-labeled validation subset.
+Stage 2 freezes every encoder layer but the last and reweights samples
+each step: the weight of a sample is the positively clamped, normalized
+alignment between its training-loss gradient and the gradient of a top-k
+classification loss on a high-confidence pseudo-labeled validation subset.
 
 The per-sample alignments are computed exactly but without materializing
 per-sample gradients: with g_v the validation gradient and J the Jacobian of
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .seeding import substream
 log = logging.getLogger(__name__)
 
 OBJECTIVES = ("supcon", "contrastive")
-DEFAULT_FREEZE = "encoder-except-last"
 
 
 @dataclass
@@ -69,8 +68,6 @@ class TrainConfig:
     mask_prob: float = 0.1
     scale_jitter: float = 0.1
     objective: str = "supcon"
-    freeze_selector: list[str] = field(default_factory=lambda: [DEFAULT_FREEZE])
-    train_head_in_meta: bool = True
 
     def __post_init__(self) -> None:
         if self.batch_size < 2:
@@ -102,11 +99,10 @@ class TrainConfig:
 @dataclass
 class MetaState:
     """Per-batch byproducts of the sample-weighting step: the raw alignment
-    gradient, the clamped weights before and after normalization, and whether
-    the zero-sum guard suppressed the update."""
+    gradient, the normalized clamped weights, and whether the zero-sum guard
+    suppressed the update."""
 
     grad_eps: np.ndarray
-    w_tilde: np.ndarray
     w: np.ndarray
     skipped: bool
 
@@ -351,8 +347,8 @@ def meta_weights(alignments: np.ndarray, inner_lr: float) -> MetaState:
     w_tilde = np.maximum(-grad_eps, 0.0)
     total = float(w_tilde.sum())
     if total <= 0.0:
-        return MetaState(grad_eps, w_tilde, np.zeros_like(w_tilde), skipped=True)
-    return MetaState(grad_eps, w_tilde, w_tilde / total, skipped=False)
+        return MetaState(grad_eps, np.zeros_like(w_tilde), skipped=True)
+    return MetaState(grad_eps, w_tilde / total, skipped=False)
 
 
 def per_sample_alignments(
@@ -387,9 +383,9 @@ def meta_step(
     """One reweighted training step against a pseudo-labeled validation batch.
 
     Per-sample training losses are the two anchor terms of a sample's views,
-    averaged. The final update applies the normalized alignment weights; if
-    every alignment is non-positive the whole step (including any head
-    update) is skipped.
+    averaged. The final update applies the normalized alignment weights and
+    adds the validation gradient of the head; if every alignment is
+    non-positive the whole step (head update included) is skipped.
     """
     Z, tape, batch = _embed_views(params, X, labels, idx, rng_views, cfg)
     terms, R = multi_attribute_anchor_stats(batch, loss_cfg.temperature)
@@ -412,21 +408,11 @@ def meta_step(
     anchor_w = np.concatenate([w, w]) * 0.5  # each view carries half its sample weight
     dZ = weighted_grad_from_stats(Z, R, anchor_w, loss_cfg.temperature)
     bundle = backward(params, tape, d_projection=dZ)
-    if cfg.train_head_in_meta:
-        head = params.layout["head"]
-        bundle.flat[head.start : head.stop] += g_v.flat[head.start : head.stop]
+    head = params.layout["head"]
+    bundle.flat[head.start : head.stop] += g_v.flat[head.start : head.stop]
+    metrics["grad_norm"] = bundle.norm()
     optimizer.step(params, bundle)
     return metrics
-
-
-def _resolve_freeze(params: ModelParams, selectors: list[str]) -> list[str]:
-    resolved = []
-    for sel in selectors:
-        if sel == DEFAULT_FREEZE:
-            resolved.extend(f"encoder.{i}" for i in range(max(0, len(params.encoder) - 1)))
-        else:
-            resolved.append(sel)
-    return resolved
 
 
 def full_validation_loss(
@@ -486,10 +472,10 @@ def meta_stage(
     cfg: TrainConfig,
     stratify_labels: np.ndarray | None = None,
 ) -> tuple[list[dict], dict]:
-    """Stage 2: freeze the configured layers, fit the validation head on the
-    high-confidence subset, then run reweighted steps for the epochs stage 1
-    leaves (``cfg.meta_epochs``), numbered from ``cfg.stage1_epochs + 1``,
-    without warmup.
+    """Stage 2: freeze every encoder layer but the last, fit the validation
+    head on the high-confidence subset, then run reweighted steps for the
+    epochs stage 1 leaves (``cfg.meta_epochs``), numbered from
+    ``cfg.stage1_epochs + 1``, without warmup.
 
     Returns (per-epoch history, summary) where the summary records the
     validation top-k loss at the stage switch and at the end. An epoch's
@@ -502,7 +488,7 @@ def meta_stage(
     if val_idx.size == 0:
         raise DataError("validation subset is empty")
 
-    set_frozen(params, _resolve_freeze(params, cfg.freeze_selector), frozen=True)
+    set_frozen(params, [f"encoder.{i}" for i in range(len(params.encoder) - 1)])
 
     # The validation head is meaningless until it is fit to the proxy task;
     # a convex fit on the frozen-stage features does that deterministically.

@@ -59,6 +59,18 @@ class TestConfig:
                 config_from_dict({"seed": 1, "curation": {removed: 1}})
         with pytest.raises(ConfigError, match="unknown"):  # never read by the probe
             config_from_dict({"seed": 1, "probe": {"attribute": "gender"}})
+        # stage 2 always freezes every encoder layer but the last and always trains the head
+        for removed, value in (("freeze_selector", ["encoder.0"]), ("train_head_in_meta", True)):
+            with pytest.raises(ConfigError, match="unknown"):
+                config_from_dict({"seed": 1, "trainer": {removed: value}})
+
+    def test_readme_run_yaml_loads(self, tmp_path):
+        # the README's example names only settings the loader knows, each with a value of its type
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        path = tmp_path / "run.yaml"
+        path.write_text(readme.split("```yaml\n# run.yaml\n", 1)[1].split("```", 1)[0])
+        cfg = load_config(path)
+        assert cfg.seed == 42 and cfg.paths.out_dir == str(tmp_path / "runs" / "demo")
 
     def test_overrides(self):
         data = apply_overrides({"seed": 1}, ["trainer.batch_size=8", "loss.temperature=0.5"])
@@ -268,7 +280,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("override", [
         "workers=null", "workers=abc", "trainer.epochs=2.5", "trainer.batch_size=2.5",
-        "curation.retrieval_m=1.5", "model.encoder_dims=[a]", "trainer.freeze_selector=encoder.0",
+        "curation.retrieval_m=1.5", "model.encoder_dims=[a]", "model.projection_dims=8",
         "seed=2.5", "seed=true", "seed='7'", "seed=[7]",
     ])
     def test_mistyped_config_value_exits_2_before_any_stage(self, tmp_path, world_dir, capsys, override):
@@ -301,13 +313,15 @@ class TestCliExitCodes:
         assert main(["pipeline", "--config", str(cfg_path), "--set", "trainer.base_lr=1"]) == 0
 
     def test_removed_num_classes_key_exits_2_at_load(self, tmp_path, world_dir, capsys):
-        # the head always has the two classes of the binary pseudo-labels
+        # removed keys: the head always has the two classes of the binary pseudo-labels, and
+        # stage 2 always freezes every encoder layer but the last and trains the head
         wdir, world = world_dir
         cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")
-        for value in (2, 3):
-            assert main(["pipeline", "--config", str(cfg_path), "--set", f"model.num_classes={value}"]) == 2
+        for override in ("model.num_classes=2", "model.num_classes=3",
+                         "trainer.freeze_selector=[encoder.0]", "trainer.train_head_in_meta=true"):
+            assert main(["pipeline", "--config", str(cfg_path), "--set", override]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("configuration error:") and "num_classes" in err
+            assert err.startswith("configuration error:") and override.partition("=")[0].split(".")[1] in err
         assert not (tmp_path / "out").exists()
 
     def test_head_class_mismatch_exits_3(self, tmp_path, world_dir, capsys):
@@ -389,6 +403,24 @@ class TestCliExitCodes:
         marker = json.loads((tmp_path / "out" / "run_manifest_pipeline.json").read_text())
         assert marker["status"] == "failed"
         assert "augmented.fssl" in marker["partial_artifacts"]
+
+    def test_failure_marker_carries_the_run_manifest_identity(self, tmp_path, world_dir):
+        # curate succeeds and pseudolabel fails, under one config
+        wdir, world = world_dir
+        bank = tmp_path / "bank.json"
+        bank.write_text("{not json")
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", dict(world.files, template_bank=str(bank)), out, workers=2)
+        assert main(["curate", "--config", str(cfg_path)]) == 0
+        assert main(["pseudolabel", "--config", str(cfg_path)]) == 3
+        ok = json.loads((out / "run_manifest_curate.json").read_text())
+        failed = json.loads((out / "run_manifest_pseudolabel.json").read_text())
+        identity = set(ok) - {"inputs", "artifacts", "metrics"}
+        assert identity == set(failed) - {"error", "partial_artifacts"}
+        assert identity == {"command", "status", "seed", "workers", "config_hash", "package_version"}
+        for key in identity - {"command", "status"}:
+            assert failed[key] == ok[key]
+        assert failed["workers"] == 2
 
 
     def test_template_bank_without_attributes_exits_3_at_pseudolabel(self, tmp_path, world_dir, capsys):
@@ -488,10 +520,9 @@ class TestStages:
             assert {"skipped_batches", "grad_norm_mean", "grad_norm_max", "active_samples"} <= set(rows[0])
             assert float(rows[-1]["lr"]) > 0  # the rate the stage's last step ran at
             assert all(row["skipped_batches"].isdigit() for row in rows)
-        # pretrain steps report gradient norms, meta steps active samples
-        assert all(float(r["grad_norm_max"]) >= float(r["grad_norm_mean"]) > 0 for r in pretrain)
+        # steps of both stages report gradient norms, meta steps also active samples
+        assert all(float(r["grad_norm_max"]) >= float(r["grad_norm_mean"]) > 0 for r in pretrain + meta)
         assert all(r["active_samples"] == "" for r in pretrain)
-        assert all(r["grad_norm_mean"] == r["grad_norm_max"] == "" for r in meta)
         assert all(r["active_samples"].isdigit() for r in meta)
 
     def test_train_meta_at_full_stage_split_keeps_pretrained_model(self, tmp_path, world_dir):

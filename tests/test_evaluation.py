@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fairssl import evaluation
 from fairssl.errors import DataError, NumericError
-from fairssl.evaluation import build_report, softmax_cross_entropy, train_probe
+from fairssl.evaluation import build_report, softmax, softmax_cross_entropy, train_probe
 
 from oracles import confusion_rates, gd_probe, groups_with_accuracy, log_softmax
 
@@ -23,6 +23,23 @@ def test_softmax_cross_entropy_matches_a_log_softmax_oracle(rng, scale):
     np.testing.assert_allclose(loss, -expected[np.arange(y.size), y], rtol=0, atol=tol)
     np.testing.assert_allclose(probs, np.exp(expected), rtol=tol, atol=1e-300)
     assert loss[0] == 2e3 and loss[1] == np.log(3.0)  # a 2,000-nat gap is exact in float64
+
+
+@pytest.mark.parametrize("scale", [1.0, 50.0, 1e3])
+def test_softmax_matches_a_log_softmax_oracle(rng, scale):
+    logits = rng.standard_normal((6, 5)) * scale
+    logits[np.arange(5), np.arange(5)] = -np.inf  # masked entries, as in the similarity softmax
+    shift, log_denom, probs = softmax(logits)
+    expected = log_softmax(logits)
+    masked = np.isinf(logits)
+    assert np.all(probs[masked] == 0.0)
+    rows, top = np.arange(6), logits.argmax(axis=1)
+    tol = 16 * np.finfo(np.float64).eps * np.abs(logits[~masked]).max()
+    # the log-sum-exp is each row's largest logit less its log-probability
+    np.testing.assert_allclose(shift + log_denom, logits[rows, top] - expected[rows, top], rtol=0, atol=tol)
+    np.testing.assert_allclose(probs, np.exp(expected), rtol=tol, atol=1e-300)
+    # the last axis of any batch shape
+    assert np.array_equal(softmax(logits.reshape(2, 3, 5))[2].reshape(6, 5), probs)
 
 
 class TestProbe:

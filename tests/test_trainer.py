@@ -352,13 +352,13 @@ class TestMetaStep:
         for seed in range(30):
             r = np.random.default_rng(seed)
             params, X, labels, idx, val_x, val_y = build_meta_inputs(r, seed=seed)
-            cfg = TrainConfig(batch_size=8, seed=seed, noise_sigma=0.0, mask_prob=0.0,
-                              scale_jitter=0.0, train_head_in_meta=True)
+            cfg = TrainConfig(batch_size=8, seed=seed, noise_sigma=0.0, mask_prob=0.0, scale_jitter=0.0)
             opt = AdamW(params, LrSchedule(1e-3))
             snap = {n_: (l.weight.copy(), l.bias.copy()) for n_, l in params.named_layers()}
             metrics = meta_step(params, X, labels, idx, val_x, val_y,
                                 LossConfig(), cfg, opt, substream(seed, "v"))
             if metrics["skipped"]:
+                assert "grad_norm" not in metrics  # nothing was applied
                 for name, layer in params.named_layers():
                     assert np.array_equal(layer.weight, snap[name][0])
                     assert np.array_equal(layer.bias, snap[name][1])
@@ -376,6 +376,24 @@ class TestMetaStep:
         assert state.w.sum() == pytest.approx(1.0) or metrics["skipped"]
         if not metrics["skipped"]:
             assert metrics["weight_entropy"] >= 0.0
+
+    def test_grad_norm_is_the_applied_bundles(self, rng):
+        # the norm covers the weighted backward pass and the head's validation gradient
+        params, X, labels, idx, val_x, val_y = build_meta_inputs(rng, seed=4)
+        applied = []
+
+        class Recording(AdamW):
+            def step(self, params, grads):
+                applied.append(grads.flat.copy())
+                super().step(params, grads)
+
+        metrics = meta_step(params, X, labels, idx, val_x, val_y, LossConfig(), TrainConfig(batch_size=8, seed=0),
+                            Recording(params, LrSchedule(1e-3)), substream(1, "v"))
+        assert not metrics["skipped"]
+        [flat] = applied
+        assert metrics["grad_norm"] == float(np.linalg.norm(flat)) > 0.0
+        head = params.layout["head"]
+        assert np.any(flat[head.start : head.stop] != 0.0)
 
     def test_meta_gradient_matches_epsilon_finite_difference(self, rng):
         params, X, labels, idx, val_x, val_y = build_meta_inputs(rng, n=4, seed=7)
@@ -448,22 +466,19 @@ class TestStagedTraining:
 
     def test_frozen_layers_byte_identical_through_meta_stage(self, rng):
         X, labels = toy_data(rng, n=64)
-        params = tiny_params(seed=6)
         cfg = TrainConfig(batch_size=16, epochs=4, stage_split=0.5, warmup_epochs=0,
                           seed=2, val_subset_size=16, val_topk=4, val_batch_size=8)
-        pretrain_stage(params, X, labels, LossConfig(), cfg)
-        frozen_names = [f"encoder.{i}" for i in range(len(params.encoder) - 1)]
-        before = {}
-        # meta_stage freezes and fits the head; snapshot the to-be-frozen layers first
-        for name in frozen_names:
-            layer = params.layer(name)
-            before[name] = (layer.weight.tobytes(), layer.bias.tobytes())
-        meta_stage(params, X, labels, np.arange(16), labels[:16, 0],
-                   LossConfig(), cfg)
-        for name in frozen_names:
-            layer = params.layer(name)
-            assert layer.weight.tobytes() == before[name][0]
-            assert layer.bias.tobytes() == before[name][1]
+        for encoder_dims in ([8, 5], [8], [8, 7, 5]):  # a one-layer encoder freezes nothing
+            params = ModelParams.create(6, encoder_dims, [6, 6, 4], num_classes=2, seed=6)
+            pretrain_stage(params, X, labels, LossConfig(), cfg)
+            frozen_names = [f"encoder.{i}" for i in range(len(encoder_dims) - 1)]
+            # meta_stage freezes and fits the head; snapshot the to-be-frozen layers first
+            before = {name: params.layer(name).weight.tobytes() + params.layer(name).bias.tobytes()
+                      for name in frozen_names}
+            meta_stage(params, X, labels, np.arange(16), labels[:16, 0], LossConfig(), cfg)
+            assert [name for name, layer in params.named_layers() if layer.frozen] == frozen_names
+            for name in frozen_names:
+                assert params.layer(name).weight.tobytes() + params.layer(name).bias.tobytes() == before[name]
 
     def test_meta_stage_requires_val_subset(self, rng):
         X, labels = toy_data(rng, n=32)
@@ -525,6 +540,8 @@ class TestEpochFold:
             assert row["skipped_batches"] == len(epoch_steps) - len(ran)
             assert row["loss"] == np.mean([m["loss"] for m in ran])
             assert row["weight_entropy"] == np.mean([m["weight_entropy"] for m in ran])
+            assert row["grad_norm_mean"] == np.mean([m["grad_norm"] for m in ran])
+            assert row["grad_norm_max"] == max(m["grad_norm"] for m in ran)
 
     def test_every_row_carries_every_key(self, rng):
         X, labels = toy_data(rng, n=48)
@@ -541,6 +558,6 @@ class TestEpochFold:
             assert np.isnan([row["val_topk_loss"], row["weight_entropy"], row["active_samples"]]).all()
             assert row["grad_norm_max"] >= row["grad_norm_mean"] > 0
         for row in meta:
-            assert np.isnan([row["grad_norm_mean"], row["grad_norm_max"]]).all()
+            assert row["grad_norm_max"] >= row["grad_norm_mean"] > 0
             assert np.isfinite(row["val_topk_loss"])
             assert 0 <= row["active_samples"] <= (X.shape[0] // cfg.batch_size) * cfg.batch_size
