@@ -27,7 +27,6 @@ Checkpoint layout (little-endian)::
 
 from __future__ import annotations
 
-import fnmatch
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -185,20 +184,11 @@ class ModelParams:
         return self.encoder[-1].out_dim
 
 
-def set_frozen(params: ModelParams, selector: str | list[str], frozen: bool = True) -> None:
-    """Set freeze flags on the layers matched by ``selector``.
-
-    Selectors are exact layer names or fnmatch patterns ("encoder.*"); each
-    pattern must match at least one existing layer.
-    """
-    patterns = [selector] if isinstance(selector, str) else list(selector)
-    names = params.layer_names()
-    for pattern in patterns:
-        matched = [n for n in names if fnmatch.fnmatchcase(n, pattern)]
-        if not matched:
-            raise ConfigError(f"freeze selector {pattern!r} matches no layer (have {names})")
-        for name in matched:
-            params.layer(name).frozen = frozen
+def set_frozen(params: ModelParams, names: list[str]) -> None:
+    """Freeze the layers named exactly in ``names``; an unknown name is a
+    ``ConfigError`` and freezes nothing."""
+    for layer in [params.layer(name) for name in names]:
+        layer.frozen = True
 
 
 class GradientBundle:
