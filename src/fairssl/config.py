@@ -106,6 +106,7 @@ class PipelineConfig:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
     def __post_init__(self) -> None:
+        self.trainer.seed = self.seed  # training draws from the run's one seed
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.loss.topk_enabled and self.trainer.objective == "contrastive":
@@ -168,8 +169,9 @@ def _check_types(cls, data: dict, where: str) -> None:
             raise ConfigError(f"{where}: {key} must be {cls.__annotations__[key]}, got {value!r}")
 
 
-def _build_section(cls, data: dict, where: str):
-    field_names = {f.name for f in dataclasses.fields(cls)}
+def _build_section(cls, data: dict, where: str, top_keys: list[str]):
+    # a section field named like a top-level key (trainer.seed) follows that key
+    field_names = {f.name for f in dataclasses.fields(cls)} - set(top_keys)
     unknown = set(data) - field_names
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
@@ -186,14 +188,15 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig
     # a field typed as a dataclass is a section; the others are top-level keys
     hints = {f.name: _field_type(PipelineConfig, f.name) for f in dataclasses.fields(PipelineConfig)}
     section_types = {name: cls for name, cls in hints.items() if dataclasses.is_dataclass(cls)}
-    top = {key: data.pop(key) for key in hints if key not in section_types and key in data}
+    top_keys = [key for key in hints if key not in section_types]
+    top = {key: data.pop(key) for key in top_keys if key in data}
     _check_types(PipelineConfig, top, "config")
     sections = {}
     for name, cls in section_types.items():
         body = data.pop(name, {}) or {}
         if not isinstance(body, dict):
             raise ConfigError(f"section {name!r} must be a mapping")
-        sections[name] = _build_section(cls, body, f"section {name!r}")
+        sections[name] = _build_section(cls, body, f"section {name!r}", top_keys)
     if data:
         raise ConfigError(f"unknown top-level keys {sorted(data)}")
     cfg = PipelineConfig(**top, **sections)

@@ -11,7 +11,9 @@ failure marker in its place. Stages communicate only through files, so
 fails, its own manifest, the failing stage's and those of every later stage
 are marked failed. Nothing here is time- or host-dependent: identical config
 and seed reproduce every artifact bit for bit, regardless of the workers
-setting.
+setting, on one numpy build with one BLAS thread count (another may change
+the last bits of a float sum). The global seed is the only source of
+randomness; ``PipelineConfig`` hands it to the training stages.
 
 Training-side stages receive manifests with group labels stripped; only the
 probe/evaluate stages ever read groups.

@@ -180,7 +180,8 @@ def write_world_files(world: World, out_dir: Path, seed: int) -> dict:
         index[name] = {side: f"{name}_{side}.fssl" for side in ("pos", "neg")}
         for side, rows in zip(("pos", "neg"), _templates(cfg, axis, rng_t)):
             save_embeddings(EmbeddingMatrix(rows.astype(np.float32), normalized=True), template_dir / index[name][side])
-    write_file(files["template_bank"], json.dumps(index, sort_keys=True, indent=2))
+    # unsorted, so the target attribute stays first: the default val_attribute
+    write_file(files["template_bank"], json.dumps(index, indent=2))
     return {key: str(path) for key, path in files.items()}
 
 

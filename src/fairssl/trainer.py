@@ -59,11 +59,10 @@ class TrainConfig:
     weight_decay: float = 5e-4
     warmup_epochs: int = 5
     stage_split: float = 0.7  # fraction of epochs trained before the meta stage
-    inner_lr: float = 0.1  # virtual-step size for the sample weighting
     val_subset_size: int = 64
     val_topk: int = 16
     val_batch_size: int = 32
-    seed: int = 0
+    seed: int = 0  # a pipeline run sets it from the global seed
     noise_sigma: float = 0.05
     mask_prob: float = 0.1
     scale_jitter: float = 0.1
@@ -78,8 +77,6 @@ class TrainConfig:
             raise ConfigError("learning-rate settings must be non-negative")
         if not 0.0 < self.stage_split <= 1.0:
             raise ConfigError(f"stage_split must be in (0, 1], got {self.stage_split}")
-        if self.inner_lr <= 0:
-            raise ConfigError("inner_lr must be positive")
         if self.val_topk < 1 or self.val_subset_size < 1 or self.val_batch_size < 1:
             raise ConfigError("validation sizes must be >= 1")
         if self.noise_sigma < 0 or not 0.0 <= self.mask_prob < 1.0 or self.scale_jitter < 0:
@@ -397,7 +394,7 @@ def meta_step(
     dZ_dir = forward_jvp(params, tape, g_v)
     anchor_align = per_sample_alignments(Z, dZ_dir, R, loss_cfg.temperature)
     sample_align = 0.5 * (anchor_align[:n] + anchor_align[n:])
-    state = meta_weights(sample_align, cfg.inner_lr)
+    state = meta_weights(sample_align, 1.0)  # normalizing the weights cancels the step size
 
     metrics = {"skipped": state.skipped, "active_samples": int(np.count_nonzero(state.w)), "meta_state": state}
     if state.skipped:

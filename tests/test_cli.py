@@ -63,6 +63,16 @@ class TestConfig:
         for removed, value in (("freeze_selector", ["encoder.0"]), ("train_head_in_meta", True)):
             with pytest.raises(ConfigError, match="unknown"):
                 config_from_dict({"seed": 1, "trainer": {removed: value}})
+        # training draws from the global seed, and normalizing the meta weights cancels the step size
+        for removed, value in (("seed", 0), ("inner_lr", 0.1)):
+            with pytest.raises(ConfigError, match=rf"section 'trainer': unknown keys \['{removed}'\]"):
+                config_from_dict({"seed": 1, "trainer": {removed: value}})
+
+    @pytest.mark.parametrize("seed", [3, 4, 11])
+    def test_training_draws_from_the_global_seed(self, seed):
+        # the stage-1 and stage-2 substreams follow seed and --seed, which is a seed override
+        assert config_from_dict({"seed": seed, "trainer": {"epochs": 4}}).trainer.seed == seed
+        assert config_from_dict(apply_overrides({"seed": 0}, [f"seed={seed}"])).trainer.seed == seed
 
     def test_readme_run_yaml_loads(self, tmp_path):
         # the README's example names only settings the loader knows, each with a value of its type
@@ -313,12 +323,14 @@ class TestCliExitCodes:
         assert main(["pipeline", "--config", str(cfg_path), "--set", "trainer.base_lr=1"]) == 0
 
     def test_removed_num_classes_key_exits_2_at_load(self, tmp_path, world_dir, capsys):
-        # removed keys: the head always has the two classes of the binary pseudo-labels, and
-        # stage 2 always freezes every encoder layer but the last and trains the head
+        # removed keys: the head always has the two classes of the binary pseudo-labels,
+        # stage 2 always freezes every encoder layer but the last and trains the head,
+        # training draws from the global seed and the meta weights take a unit virtual step
         wdir, world = world_dir
         cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")
         for override in ("model.num_classes=2", "model.num_classes=3",
-                         "trainer.freeze_selector=[encoder.0]", "trainer.train_head_in_meta=true"):
+                         "trainer.freeze_selector=[encoder.0]", "trainer.train_head_in_meta=true",
+                         "trainer.seed=0", "trainer.inner_lr=0.1"):
             assert main(["pipeline", "--config", str(cfg_path), "--set", override]) == 2
             err = capsys.readouterr().err
             assert err.startswith("configuration error:") and override.partition("=")[0].split(".")[1] in err
@@ -547,9 +559,9 @@ class TestStages:
             assert main(["pretrain", "--config", str(cfg_path), *overrides]) == 0
             return (out / "pretrain_checkpoint.fsck").read_bytes()
 
-        default = pretrain()  # the bank's first attribute in sorted order: attr_context
-        assert pretrain("--set", "val_attribute=attr_target") != default
-        assert pretrain("--set", "val_attribute=attr_context") == default
+        default = pretrain()  # the bank's first attribute: the world writes attr_target first
+        assert pretrain("--set", "val_attribute=attr_context") != default
+        assert pretrain("--set", "val_attribute=attr_target") == default
         capsys.readouterr()
         assert main(["pretrain", "--config", str(cfg_path), "--set", "val_attribute=attr_nope"]) == 3
         assert "data error: unknown attribute 'attr_nope'" in capsys.readouterr().err.splitlines()

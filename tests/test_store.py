@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import json
 import stat
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -625,3 +627,40 @@ def test_public_surface_has_a_caller_outside_tests():
     assert {name: module for name, module in defined.items() if name not in used} == {}
     assert _public_definitions("def f(): pass\nclass C: pass\ndef _g(): pass\nx = 1") == ["f", "C"]
     assert _references("f(a.b)\nimport c\ndef g(): return C") == {"f", "a", "b", "C"}
+
+
+def test_config_fields_are_read_in_src():
+    # a config key that no code reads does nothing (probe.attribute was one); paths are read by name
+    from fairssl.config import PipelineConfig
+
+    hints = typing.get_type_hints(PipelineConfig)
+    classes = [PipelineConfig, *(t for name, t in hints.items() if dataclasses.is_dataclass(t) and name != "paths")]
+    src = sorted((Path(__file__).resolve().parent.parent / "src" / "fairssl").glob("*.py"))
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in classes}
+    assert _unread_fields([p.read_text() for p in src], fields) == set()
+    example = ("class C:\n    a: int\n    b: int\n    c: int\n"
+               "    def __post_init__(self): assert self.b and self.c\n"
+               "    def d(self): return 2 * self.c\n"
+               "x = o.a\no.b = 1")
+    assert _unread_fields([example], {"C": ["a", "b", "c"]}) == {"C.b"}
+
+
+def _unread_fields(sources: list[str], fields: dict[str, list[str]]) -> set[str]:
+    """``Class.field`` for each listed field that no code of ``sources`` reads
+    as an attribute; a read in the class's own ``__post_init__`` only checks
+    the value, so it does not count."""
+    trees = [ast.parse(source) for source in sources]
+    unread = set()
+    for cls, names in fields.items():
+        reads = set().union(*(_attribute_loads(tree, cls) for tree in trees))
+        unread |= {f"{cls}.{name}" for name in names if name not in reads}
+    return unread
+
+
+def _attribute_loads(node: ast.AST, cls: str, in_cls: bool = False) -> set[str]:
+    """Attribute names that ``node`` reads, outside ``cls.__post_init__``."""
+    if in_cls and isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+        return set()
+    in_cls = in_cls or isinstance(node, ast.ClassDef) and node.name == cls
+    found = {node.attr} if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) else set()
+    return found.union(*(_attribute_loads(child, cls, in_cls) for child in ast.iter_child_nodes(node)))
