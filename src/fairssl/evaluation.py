@@ -1,13 +1,16 @@
 """Linear probing on frozen features and group-fairness metrics.
 
-This is the only part of the pipeline that may look at group labels. The
-probe is an L2-regularised multinomial logistic regression (no penalty on
-the bias), solved by damped Newton steps from zero. The objective is convex
-and the problem tiny, (features + 1) x classes parameters, so each step
-solves the exact Hessian system and about ten steps reach the optimum. The
-bias-shift direction, along which softmax is invariant, is removed from
-every step, so the returned biases sum to zero. The same solver fits the
-validation head at the stage-2 switch.
+This is the only part of the pipeline that may look at group labels. Every
+task here is binary, so the probe is one L2-regularised logistic regression
+on labels that must be exactly {0, 1} (no penalty on the bias), solved by
+damped Newton steps from zero. The objective is convex and the problem tiny,
+features + 1 parameters, so each step solves the exact (features + 1)^2
+Hessian system and about ten steps reach the optimum. The fit is returned as
+a two-class model whose class weights are ``-w/2`` and ``w/2``: the penalty
+``(l2/4)|w|^2`` is then the ``(l2/2)`` penalty on both class weights, so
+``l2`` means what it means for a two-class softmax regression and the
+optimum is that regression's. The same solver fits the validation head at
+the stage-2 switch.
 
 ``build_report`` is the only metric entry point. It tallies each group once
 (samples, correct, positives, negatives, true and false positives, positive
@@ -37,8 +40,8 @@ _EPS = np.finfo(np.float64).eps
 class ProbeModel:
     """Affine classifier trained on frozen features."""
 
-    weight: np.ndarray  # (classes, features)
-    bias: np.ndarray  # (classes,)
+    weight: np.ndarray  # (2, features)
+    bias: np.ndarray  # (2,)
     final_loss: float = float("nan")
     grad_norm: float = float("nan")
     iterations: int = 0
@@ -67,67 +70,26 @@ def softmax_cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray
     return log_denom - (logits[np.arange(y.size), y] - shift), probs
 
 
-def _loss_and_probs(theta, Xa, y, l2):
-    """Mean cross-entropy plus the L2 term on the weight columns, and the
-    softmax probabilities, for parameters ``[W | b]`` over ``[X | 1]``."""
-    ce, probs = softmax_cross_entropy(Xa @ theta.T, y)
-    W = theta[:, :-1]
-    return float(np.mean(ce) + 0.5 * l2 * np.sum(W * W)), probs
-
-
-def _gradient(theta, probs, Xa, y, l2):
-    """Gradient of ``_loss_and_probs``'s loss, shaped like ``theta``."""
-    resid = probs.copy()
-    resid[np.arange(y.size), y] -= 1.0
-    grad = resid.T @ Xa / y.size
-    grad[:, :-1] += l2 * theta[:, :-1]
-    return grad
-
-
-def _hessian(probs, Xa, l2):
-    """Exact Hessian over the row-major flattened ``theta``: blocks
-    ``Xa^T diag(p_c (delta_ck - p_k)) Xa / n`` plus the L2 diagonal."""
-    n, cols = Xa.shape
-    classes = probs.shape[1]
-    Z = (probs[:, :, None] * Xa[:, None, :]).reshape(n, classes * cols)
-    hess = -(Z.T @ Z) / n
-    blocks = hess.reshape(classes, cols, classes, cols)
-    diag = np.arange(classes)
-    blocks[diag, :, diag, :] += (Z.T @ Xa).reshape(classes, cols, cols) / n
-    weight_idx = (np.arange(classes)[:, None] * cols + np.arange(cols - 1)).ravel()
-    hess[weight_idx, weight_idx] += l2
-    return hess
-
-
-def _newton_step(grad, hess):
-    """Minimum-norm solution of ``hess @ step = -grad``.
-
-    The bias shift (the same constant added to every class's bias) leaves
-    the objective unchanged, so the Hessian is singular along it; with
-    ``l2 = 0`` collinear features add more null directions. Eigenvalues at
-    roundoff level are dropped, and the bias-shift component is projected
-    out exactly so ``sum(b)`` stays at the 0 it starts from.
-    """
-    try:
-        evals, evecs = np.linalg.eigh(hess)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"probe Hessian eigensolve failed: {exc}") from exc
-    keep = evals > hess.shape[0] * _EPS * max(float(evals[-1]), 0.0)
-    basis = evecs[:, keep]
-    step = -(basis @ ((basis.T @ grad.ravel()) / evals[keep])).reshape(grad.shape)
-    step[:, -1] -= step[:, -1].mean()
-    return step
+def _objective(theta, Xa, y, l2):
+    """Mean logistic loss plus ``(l2/4)|w|^2`` at ``theta = [w | b]`` over
+    ``[X | 1]``, and the logits."""
+    z = Xa @ theta
+    w = theta[:-1]
+    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.25 * l2 * np.dot(w, w)), z
 
 
 def train_probe(features: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> ProbeModel:
     """Fit a regularized logistic-regression probe on frozen features.
 
-    Damped Newton from zero: each step solves the exact Hessian system
-    (minimum-norm), tries the full step and halves it only while the Armijo
-    test fails. Stops once the gradient norm is below ``_GRAD_TOL`` times
-    the largest absolute feature value (at least 1), which full Newton
-    steps reach quadratically; raises ``NumericError`` if the step cap is
-    hit instead.
+    Labels must be exactly {0, 1}; any other set is a ``DataError``. Damped
+    Newton from zero: each step is the minimum-norm solution of the exact
+    Hessian system, so collinear features with ``l2 = 0`` keep it bounded;
+    the full step is tried and halved only while the Armijo test fails.
+    Stops once the gradient norm is below ``_GRAD_TOL`` times the largest
+    absolute feature value (at least 1), which full Newton steps reach
+    quadratically; raises ``NumericError`` if the step cap is hit instead.
+    The two-class model returned splits the logit ``[x | 1] @ [w | b]`` as
+    weights ``[-w/2, w/2]`` and biases ``[-b/2, b/2]``.
     """
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.int64).ravel()
@@ -135,43 +97,51 @@ def train_probe(features: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> P
         raise DataError("labels do not match the feature row count")
     if not np.all(np.isfinite(X)):
         raise NumericError("probe features contain NaN or infinite values")
-    classes = np.unique(y)
-    if classes.size < 2:
-        raise DataError("probe training needs at least two classes")
-    if classes[0] < 0:
-        raise DataError(f"probe labels must be non-negative, got {int(classes[0])}")
-    n_classes = int(classes[-1]) + 1
-    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    classes = np.unique(y).tolist()
+    if classes != [0, 1]:
+        raise DataError(f"probe labels must be exactly {{0, 1}}, got {classes}")
+    n, cols = X.shape[0], X.shape[1] + 1
+    Xa = np.hstack([X, np.ones((n, 1))])
+    y = y.astype(np.float64)
+    weights = np.arange(cols - 1)
     tol = _GRAD_TOL * max(1.0, float(np.abs(X).max()))
 
-    theta = np.zeros((n_classes, Xa.shape[1]))
-    loss, probs = _loss_and_probs(theta, Xa, y, l2)
+    theta = np.zeros(cols)
+    loss, z = _objective(theta, Xa, y, l2)
     for steps in range(_NEWTON_MAX_STEPS + 1):
-        grad = _gradient(theta, probs, Xa, y, l2)
+        p = np.exp(-np.logaddexp(0.0, -z))  # the sigmoid, without overflow
+        grad = Xa.T @ (p - y) / n
+        grad[:-1] += 0.5 * l2 * theta[:-1]
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
-            return ProbeModel(theta[:, :-1].copy(), theta[:, -1].copy(),
+            half = theta / 2
+            return ProbeModel(np.vstack([-half[:-1], half[:-1]]), np.array([-half[-1], half[-1]]),
                               final_loss=loss, grad_norm=gnorm, iterations=steps)
         if steps == _NEWTON_MAX_STEPS:
             raise NumericError(
                 f"probe solver did not converge in {_NEWTON_MAX_STEPS} Newton steps "
                 f"(gradient norm {gnorm:.3e} > {tol:.1e})"
             )
-        step = _newton_step(grad, _hessian(probs, Xa, l2))
-        decrement = -float(np.sum(grad * step))
+        hess = (Xa.T * (p * (1.0 - p))) @ Xa / n
+        hess[weights, weights] += 0.5 * l2
+        try:
+            step = np.linalg.lstsq(hess, -grad, rcond=cols * _EPS)[0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"probe Hessian solve failed: {exc}") from exc
+        decrement = -float(grad @ step)
         # near the optimum the predicted decrease falls below the objective's
         # roundoff; the slack lets the full step through instead of halving
         slack = 8 * _EPS * max(1.0, abs(loss))
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            new_loss, new_probs = _loss_and_probs(theta + t * step, Xa, y, l2)
+            new_loss, new_z = _objective(theta + t * step, Xa, y, l2)
             if new_loss <= loss - _ARMIJO * t * decrement + slack:
                 break
             t *= 0.5
         else:
             raise NumericError("probe line search stalled; objective may be ill-conditioned")
         theta = theta + t * step
-        loss, probs = new_loss, new_probs
+        loss, z = new_loss, new_z
 
 
 @dataclass

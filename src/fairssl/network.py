@@ -130,14 +130,14 @@ class ModelParams:
         input_dim: int,
         encoder_dims: list[int],
         projection_dims: list[int],
-        num_classes: int = 2,
         seed: int = 0,
     ) -> "ModelParams":
         """Seeded uniform fan-in initialization.
 
         Encoder: relu on hidden layers, linear final layer (the feature
         layer). Projection: exactly three affine layers with relu between
-        them; its output is normalized by the forward pass.
+        them; its output is normalized by the forward pass. Head: one affine
+        layer with the two classes of the binary pseudo-labels.
         """
         if len(projection_dims) != 3:
             raise ConfigError(f"projection_dims must list 3 widths, got {projection_dims}")
@@ -160,7 +160,7 @@ class ModelParams:
         pdims = [encoder_dims[-1]] + list(projection_dims)
         for i, (n_in, n_out) in enumerate(zip(pdims, pdims[1:])):
             proj.append(affine(n_in, n_out, "identity" if i == 2 else "relu"))
-        head = affine(encoder_dims[-1], num_classes, "identity")
+        head = affine(encoder_dims[-1], 2, "identity")
         return cls(encoder, proj, head)
 
     def layer_names(self) -> list[str]:

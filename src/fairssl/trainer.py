@@ -412,15 +412,6 @@ def meta_step(
     return metrics
 
 
-def full_validation_loss(
-    params: ModelParams, X: np.ndarray, val_idx: np.ndarray, val_y: np.ndarray, k: int
-) -> float:
-    """Top-k classification loss over the whole validation subset."""
-    val_x = X[val_idx].astype(np.float64)
-    loss, _ = validation_topk_loss(params, val_x, val_y, min(k, val_idx.size))
-    return loss
-
-
 def _optimizer(params: ModelParams, n: int, cfg: TrainConfig, epochs: int, warmup_epochs: int) -> AdamW:
     """AdamW with warmup, then cosine decay over ``epochs`` passes of ``n`` samples."""
     steps = max(1, n // cfg.batch_size)  # per epoch
@@ -489,7 +480,8 @@ def meta_stage(
 
     # The validation head is meaningless until it is fit to the proxy task;
     # a convex fit on the frozen-stage features does that deterministically.
-    feats, _ = forward_features(params, X[val_idx].astype(np.float64))
+    val_x = X[val_idx].astype(np.float64)
+    feats, _ = forward_features(params, val_x)
     probe = train_probe(feats, val_y, l2=1e-3)
     log.info(
         "validation head fit: probe_iterations=%d probe_grad_norm=%.3e probe_loss=%.6f",
@@ -501,7 +493,8 @@ def meta_stage(
     params.head.weight[...] = probe.weight
     params.head.bias[...] = probe.bias
 
-    val_at_switch = full_validation_loss(params, X, val_idx, val_y, cfg.val_topk)
+    k_val = min(cfg.val_topk, val_idx.size)
+    val_at_switch = validation_topk_loss(params, val_x, val_y, k_val)[0]
 
     n = X.shape[0]
     optimizer = _optimizer(params, n, cfg, cfg.meta_epochs, warmup_epochs=0)
@@ -512,13 +505,13 @@ def meta_stage(
     def step(idx: np.ndarray) -> dict:
         chosen = rng_val.choice(val_idx.size, size=min(cfg.val_batch_size, val_idx.size), replace=False)
         return meta_step(
-            params, X, labels, idx, X[val_idx[chosen]].astype(np.float64), val_y[chosen],
+            params, X, labels, idx, val_x[chosen], val_y[chosen],
             loss_cfg, cfg, optimizer, rng_views,
         )
 
     def epoch() -> dict:
         return {**_run_epoch(step, n, cfg, optimizer, rng_shuffle, stratify_labels),
-                "val_topk_loss": full_validation_loss(params, X, val_idx, val_y, cfg.val_topk)}
+                "val_topk_loss": validation_topk_loss(params, val_x, val_y, k_val)[0]}
 
     history = _run_stage("meta", range(cfg.stage1_epochs + 1, cfg.epochs + 1), epoch)
     summary = {

@@ -93,7 +93,7 @@ def test_stages_call_the_traced_trainer_names(monkeypatch):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((40, 6)).astype(np.float32)
     labels = rng.integers(0, 2, size=(40, 2))
-    params = ModelParams.create(6, [8, 5], [6, 6, 4], num_classes=2, seed=0)
+    params = ModelParams.create(6, [8, 5], [6, 6, 4], seed=0)
     cfg = trainer.TrainConfig(batch_size=8, epochs=5, stage_split=0.6, warmup_epochs=0, seed=0,
                               val_subset_size=16, val_topk=4, val_batch_size=8)
     trainer.pretrain_stage(params, X, labels, LossConfig(), cfg)

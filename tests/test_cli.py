@@ -8,6 +8,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -15,7 +16,7 @@ from fairssl import config as config_module
 from fairssl.cli import main
 from fairssl.config import apply_overrides, config_from_dict, load_config
 from fairssl.errors import ConfigError, DataError, NumericError
-from fairssl.network import ModelParams, save_checkpoint
+from fairssl.network import Layer, ModelParams, save_checkpoint
 from fairssl.pipeline import STAGES, run_stage
 from fairssl.store import DatasetManifest
 from fairssl.synthetic import generate_world
@@ -343,7 +344,8 @@ class TestCliExitCodes:
         cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
         for stage in ("curate", "pseudolabel"):
             assert main([stage, "--config", str(cfg_path)]) == 0
-        three = ModelParams.create(world.config.dim, [16, 8], [16, 16, 6], num_classes=3, seed=17)
+        two = ModelParams.create(world.config.dim, [16, 8], [16, 16, 6], seed=17)
+        three = ModelParams(two.encoder, two.projection, Layer(np.full((3, 8), 0.1), np.zeros(3)))
         save_checkpoint(three, out / "pretrain_checkpoint.fsck")
         capsys.readouterr()
         assert main(["train-meta", "--config", str(cfg_path)]) == 3
@@ -635,6 +637,22 @@ class TestStages:
         err = capsys.readouterr().err
         assert "labels.jsonl: sample id 'eval-000002' appears more than once" in err
         assert "Traceback" not in err
+
+    def test_non_binary_evaluation_label_exits_3_at_the_probe_fit(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        out.mkdir()
+        save_checkpoint(ModelParams.create(world.eval_set.embeddings.d, [8], [8, 8, 4]), out / "final_checkpoint.fsck")
+        labels = open(world.files["eval_labels"]).read().replace('"label": 1', '"label": 2')
+        (tmp_path / "labels.jsonl").write_text(labels)
+        cfg_path = write_config(tmp_path / "cfg.yaml", dict(world.files, eval_labels=str(tmp_path / "labels.jsonl")), out)
+        assert main(["probe", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "probe labels must be exactly {0, 1}, got [0, 2]" in err
+        assert "Traceback" not in err
+        marker = json.loads((out / "run_manifest_probe.json").read_text())
+        assert marker["status"] == "failed" and "got [0, 2]" in marker["error"]
+        assert not (out / "probe_predictions.jsonl").exists()
 
     def test_repeated_prediction_exits_3_naming_file_and_id(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir

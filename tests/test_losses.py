@@ -251,7 +251,7 @@ class TestTopK:
 
 class TestValidationTopK:
     def setup_method(self):
-        self.params = ModelParams.create(5, [6, 4], [4, 4, 3], num_classes=2, seed=0)
+        self.params = ModelParams.create(5, [6, 4], [4, 4, 3], seed=0)
 
     def test_full_k_is_mean_cross_entropy(self, rng):
         X = rng.standard_normal((6, 5))

@@ -32,7 +32,7 @@ def identity_params(d=4):
 
 
 def small_params(seed=0, d_in=6):
-    return ModelParams.create(d_in, [8, 5], [6, 6, 4], num_classes=2, seed=seed)
+    return ModelParams.create(d_in, [8, 5], [6, 6, 4], seed=seed)
 
 
 ENCODER_AND_PROJECTION = ["encoder.0", "encoder.1", "projection.0", "projection.1", "projection.2"]

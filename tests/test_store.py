@@ -579,6 +579,29 @@ def test_only_store_writes_files():
     assert _prints("log.info(s)\nprinter(s)\nx.print(s)\nprint(s, file=f)\nf(print(s))") == [4, 5]
 
 
+def test_src_imports_only_declared_dependencies():
+    # numpy and PyYAML are the declared dependencies; a package that is merely
+    # installed (scipy, say) would pass here and fail on a clean install
+    src = sorted((Path(__file__).resolve().parent.parent / "src" / "fairssl").glob("*.py"))
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "fairssl"}
+    imported = {p.name: _imports(p.read_text()) - allowed for p in src}
+    assert {name: modules for name, modules in imported.items() if modules} == {}
+    example = "import os.path, numpy as np\nfrom scipy import linalg\nfrom . import store\nfrom .x import y"
+    assert _imports(example) == {"os", "numpy", "scipy"}
+
+
+def _imports(source: str) -> set[str]:
+    """Top-level package names that ``source`` imports; relative imports are
+    the package's own modules and do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
 def test_private_definitions_have_a_caller_in_src():
     # a consolidation must not leave behind a private function or class that no src module uses
     src = sorted((Path(__file__).resolve().parent.parent / "src" / "fairssl").glob("*.py"))

@@ -23,7 +23,7 @@ from oracles import copy_params, layered_adamw, staged_train
 
 
 def tiny_params(seed=0, d=6):
-    return ModelParams.create(d, [8, 5], [6, 6, 4], num_classes=2, seed=seed)
+    return ModelParams.create(d, [8, 5], [6, 6, 4], seed=seed)
 
 
 def toy_data(rng, n=64, d=6, n_attrs=2):
@@ -469,7 +469,7 @@ class TestStagedTraining:
         cfg = TrainConfig(batch_size=16, epochs=4, stage_split=0.5, warmup_epochs=0,
                           seed=2, val_subset_size=16, val_topk=4, val_batch_size=8)
         for encoder_dims in ([8, 5], [8], [8, 7, 5]):  # a one-layer encoder freezes nothing
-            params = ModelParams.create(6, encoder_dims, [6, 6, 4], num_classes=2, seed=6)
+            params = ModelParams.create(6, encoder_dims, [6, 6, 4], seed=6)
             pretrain_stage(params, X, labels, LossConfig(), cfg)
             frozen_names = [f"encoder.{i}" for i in range(len(encoder_dims) - 1)]
             # meta_stage freezes and fits the head; snapshot the to-be-frozen layers first
