@@ -30,7 +30,7 @@ pool_raw[dup_idx] = pool_raw[rng.choice(n_pool, 250)]
 
 pool = normalize_rows(EmbeddingMatrix(pool_raw.astype(np.float32)))
 pool_manifest = DatasetManifest.from_columns(
-    [f"pool-{i}" for i in range(n_pool)], np.arange(n_pool), "uncurated",
+    [f"pool-{i}" for i in range(n_pool)], "uncurated",
     quality=rng.uniform(0.3, 1.0, size=n_pool),
 )
 
@@ -38,9 +38,7 @@ pool_manifest = DatasetManifest.from_columns(
 cur_groups = np.repeat([0, 1], 40)
 curated_raw = centers[cur_groups] + rng.normal(0, 0.5, (80, dim))
 curated = normalize_rows(EmbeddingMatrix(curated_raw.astype(np.float32)))
-curated_manifest = DatasetManifest.from_columns(
-    [f"cur-{i}" for i in range(80)], np.arange(80), "curated"
-)
+curated_manifest = DatasetManifest.from_columns([f"cur-{i}" for i in range(80)], "curated")
 
 config = CurationConfig(dedup_threshold=0.995, retrieval_m=4, quality_threshold=0.4)
 result, combined = curate(curated, curated_manifest, pool, pool_manifest, config)

@@ -260,28 +260,24 @@ def build_augmented_curated(
     """Combine the curated set with the retrieved-and-quality-passing pool rows.
 
     Output ordering is deterministic: curated records first (original order),
-    then retrieved records by ascending pool index. Row indices are reassigned
-    to address the combined matrix the caller assembles in the same order.
+    then retrieved records by ascending pool index. Record i of the result
+    describes row i of the combined matrix the caller assembles in that order.
     """
-    retrieved = np.asarray(retrieved, dtype=np.int64)
-    kept_uncurated = np.asarray(kept_uncurated, dtype=np.int64)
-    strays = retrieved[~np.isin(retrieved, kept_uncurated)]
+    at = np.sort(np.asarray(retrieved, dtype=np.int64))
+    strays = at[~np.isin(at, kept_uncurated)]
     if strays.size:
         raise DataError(f"retrieved rows not in the deduplicated pool: {strays[:5].tolist()}")
-    if np.unique(retrieved).size != retrieved.size:
+    if np.any(at[1:] == at[:-1]):
         raise DataError("retrieved index list contains duplicates")
-    missing = retrieved[~np.isin(retrieved, pool_manifest.rows)]
-    if missing.size:
-        raise DataError(f"retrieved pool rows missing from manifest: {missing[:5].tolist()}")
-    by_row = np.argsort(pool_manifest.rows)  # rows are unique: one match each
-    at = by_row[np.searchsorted(pool_manifest.rows, retrieved, sorter=by_row)]
+    outside = at[(at < 0) | (at >= len(pool_manifest))]
+    if outside.size:
+        raise DataError(f"retrieved pool rows missing from manifest: {outside[:5].tolist()}")
 
     if config.quality_threshold is not None:
         unscored = np.flatnonzero(~pool_manifest.has_quality[at])
         if unscored.size:
             raise DataError(f"sample {pool_manifest.ids[at[unscored[0]]]!r} has no quality score")
         at = at[pool_manifest.quality[at] >= config.quality_threshold]
-    at = at[np.argsort(pool_manifest.rows[at])]
 
     retrieved_ids = [pool_manifest.ids[i] for i in at.tolist()]
     curated_ids = set(curated_manifest.ids)
@@ -293,7 +289,6 @@ def build_augmented_curated(
     sources[:n_curated] = SOURCES.index("curated")
     augmented = DatasetManifest(
         ids=curated_manifest.ids + retrieved_ids,
-        rows=np.arange(total, dtype=np.int64),
         sources=sources,
         quality=np.concatenate([curated_manifest.quality, pool_manifest.quality[at]]),
         has_quality=np.concatenate([curated_manifest.has_quality, pool_manifest.has_quality[at]]),
@@ -303,14 +298,14 @@ def build_augmented_curated(
     counts = {
         "curated": n_curated,
         "pool": len(pool_manifest),
-        "kept_after_dedup": int(kept_uncurated.size),
-        "removed_by_dedup": len(pool_manifest) - int(kept_uncurated.size),
-        "retrieved": int(retrieved.size),
-        "removed_by_quality": int(retrieved.size - at.size),
+        "kept_after_dedup": len(kept_uncurated),
+        "removed_by_dedup": len(pool_manifest) - len(kept_uncurated),
+        "retrieved": len(retrieved),
+        "removed_by_quality": len(retrieved) - at.size,
         "augmented_total": total,
     }
     log.info("curation counts: %s", counts)
-    return CurationResult(pool_manifest.rows[at], augmented, counts)
+    return CurationResult(at, augmented, counts)
 
 
 def curate(

@@ -47,10 +47,18 @@ class ProbeModel:
     iterations: int = 0
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(features, dtype=np.float64)) @ self.weight.T + self.bias
+        return _batch(features) @ self.weight.T + self.bias
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(features), axis=1)
+
+
+def _batch(features: np.ndarray) -> np.ndarray:
+    """``features`` as float64 rows; any shape but (n, d) is a DataError."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2:
+        raise DataError(f"probe features must be a batch of rows, got shape {X.shape}")
+    return X
 
 
 def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -78,7 +86,7 @@ def _objective(theta, Xa, y, l2):
     return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.25 * l2 * np.dot(w, w)), z
 
 
-def train_probe(features: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> ProbeModel:
+def train_probe(features: np.ndarray, labels: np.ndarray, *, l2: float) -> ProbeModel:
     """Fit a regularized logistic-regression probe on frozen features.
 
     Labels must be exactly {0, 1}; any other set is a ``DataError``. Damped
@@ -91,7 +99,7 @@ def train_probe(features: np.ndarray, labels: np.ndarray, l2: float = 1e-4) -> P
     The two-class model returned splits the logit ``[x | 1] @ [w | b]`` as
     weights ``[-w/2, w/2]`` and biases ``[-b/2, b/2]``.
     """
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    X = _batch(features)
     y = np.asarray(labels, dtype=np.int64).ravel()
     if y.shape[0] != X.shape[0]:
         raise DataError("labels do not match the feature row count")

@@ -176,15 +176,14 @@ def validation_topk_loss(
     Only the k contributing samples carry gradient. With k equal to the
     sample count this is the ordinary mean cross entropy.
     """
-    X = np.atleast_2d(np.asarray(val_x, dtype=np.float64))
+    features, tape = forward_features(params, val_x)  # rejects all but a batch of rows
     y = np.asarray(val_y, dtype=np.int64).ravel()
-    if X.shape[0] == 0:
+    if len(features) == 0:
         raise DataError("validation batch is empty")
-    if y.shape[0] != X.shape[0]:
+    if len(y) != len(features):
         raise DataError("validation labels do not match the sample count")
-    if not 1 <= k <= X.shape[0]:
-        raise ConfigError(f"k={k} out of range for {X.shape[0]} validation samples")
-    features, tape = forward_features(params, X)
+    if not 1 <= k <= len(features):
+        raise ConfigError(f"k={k} out of range for {len(features)} validation samples")
     logits = head_forward(params, features)
     ce, d_logits = softmax_cross_entropy(logits, y)
     d_logits[np.arange(y.size), y] -= 1.0

@@ -132,7 +132,8 @@ class ModelParams:
         projection_dims: list[int],
         seed: int = 0,
     ) -> "ModelParams":
-        """Seeded uniform fan-in initialization.
+        """Seeded uniform fan-in initialization, drawn from its own
+        ``SeedSequence([seed & 0xFFFFFFFF, 0x6E657477])``, not from a substream.
 
         Encoder: relu on hidden layers, linear final layer (the feature
         layer). Projection: exactly three affine layers with relu between

@@ -45,7 +45,8 @@ from .pseudolabel import (
 )
 from .seeding import substream
 from .store import (
-    DatasetManifest, load_embeddings, normalize_rows, read_jsonl, save_embeddings, write_file, write_jsonl,
+    DatasetManifest, check_unique_ids, load_embeddings, normalize_rows, read_jsonl, save_embeddings, write_file,
+    write_jsonl,
 )
 from .trainer import meta_stage, pretrain_stage
 
@@ -230,7 +231,8 @@ def _probe(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Pa
     manifest = DatasetManifest.load(inputs["eval_manifest"])
     manifest.validate_rows(embeddings.n)
     label_ids, label_values = read_jsonl(inputs["eval_labels"], {"id": str, "label": int})
-    label_at = _positions(label_ids, inputs["eval_labels"])
+    check_unique_ids(label_ids, inputs["eval_labels"])
+    label_at = dict(zip(label_ids, range(len(label_ids))))
 
     ids = manifest.ids
     at = np.array([label_at.get(sid, -1) for sid in ids], dtype=np.int64)
@@ -241,7 +243,7 @@ def _probe(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Pa
         raise DataError(f"sample {ids[bad[0]]!r} has no group label; probing needs groups")
     labels_arr = label_values[at]
 
-    features, _ = forward_features(params, embeddings.data[manifest.rows].astype(np.float64))
+    features, _ = forward_features(params, embeddings.data.astype(np.float64))
     rng = substream(cfg.seed, "probe", "split")
     order = rng.permutation(len(ids))
     n_train = int(cfg.probe.train_fraction * len(ids))
@@ -266,7 +268,7 @@ def _evaluate(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str,
     position = dict(zip(manifest.ids, range(len(manifest))))
 
     ids, preds, labels = read_jsonl(inputs["predictions"], {"id": str, "pred": int, "label": int})
-    _positions(ids, inputs["predictions"])  # a prediction counts once
+    check_unique_ids(ids, inputs["predictions"])  # a prediction counts once
     at = np.array([position.get(sid, -1) for sid in ids], dtype=np.int64)
     # an unknown id (at -1) picks the appended False: ungrouped, and named as unknown
     bad = np.flatnonzero(~np.append(manifest.has_group, False)[at])
@@ -276,19 +278,6 @@ def _evaluate(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str,
         raise DataError(f"sample {ids[bad[0]]!r} has no group label in the manifest")
     report = build_report(preds, labels, manifest.group[at])
     _write_report(artifacts, report)
-
-
-def _positions(ids: list[str], path: Path) -> dict[str, int]:
-    """Each id's position in ``ids``, read from ``path``; an id that repeats
-    is a DataError naming the file and the first id seen twice."""
-    position = dict(zip(ids, range(len(ids))))
-    if len(position) < len(ids):
-        seen = set()
-        for sid in ids:
-            if sid in seen:
-                raise DataError(f"{path}: sample id {sid!r} appears more than once")
-            seen.add(sid)
-    return position
 
 
 def _pipeline(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:

@@ -1,9 +1,11 @@
 """Named random substreams derived from a single global seed.
 
 Every source of randomness in the pipeline (shuffling, view generation,
-validation sampling, initialization) pulls its own generator from
-``substream(seed, *labels)`` so that runs are reproducible and adding a new
-consumer of randomness never perturbs existing ones.
+validation sampling, the probe split, synthetic worlds) pulls its own
+generator from ``substream(seed, *labels)`` so that runs are reproducible
+and adding a new consumer of randomness never perturbs existing ones.
+Model initialization is the exception: ``ModelParams.create`` draws from its
+own ``SeedSequence([seed & 0xFFFFFFFF, 0x6E657477])``, as every checkpoint has.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ Binary layout (little-endian)::
     magic "FSSL" | u32 version=1 | u64 n | u32 d | u32 flags | n*d float32
 
 Flag bit 0 marks a row-normalized matrix. Manifest records are one JSON
-object per line with keys ``id``, ``row``, ``source`` and optional
-``quality`` and ``group``; :func:`read_jsonl` reads them, and every other
-JSON-lines file of the pipeline, into typed columns, and
-:func:`write_jsonl` writes them all.
+object per line with keys ``id``, ``row`` (record i names row i, blank
+lines aside), ``source`` and optional ``quality`` and ``group``;
+:func:`read_jsonl` reads them, and every other JSON-lines file of the
+pipeline, into typed columns, and :func:`write_jsonl` writes them all.
 
 The pipeline's files are read and written by three helpers here:
 :func:`read_bytes` (the one place a read OSError becomes a DataError),
@@ -192,20 +192,19 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
 
 @dataclass(eq=False)
 class DatasetManifest:
-    """Per-sample provenance as columns: entry i binds matrix row
-    ``rows[i]`` to sample ``ids[i]``, its source ``SOURCES[sources[i]]``
+    """Per-sample provenance as columns: entry i describes row i of its
+    embedding matrix, sample ``ids[i]``: its source ``SOURCES[sources[i]]``
     and, where ``has_quality[i]`` / ``has_group[i]`` is set, its quality
     score ``quality[i]`` and group label ``group[i]`` (absent values read 0).
 
     Build one with :meth:`from_columns`; the constructor checks that ids
-    and rows are unique and quality scores finite (JSON has no number for
-    NaN or infinity, so no manifest file can hold one). ``group`` is evaluation-only: training-side code
-    must receive manifests with the labels stripped (see
-    :meth:`strip_group_labels`).
+    are unique and quality scores finite (JSON has no number for NaN or
+    infinity, so no manifest file can hold one). ``group`` is
+    evaluation-only: training-side code must receive manifests with the
+    labels stripped (see :meth:`strip_group_labels`).
     """
 
     ids: list[str]
-    rows: np.ndarray  # int64
     sources: np.ndarray  # uint8 index into SOURCES
     quality: np.ndarray  # float64
     has_quality: np.ndarray  # bool
@@ -216,20 +215,10 @@ class DatasetManifest:
         finite = np.isfinite(self.quality)
         if not finite.all():
             raise DataError(f"quality of sample {self.ids[int(np.argmin(finite))]!r} is not finite")
-        rows = np.sort(self.rows)  # np.unique would hash: slower, and more memory
-        if len(set(self.ids)) == len(self.ids) and not np.any(rows[1:] == rows[:-1]):
-            return
-        ids, rows = set(), set()
-        for sid, row in zip(self.ids, self.rows.tolist()):  # name the first sample that repeats
-            if sid in ids:
-                raise DataError(f"duplicate sample id {sid!r} in manifest")
-            if row in rows:
-                raise DataError(f"duplicate row index {row} in manifest")
-            ids.add(sid)
-            rows.add(row)
+        check_unique_ids(self.ids, "manifest")
 
     @classmethod
-    def from_columns(cls, ids, rows, sources, quality=None, group=None) -> "DatasetManifest":
+    def from_columns(cls, ids, sources, quality=None, group=None) -> "DatasetManifest":
         """Manifest from per-sample columns. ``sources`` is one source name
         for all samples or a name per sample; ``quality`` and ``group`` are
         None (absent throughout) or a value per sample, None where absent."""
@@ -239,7 +228,6 @@ class DatasetManifest:
         absent = [None] * len(ids)
         return cls(
             ids,
-            np.asarray(rows, dtype=np.int64),
             _source_codes(ids, sources),
             *_Column.of(float, absent if quality is None else quality, optional=True),
             *_Column.of(int, absent if group is None else group, optional=True),
@@ -249,13 +237,9 @@ class DatasetManifest:
         return len(self.ids)
 
     def validate_rows(self, n: int) -> None:
-        """Check every row index addresses a row of an n-row matrix."""
-        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= n):
-            i = int(np.argmax((self.rows < 0) | (self.rows >= n)))
-            raise DataError(
-                f"row index {self.rows[i]} of sample {self.ids[i]!r} "
-                f"outside matrix with {n} rows"
-            )
+        """Check the manifest describes exactly the rows of an n-row matrix."""
+        if len(self) != n:
+            raise DataError(f"manifest describes {len(self)} rows but the matrix has {n}")
 
     def strip_group_labels(self) -> "DatasetManifest":
         """Copy with all group labels removed (fairness-blind view)."""
@@ -266,7 +250,7 @@ class DatasetManifest:
     def save(self, path: str | Path) -> None:
         write_jsonl(path, {
             "id": self.ids,
-            "row": self.rows.tolist(),
+            "row": range(len(self)),
             "source": [SOURCES[code] for code in self.sources.tolist()],
             "quality": [q if has else None for q, has in zip(self.quality.tolist(), self.has_quality.tolist())],
             "group": [g if has else None for g, has in zip(self.group.tolist(), self.has_group.tolist())],
@@ -274,10 +258,26 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
+        """Read a manifest file; a record whose row is not its position is a
+        DataError, so a reordered file is never silently misjoined."""
         ids, rows, sources, quality, group = read_jsonl(path, _MANIFEST_FIELDS, optional=("quality", "group"))
+        if (misplaced := np.flatnonzero(rows != np.arange(rows.size))).size:
+            i = misplaced[0]
+            raise DataError(f"{path}: sample {ids[i]!r} is record {i} but names row {rows[i]}")
         # names become codes once every line has parsed: a FormatError on
         # any line wins over an unknown source
-        return cls(ids, rows, _source_codes(ids, sources), *quality, *group)
+        return cls(ids, _source_codes(ids, sources), *quality, *group)
+
+
+def check_unique_ids(ids: Sequence[str], where: str | Path) -> None:
+    """Raise a DataError naming ``where`` and the first id of ``ids`` seen
+    twice. Distinct ids, the usual case, cost one set and no per-id dict."""
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for sid in ids:
+            if sid in seen:
+                raise DataError(f"{where}: sample id {sid!r} appears more than once")
+            seen.add(sid)
 
 
 def _source_codes(ids: list[str], sources: list[str]) -> np.ndarray:

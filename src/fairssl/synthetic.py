@@ -164,7 +164,7 @@ def write_world_files(world: World, out_dir: Path, seed: int) -> dict:
         n = s.raw.shape[0]
         save_embeddings(s.embeddings, files[f"{key}_embeddings"])
         DatasetManifest.from_columns(
-            [f"{prefix}-{i:06d}" for i in range(n)], np.arange(n), source,
+            [f"{prefix}-{i:06d}" for i in range(n)], source,
             quality=rng_quality.uniform(*cfg.quality_range, size=n) if with_quality else None,
             group=s.groups if with_groups else None,
         ).save(files[f"{key}_manifest"])

@@ -189,11 +189,7 @@ class AdamW:
 
 
 def make_views(
-    x: np.ndarray,
-    rng: np.random.Generator,
-    noise_sigma: float = 0.05,
-    mask_prob: float = 0.1,
-    scale_jitter: float = 0.1,
+    x: np.ndarray, rng: np.random.Generator, *, noise_sigma: float, mask_prob: float, scale_jitter: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two independently augmented copies of each row of the batch ``x`` (n, d).
 
@@ -246,7 +242,8 @@ def _embed_views(
 ) -> tuple[np.ndarray, object, MultiviewedBatch]:
     """Two augmented views of the rows ``idx``, forwarded: (Z, tape, batch).
     View ``i`` pairs with view ``i + idx.size``, the batch's layout."""
-    v1, v2 = make_views(X[idx], rng, cfg.noise_sigma, cfg.mask_prob, cfg.scale_jitter)
+    v1, v2 = make_views(X[idx], rng, noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob,
+                        scale_jitter=cfg.scale_jitter)
     _, Z, tape = forward_embed(params, np.vstack([v1, v2]))
     return Z, tape, MultiviewedBatch(Z, labels[idx])
 

@@ -359,13 +359,14 @@ def whole_matrix_norm_deviation(data: np.ndarray) -> float:
 
 def manifest_entries(m: DatasetManifest) -> list[tuple]:
     """One ``(id, row, source, quality, group)`` tuple per sample, None
-    where an optional value is absent: the columns read back per sample."""
+    where an optional value is absent: the columns read back per sample.
+    Sample i describes matrix row i, so its position is its row."""
     return [
         (sid, row, SOURCES[src], q if has_q else None, g if has_g else None)
-        for sid, row, src, q, has_q, g, has_g in zip(
-            m.ids, m.rows.tolist(), m.sources.tolist(), m.quality.tolist(),
+        for row, (sid, src, q, has_q, g, has_g) in enumerate(zip(
+            m.ids, m.sources.tolist(), m.quality.tolist(),
             m.has_quality.tolist(), m.group.tolist(), m.has_group.tolist(),
-        )
+        ))
     ]
 
 

@@ -638,6 +638,28 @@ class TestStages:
         assert "labels.jsonl: sample id 'eval-000002' appears more than once" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stage, key", [("curate", "uncurated_manifest"), ("probe", "eval_manifest")])
+    def test_misplaced_or_missing_manifest_record_exits_3(self, tmp_path, world_dir, capsys, stage, key):
+        # record i of a manifest describes row i of its matrix: a reordered or
+        # short file is a data error, never a misjoin
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        out.mkdir()
+        save_checkpoint(ModelParams.create(world.eval_set.embeddings.d, [8], [8, 8, 4]), out / "final_checkpoint.fsck")
+        lines = open(world.files[key]).read().splitlines()
+        swapped = [*lines[:3], lines[4], lines[3], *lines[5:]]
+        for body, problem in (
+            (swapped, f"m.jsonl: sample {json.loads(lines[4])['id']!r} is record 3 but names row 4"),
+            (lines[:-1], f"manifest describes {len(lines) - 1} rows but the matrix has {len(lines)}"),
+        ):
+            (tmp_path / "m.jsonl").write_text("\n".join(body) + "\n")
+            cfg_path = write_config(tmp_path / "cfg.yaml", {**world.files, key: str(tmp_path / "m.jsonl")}, out)
+            assert main([stage, "--config", str(cfg_path)]) == 3
+            err = capsys.readouterr().err
+            assert problem in err and "Traceback" not in err
+            marker = json.loads((out / f"run_manifest_{stage}.json").read_text())
+            assert marker["status"] == "failed" and problem in marker["error"]
+
     def test_non_binary_evaluation_label_exits_3_at_the_probe_fit(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir
         out = tmp_path / "out"

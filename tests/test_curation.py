@@ -147,11 +147,9 @@ class TestQualityFilter:
 
     def passing(self, scores, threshold):
         rows = np.arange(len(scores))
-        pool = DatasetManifest.from_columns(
-            [f"s{i}" for i in rows], rows, "uncurated", quality=list(scores)
-        )
+        pool = DatasetManifest.from_columns([f"s{i}" for i in rows], "uncurated", quality=list(scores))
         result = build_augmented_curated(
-            DatasetManifest.from_columns([], [], []), pool, rows, rows,
+            DatasetManifest.from_columns([], []), pool, rows, rows,
             CurationConfig(quality_threshold=threshold),
         )
         return result.retrieved.tolist()
@@ -174,9 +172,9 @@ class TestQualityFilter:
 
 class TestBuildAugmented:
     def setup_method(self):
-        self.curated = DatasetManifest.from_columns([f"c{i}" for i in range(3)], range(3), "curated")
+        self.curated = DatasetManifest.from_columns([f"c{i}" for i in range(3)], "curated")
         self.pool = DatasetManifest.from_columns(
-            [f"p{i}" for i in range(5)], range(5), "uncurated",
+            [f"p{i}" for i in range(5)], "uncurated",
             quality=[0.5 + 0.1 * i for i in range(5)],
         )
 
@@ -194,9 +192,9 @@ class TestBuildAugmented:
         entries = manifest_entries(result.augmented_manifest)
         assert len(entries) == 5
         assert [e[2] for e in entries] == ["curated"] * 3 + ["retrieved"] * 2
-        # retrieved ordered by ascending pool index, rows renumbered
+        # retrieved ordered by ascending pool index
         assert [e[0] for e in entries[3:]] == ["p1", "p4"]
-        assert [e[1] for e in entries] == list(range(5))
+        assert result.retrieved.tolist() == [1, 4]
         assert [e[3] for e in entries] == [None] * 3 + [0.6, 0.9]
 
     def test_quality_threshold_drops(self):
@@ -211,15 +209,15 @@ class TestBuildAugmented:
         "retrieved, problem",
         [([2, 5, 6], r"not in the deduplicated pool: \[5, 6\]"),
          ([1, 1], "contains duplicates"),
-         ([3, 2, 1, 4], r"missing from manifest: \[2, 4\]")],
+         ([4, 2, 1], r"missing from manifest: \[2, 4\]")],  # past the pool manifest's two rows
     )
     def test_retrieved_rows_checked(self, retrieved, problem):
-        pool = DatasetManifest.from_columns(["p0", "p1", "p3"], [0, 1, 3], "uncurated")
+        pool = DatasetManifest.from_columns(["p0", "p1"], "uncurated")
         with pytest.raises(DataError, match=problem):
             build_augmented_curated(self.curated, pool, np.arange(5), np.array(retrieved), CurationConfig())
 
     def test_id_collision(self):
-        pool = DatasetManifest.from_columns(["p0", "c2", "c1"], [0, 1, 2], "uncurated")
+        pool = DatasetManifest.from_columns(["p0", "c2", "c1"], "uncurated")
         with pytest.raises(DataError, match="id collision .*'c2'"):
             build_augmented_curated(self.curated, pool, np.arange(3), np.array([2, 1]), CurationConfig())
 
@@ -234,9 +232,9 @@ def test_full_curate_distribution(rng):
     pool = unit(centers[groups] + rng.normal(0, 0.5, (n_pool, d)))
     cur_groups = np.repeat([0, 1], 30)
     curated = unit(centers[cur_groups] + rng.normal(0, 0.5, (60, d)))
-    curated_manifest = DatasetManifest.from_columns([f"c{i}" for i in range(60)], range(60), "curated")
+    curated_manifest = DatasetManifest.from_columns([f"c{i}" for i in range(60)], "curated")
     pool_manifest = DatasetManifest.from_columns(
-        [f"p{i}" for i in range(n_pool)], range(n_pool), "uncurated", quality=[1.0] * n_pool
+        [f"p{i}" for i in range(n_pool)], "uncurated", quality=[1.0] * n_pool
     )
     cfg = CurationConfig(dedup_threshold=0.999, retrieval_m=3)
     result, combined = curate(curated, curated_manifest, pool, pool_manifest, cfg)

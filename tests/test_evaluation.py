@@ -71,11 +71,11 @@ class TestProbe:
 
     def test_single_class_rejected(self, rng):
         with pytest.raises(DataError):
-            train_probe(rng.standard_normal((10, 3)), np.zeros(10))
+            train_probe(rng.standard_normal((10, 3)), np.zeros(10), l2=1e-4)
 
     def test_negative_label_rejected(self, rng):
         with pytest.raises(DataError, match=r"exactly \{0, 1\}, got \[-1, 0\]"):
-            train_probe(rng.standard_normal((10, 3)), np.arange(10) % 2 - 1)
+            train_probe(rng.standard_normal((10, 3)), np.arange(10) % 2 - 1, l2=1e-4)
 
     @pytest.mark.parametrize("values", [[0, 2], [0, 1, 2], [1]], ids=["absent-middle", "three-class", "ones"])
     def test_non_binary_labels_rejected(self, rng, values):
@@ -106,7 +106,16 @@ class TestProbe:
         X = rng.standard_normal((40, 3))
         X[7, 2] = bad
         with pytest.raises(NumericError, match="NaN or infinite"):
-            train_probe(X, np.arange(40) % 2)
+            train_probe(X, np.arange(40) % 2, l2=1e-4)
+
+    def test_single_vector_rejected(self, rng):
+        # a single vector is a data error, not a batch of one, at the fit and at prediction
+        with pytest.raises(DataError, match=r"batch of rows, got shape \(4,\)"):
+            train_probe(np.ones(4), [0, 1, 0, 1], l2=1e-4)
+        probe = train_probe(rng.standard_normal((20, 4)), np.arange(20) % 2, l2=1e-4)
+        assert probe.logits(np.ones((1, 4))).shape == (1, 2)
+        with pytest.raises(DataError, match=r"batch of rows, got shape \(4,\)"):
+            probe.logits(np.ones(4))
 
     def test_unregularised_collinear_columns(self, rng):
         # l2 = 0 with collinear columns: the Hessian is singular; the minimum-norm

@@ -6,15 +6,17 @@ and checkpoint (FSCK) files, and manifests, either load or raise a
 What loads must be usable: finite values, binary labels, confidences in
 [0.5, 1], and a model that runs. pytest turns ``RuntimeWarning`` into an
 error, so a load that only warns fails too. Manifests also round-trip
-byte for byte.
+byte for byte, and one with two records swapped fails to load.
 """
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairssl.errors import PipelineError
+from fairssl.errors import DataError, PipelineError
 from fairssl.network import ModelParams, forward_features, load_checkpoint, save_checkpoint, set_frozen
 from fairssl.pseudolabel import PseudoLabelTable
 from fairssl.store import SOURCES, DatasetManifest, EmbeddingMatrix, load_embeddings, save_embeddings
@@ -37,7 +39,7 @@ def _valid_files(directory):
     set_frozen(params, ["encoder.0"])
     save_checkpoint(params, directory / "c.fsck")
     DatasetManifest.from_columns(
-        ["a", "b", "c"], [0, 2, 1], ["curated", "retrieved", "uncurated"],
+        ["a", "b", "c"], ["curated", "retrieved", "uncurated"],
         quality=[None, 0.5, 1.0], group=[1, None, 0],
     ).save(directory / "m.jsonl")
     return {
@@ -98,24 +100,34 @@ def test_corrupted_file_loads_or_raises_pipeline_error(valid_files, fmt, data):
 entries = st.lists(
     st.tuples(
         st.text(max_size=8),
-        st.integers(0, 2**63 - 1),
         st.sampled_from(SOURCES),
         st.none() | st.floats(allow_nan=False, allow_infinity=False),  # see test_manifest_rejects_non_finite_quality
         st.none() | st.integers(-(2**63), 2**63 - 1),
     ),
     max_size=12,
-    unique_by=(lambda e: e[0], lambda e: e[1]),
+    unique_by=lambda e: e[0],
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(entries=entries)
-def test_manifest_save_after_load_is_identical(tmp_path_factory, entries):
+@given(entries=entries, data=st.data())
+def test_manifest_save_after_load_is_identical(tmp_path_factory, entries, data):
     directory = tmp_path_factory.mktemp("manifest")
-    columns = list(zip(*entries)) if entries else [[]] * 5
+    columns = list(zip(*entries)) if entries else [[]] * 4
     manifest = DatasetManifest.from_columns(*columns)
     manifest.save(directory / "a.jsonl")
     back = DatasetManifest.load(directory / "a.jsonl")
     back.save(directory / "b.jsonl")
     assert (directory / "b.jsonl").read_bytes() == (directory / "a.jsonl").read_bytes()
-    assert manifest_entries(back) == manifest_entries(manifest) == entries
+    # record i describes row i, so the entry at position i reads back with row i
+    assert manifest_entries(back) == manifest_entries(manifest) == [(e[0], i, *e[1:]) for i, e in enumerate(entries)]
+    if len(entries) < 2:
+        return
+    # two records swapped: the first of them now names the other's row
+    i, j = sorted(data.draw(st.lists(st.integers(0, len(entries) - 1), min_size=2, max_size=2, unique=True)))
+    lines = (directory / "a.jsonl").read_bytes().splitlines(keepends=True)
+    lines[i], lines[j] = lines[j], lines[i]
+    (directory / "c.jsonl").write_bytes(b"".join(lines))
+    expected = f"c.jsonl: sample {entries[j][0]!r} is record {i} but names row {j}"
+    with pytest.raises(DataError, match=re.escape(expected)):
+        DatasetManifest.load(directory / "c.jsonl")

@@ -298,6 +298,11 @@ class TestValidationTopK:
         with pytest.raises(DataError):
             validation_topk_loss(self.params, np.zeros((0, 5)), [], 1)
 
+    def test_single_vector(self):
+        # a single vector is a data error, not a batch of one
+        with pytest.raises(DataError, match=r"got shape \(5,\)"):
+            validation_topk_loss(self.params, np.ones(5), [1], 1)
+
 
 def test_loss_config_validation():
     with pytest.raises(ConfigError):

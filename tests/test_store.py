@@ -261,11 +261,12 @@ def test_load_holds_one_payload_read_only(tmp_path, rng, normalized):
 
 def test_manifest_round_trip(tmp_path):
     manifest = DatasetManifest.from_columns(
-        ["a", "b", "c"], [0, 1, 2], ["curated", "retrieved", "uncurated"],
+        ["a", "b", "c"], ["curated", "retrieved", "uncurated"],
         quality=[None, 0.7, None], group=[None, None, 1],
     )
     manifest.save(tmp_path / "m.jsonl")
     back = DatasetManifest.load(tmp_path / "m.jsonl")
+    assert not hasattr(back, "rows")  # record i describes row i: there is no row column
     assert manifest_entries(back) == manifest_entries(manifest) == [
         ("a", 0, "curated", None, None),
         ("b", 1, "retrieved", 0.7, None),
@@ -274,13 +275,11 @@ def test_manifest_round_trip(tmp_path):
 
 
 def test_manifest_rejects_duplicates():
-    with pytest.raises(DataError, match="duplicate sample id 'a'"):
-        DatasetManifest.from_columns(["a", "a"], [0, 1], "curated")
-    with pytest.raises(DataError, match="duplicate row index 0"):
-        DatasetManifest.from_columns(["a", "b"], [0, 0], "curated")
-    # the first sample that repeats names the error, whichever column repeats
-    with pytest.raises(DataError, match="duplicate row index 1"):
-        DatasetManifest.from_columns(["a", "b", "c", "a"], [0, 1, 1, 2], "curated")
+    with pytest.raises(DataError, match="^manifest: sample id 'a' appears more than once$"):
+        DatasetManifest.from_columns(["a", "a"], "curated")
+    # the id whose second occurrence comes first names the error ('a' repeats too, later)
+    with pytest.raises(DataError, match="sample id 'b' appears"):
+        DatasetManifest.from_columns(["a", "b", "c", "b", "a"], "curated")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -288,25 +287,24 @@ def test_manifest_rejects_non_finite_quality(value):
     # a manifest file cannot hold them (read_jsonl rejects NaN and Infinity),
     # so a manifest in memory holds none either
     with pytest.raises(DataError, match="quality of sample 'b' is not finite"):
-        DatasetManifest.from_columns(["a", "b"], [0, 1], "uncurated", quality=[0.5, value])
+        DatasetManifest.from_columns(["a", "b"], "uncurated", quality=[0.5, value])
 
 
-def test_manifest_row_bounds():
-    DatasetManifest.from_columns(["a", "b"], [0, 5], "curated").validate_rows(6)
-    manifest = DatasetManifest.from_columns(["a", "b", "c"], [0, 5, -1], "curated")
-    with pytest.raises(DataError, match="row index 5 of sample 'b'"):
-        manifest.validate_rows(3)
-    with pytest.raises(DataError, match="row index -1 of sample 'c'"):
-        manifest.validate_rows(6)
+def test_manifest_row_count():
+    manifest = DatasetManifest.from_columns(["a", "b"], "curated")
+    manifest.validate_rows(2)
+    for n in (1, 3):
+        with pytest.raises(DataError, match=f"manifest describes 2 rows but the matrix has {n}"):
+            manifest.validate_rows(n)
 
 
 def test_manifest_unknown_source():
     with pytest.raises(DataError, match="unknown source 'scraped' for sample 'b'"):
-        DatasetManifest.from_columns(["a", "b"], [0, 1], ["curated", "scraped"])
+        DatasetManifest.from_columns(["a", "b"], ["curated", "scraped"])
 
 
 def test_strip_group_labels():
-    manifest = DatasetManifest.from_columns(["a"], [0], "curated", group=[3])
+    manifest = DatasetManifest.from_columns(["a"], "curated", group=[3])
     stripped = manifest.strip_group_labels()
     assert manifest.has_group.all() and manifest.group[0] == 3
     assert not stripped.has_group.any()
@@ -349,12 +347,22 @@ def test_malformed_manifest_line_names_path_and_line(tmp_path, bad, problem):
     [b'{"id": "b", "row": 1, "source": "scraped"}',
      b'{"id": "a", "row": 1, "source": "curated"}',
      b'{"id": "b", "row": 0, "source": "curated"}'],
-    ids=["unknown-source", "duplicate-id", "duplicate-row"],
+    ids=["unknown-source", "duplicate-id", "misplaced-row"],
 )
 def test_invalid_line_wins_over_an_earlier_bad_sample(tmp_path, line2):
     path = tmp_path / "m.jsonl"
     path.write_bytes(GOOD_LINE + b"\n" + line2 + b'\n{"id": "c", "row": 2\n')
     with pytest.raises(FormatError, match=r"m\.jsonl:3: invalid JSON"):
+        DatasetManifest.load(path)
+
+
+def test_record_naming_another_row_fails_to_load(tmp_path):
+    # record i describes matrix row i (blank lines aside): a reordered file must not be misjoined
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(
+        GOOD_LINE + b'\n\n{"id": "b", "row": 2, "source": "curated"}\n{"id": "c", "row": 1, "source": "curated"}\n'
+    )
+    with pytest.raises(DataError, match=r"m\.jsonl: sample 'b' is record 1 but names row 2$"):
         DatasetManifest.load(path)
 
 
@@ -380,7 +388,7 @@ def test_empty_manifest_file_loads_empty(tmp_path, raw):
     path.write_bytes(raw)
     manifest = DatasetManifest.load(path)
     assert len(manifest) == 0 and manifest_entries(manifest) == []
-    assert manifest.rows.dtype == manifest.group.dtype == np.int64 and manifest.quality.dtype == np.float64
+    assert manifest.group.dtype == np.int64 and manifest.quality.dtype == np.float64
 
 
 def test_manifest_load_memory_is_about_one_file(tmp_path, rng):
@@ -390,7 +398,7 @@ def test_manifest_load_memory_is_about_one_file(tmp_path, rng):
     n = 5000
     path = tmp_path / "m.jsonl"
     DatasetManifest.from_columns(
-        [f"pool-{i:06d}" for i in range(n)], np.arange(n), "uncurated", quality=rng.uniform(0.2, 1.0, n)
+        [f"pool-{i:06d}" for i in range(n)], "uncurated", quality=rng.uniform(0.2, 1.0, n)
     ).save(path)
     tracemalloc.start()
     try:
@@ -490,19 +498,19 @@ def test_write_jsonl_round_trips_through_read_jsonl(tmp_path_factory, rows):
 
 def test_manifest_save_writes_the_bytes_of_per_record_json_dumps(tmp_path):
     entries = [
-        ("a\"b", 3, "retrieved", 0.25, None),
-        ("c\u00e9", 0, "curated", None, None),
-        ("d", 1, "uncurated", None, -2),
-        ("e", 2, "curated", 1.0, 7),
+        ("a\"b", "retrieved", 0.25, None),
+        ("c\u00e9", "curated", None, None),
+        ("d", "uncurated", None, -2),
+        ("e", "curated", 1.0, 7),
     ]
     DatasetManifest.from_columns(*zip(*entries)).save(tmp_path / "m.jsonl")
-    keys = ("id", "row", "source", "quality", "group")
-    expected = "".join(
-        json.dumps({k: v for k, v in zip(keys, entry) if v is not None}, sort_keys=True) + "\n"
-        for entry in entries
+    keys = ("id", "source", "quality", "group")
+    expected = "".join(  # each record names its own position as its row
+        json.dumps({"row": i, **{k: v for k, v in zip(keys, entry) if v is not None}}, sort_keys=True) + "\n"
+        for i, entry in enumerate(entries)
     )
     assert (tmp_path / "m.jsonl").read_bytes() == expected.encode()
-    DatasetManifest.from_columns([], [], "curated").save(tmp_path / "empty.jsonl")
+    DatasetManifest.from_columns([], "curated").save(tmp_path / "empty.jsonl")
     assert (tmp_path / "empty.jsonl").read_bytes() == b""
 
 
@@ -600,6 +608,32 @@ def _imports(source: str) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.partition(".")[0])
     return found
+
+
+def test_module_imports_are_used():
+    # a removal must not strand an import; __init__.py imports are the package's re-exports
+    src = sorted((Path(__file__).resolve().parent.parent / "src" / "fairssl").glob("*.py"))
+    unused = {p.name: _unused_imports(p.read_text()) for p in src if p.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+    example = (
+        "from __future__ import annotations\nimport os, sys\nimport numpy as np\nimport a.b\n"
+        "from .x import y, z\ndef f():\n    import json\n    return os.sep, y.q, a.b, f.np"
+    )
+    assert _unused_imports(example) == {"sys", "np", "z"}
+
+
+def _unused_imports(source: str) -> set[str]:
+    """Names that the top-level imports of ``source`` bind and no name in
+    ``source`` uses (an attribute of that name is not a use); a
+    ``__future__`` import binds none."""
+    tree = ast.parse(source)
+    bound = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_private_definitions_have_a_caller_in_src():

@@ -41,8 +41,8 @@ class TestMakeViews:
 
     def test_reproducible_under_seed(self, rng):
         x = rng.standard_normal((4, 5))
-        a = make_views(x, substream(9, "v"), 0.1, 0.2, 0.1)
-        b = make_views(x, substream(9, "v"), 0.1, 0.2, 0.1)
+        a = make_views(x, substream(9, "v"), noise_sigma=0.1, mask_prob=0.2, scale_jitter=0.1)
+        b = make_views(x, substream(9, "v"), noise_sigma=0.1, mask_prob=0.2, scale_jitter=0.1)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_noise_variance(self):
@@ -54,7 +54,7 @@ class TestMakeViews:
 
     def test_single_vector(self, rng):
         with pytest.raises(DataError, match="batch of rows"):
-            make_views(np.ones(5), rng, 0.0, 0.0, 0.0)
+            make_views(np.ones(5), rng, noise_sigma=0.0, mask_prob=0.0, scale_jitter=0.0)
 
 
 class TestSchedule:
