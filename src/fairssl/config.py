@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import re
 import sys
 import types
@@ -78,6 +79,9 @@ class ModelConfig:
             raise ConfigError("model.projection_dims must list exactly 3 widths")
         if not self.encoder_dims:
             raise ConfigError("model.encoder_dims must list at least one width")
+        for key in ("encoder_dims", "projection_dims"):
+            if min(getattr(self, key)) < 1:
+                raise ConfigError(f"model.{key}: every width must be at least 1, got {getattr(self, key)}")
 
 
 @dataclass
@@ -164,9 +168,12 @@ def _field_type(cls, key: str):
 
 
 def _check_types(cls, data: dict, where: str) -> None:
+    """Check each value has its field's type and, if a float, is finite."""
     for key, value in data.items():
         if not _matches(value, _field_type(cls, key)):
             raise ConfigError(f"{where}: {key} must be {cls.__annotations__[key]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
 
 
 def _build_section(cls, data: dict, where: str, top_keys: list[str]):

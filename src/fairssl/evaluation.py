@@ -89,16 +89,19 @@ def _objective(theta, Xa, y, l2):
 def train_probe(features: np.ndarray, labels: np.ndarray, *, l2: float) -> ProbeModel:
     """Fit a regularized logistic-regression probe on frozen features.
 
-    Labels must be exactly {0, 1}; any other set is a ``DataError``. Damped
-    Newton from zero: each step is the minimum-norm solution of the exact
-    Hessian system, so collinear features with ``l2 = 0`` keep it bounded;
-    the full step is tried and halved only while the Armijo test fails.
+    Labels other than exactly {0, 1}, or a negative or non-finite ``l2``,
+    are a ``DataError``. Damped Newton from zero: each step is the
+    minimum-norm solution of the exact Hessian system, so collinear
+    features with ``l2 = 0`` keep it bounded; the full step is tried and
+    halved only while the Armijo test fails.
     Stops once the gradient norm is below ``_GRAD_TOL`` times the largest
     absolute feature value (at least 1), which full Newton steps reach
     quadratically; raises ``NumericError`` if the step cap is hit instead.
     The two-class model returned splits the logit ``[x | 1] @ [w | b]`` as
     weights ``[-w/2, w/2]`` and biases ``[-b/2, b/2]``.
     """
+    if not 0 <= l2 < np.inf:  # NaN fails; an infinite penalty makes the Hessian solve hang
+        raise DataError(f"probe l2 must be finite and non-negative, got {l2}")
     X = _batch(features)
     y = np.asarray(labels, dtype=np.int64).ravel()
     if y.shape[0] != X.shape[0]:

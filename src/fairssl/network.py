@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, FileSizeError, FormatError, NumericError
-from .store import read_container, write_file
+from .store import naming, read_container, write_file
 
 MAGIC = b"FSCK"
 FORMAT_VERSION = 1
@@ -449,4 +449,5 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise FileSizeError(f"{path}: {len(raw) - offset} trailing bytes")
     if head is None or not encoder:
         raise FormatError(f"{path}: missing {'head' if head is None else 'encoder'} layer")
-    return ModelParams(encoder, projection, head)
+    with naming(path):
+        return ModelParams(encoder, projection, head)

@@ -15,8 +15,8 @@ setting, on one numpy build with one BLAS thread count (another may change
 the last bits of a float sum). The global seed is the only source of
 randomness; ``PipelineConfig`` hands it to the training stages.
 
-Training-side stages receive manifests with group labels stripped; only the
-probe/evaluate stages ever read groups.
+Only the probe/evaluate stages read group labels: curation ignores its input
+manifests' groups and writes none, and the training stages read no manifest.
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ from .curation import curate
 from .errors import ConfigError, DataError, PipelineError
 from .evaluation import FairnessReport, build_report, train_probe
 from .network import ModelParams, forward_features, load_checkpoint, save_checkpoint
-from .pseudolabel import (
-    PseudoLabelTable,
-    TemplateBank,
-    build_pseudolabel_table,
-    names_path,
-    select_validation_subset,
-)
+from .pseudolabel import PseudoLabelTable, TemplateBank, build_pseudolabel_table, select_validation_subset
 from .seeding import substream
 from .store import (
     DatasetManifest, check_unique_ids, load_embeddings, normalize_rows, read_jsonl, save_embeddings, write_file,
@@ -55,7 +49,6 @@ ARTIFACTS = {
     "augmented_manifest": "augmented_manifest.jsonl",
     "curation_report": "curation_report.json",
     "pseudolabels": "pseudolabels.fspl",
-    "pseudolabel_names": names_path("pseudolabels.fspl").name,
     "pretrain_checkpoint": "pretrain_checkpoint.fsck",
     "pretrain_history": "pretrain_history.csv",
     "final_checkpoint": "final_checkpoint.fsck",
@@ -154,10 +147,10 @@ def write_failure_manifest(cfg: PipelineConfig, command: str, error: Exception |
 def _curate(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:
     curated = normalize_rows(load_embeddings(inputs["curated_embeddings"]))
     pool = normalize_rows(load_embeddings(inputs["uncurated_embeddings"]))
-    curated_manifest = DatasetManifest.load(inputs["curated_manifest"]).strip_group_labels()
-    pool_manifest = DatasetManifest.load(inputs["uncurated_manifest"]).strip_group_labels()
-    curated_manifest.validate_rows(curated.n)
-    pool_manifest.validate_rows(pool.n)
+    curated_manifest = DatasetManifest.load(inputs["curated_manifest"])
+    pool_manifest = DatasetManifest.load(inputs["uncurated_manifest"])
+    curated_manifest.validate_rows(curated.n, inputs["curated_manifest"])
+    pool_manifest.validate_rows(pool.n, inputs["uncurated_manifest"])
 
     result, combined = curate(curated, curated_manifest, pool, pool_manifest, cfg.curation)
 
@@ -172,7 +165,7 @@ def _pseudolabel(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[s
         images = normalize_rows(images)
     bank = TemplateBank.load(inputs["template_bank"])
     table = build_pseudolabel_table(images, bank, cfg.pseudolabel.scale)
-    table.save(artifacts["pseudolabels"])  # and its names sidecar, artifacts["pseudolabel_names"]
+    table.save(artifacts["pseudolabels"])
 
 
 class _TrainingInputs(NamedTuple):
@@ -229,7 +222,7 @@ def _probe(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Pa
     params = load_checkpoint(inputs["checkpoint"])
     embeddings = load_embeddings(inputs["eval_embeddings"])
     manifest = DatasetManifest.load(inputs["eval_manifest"])
-    manifest.validate_rows(embeddings.n)
+    manifest.validate_rows(embeddings.n, inputs["eval_manifest"])
     label_ids, label_values = read_jsonl(inputs["eval_labels"], {"id": str, "label": int})
     check_unique_ids(label_ids, inputs["eval_labels"])
     label_at = dict(zip(label_ids, range(len(label_ids))))
@@ -298,14 +291,14 @@ class Stage(NamedTuple):
     makes: tuple[str, ...]  # artifacts it writes
 
 
-_TRAINING = {name: name for name in ("augmented_embeddings", "pseudolabels", "pseudolabel_names")}
+_TRAINING = {name: name for name in ("augmented_embeddings", "pseudolabels")}
 _REPORTS = ("fairness_report_json", "fairness_report_txt")
 
 _CHAIN = {
     "curate": Stage(_curate, ("curated_embeddings", "curated_manifest", "uncurated_embeddings", "uncurated_manifest"),
                     {}, ("augmented_embeddings", "augmented_manifest", "curation_report")),
     "pseudolabel": Stage(_pseudolabel, ("template_bank",), {"augmented_embeddings": "augmented_embeddings"},
-                         ("pseudolabels", "pseudolabel_names")),
+                         ("pseudolabels",)),
     "pretrain": Stage(_pretrain, (), _TRAINING, ("pretrain_checkpoint", "pretrain_history")),
     "train-meta": Stage(_train_meta, (), {**_TRAINING, "pretrain_checkpoint": "pretrain_checkpoint"},
                         ("final_checkpoint", "meta_history", "training_summary")),

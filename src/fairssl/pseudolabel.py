@@ -10,11 +10,10 @@ stages.
 
 Table file layout (little-endian)::
 
-    magic "FSPL" | u32 version=1 | u64 n | u32 a | n*a * (u8 label, f32 confidence)
+    magic "FSPL" | u32 version=2 | u64 n | u32 a | u32 k | k bytes names | n*a * (u8 label, f32 confidence)
 
-The attribute names live in a JSON sidecar next to the table (see
-:func:`names_path`), a list of strings in column order. A table is not
-complete without it.
+The names are the attribute names in column order, a JSON list of strings,
+so one file is the whole table.
 """
 
 from __future__ import annotations
@@ -26,14 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, SelectionError
+from .errors import DataError, FileSizeError, FormatError, SelectionError
 from .evaluation import softmax
 from .seeding import substream
-from .store import EmbeddingMatrix, load_embeddings, read_bytes, read_container, write_file
+from .store import EmbeddingMatrix, load_embeddings, naming, read_bytes, read_container, write_file
 
 MAGIC = b"FSPL"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sIQI")
+FORMAT_VERSION = 2
+_HEADER = struct.Struct("<4sIQII")
 _ENTRY_DTYPE = np.dtype([("label", "u1"), ("conf", "<f4")])
 
 DEFAULT_SCALE = 100.0
@@ -80,7 +79,7 @@ class TemplateBank:
         Paths in the index are resolved relative to the index file.
         """
         index_path = Path(index_path)
-        index = _load_json(index_path, "template index")
+        index = _parse_json(read_bytes(index_path, "template index"), index_path)
         if type(index) is not dict:
             raise FormatError(f"{index_path}: expected a JSON object of attribute names")
         attributes = []
@@ -98,11 +97,6 @@ class TemplateBank:
                 )
             )
         return cls(attributes)
-
-
-def names_path(path: str | Path) -> Path:
-    """The attribute-name sidecar of the pseudo-label table at ``path``."""
-    return Path(str(path) + ".attrs.json")
 
 
 @dataclass
@@ -142,29 +136,31 @@ class PseudoLabelTable:
             raise DataError(f"unknown attribute {name!r}") from None
 
     def save(self, path: str | Path) -> None:
+        names = json.dumps(self.attribute_names, sort_keys=True).encode()
         entries = np.empty(self.labels.shape, dtype=_ENTRY_DTYPE)
         entries["label"] = self.labels
         entries["conf"] = self.confidences
-        write_file(path, _HEADER.pack(MAGIC, FORMAT_VERSION, self.n, self.num_attributes), entries)
-        write_file(names_path(path), json.dumps(self.attribute_names, sort_keys=True))
+        write_file(path, _HEADER.pack(MAGIC, FORMAT_VERSION, self.n, self.num_attributes, len(names)), names, entries)
 
     @classmethod
     def load(cls, path: str | Path) -> "PseudoLabelTable":
-        (n, a), raw = read_container(path, MAGIC, FORMAT_VERSION, _HEADER, "pseudo-label table", _ENTRY_DTYPE)
-        entries = np.frombuffer(raw, dtype=_ENTRY_DTYPE, offset=_HEADER.size).reshape(n, a)
-        sidecar = names_path(path)
-        if not sidecar.exists():
-            raise FormatError(f"{path}: attribute-name sidecar {sidecar} is missing")
-        names = _load_json(sidecar, "attribute-name sidecar")
+        (n, a, k), raw = read_container(path, MAGIC, FORMAT_VERSION, _HEADER, "pseudo-label table")
+        start = _HEADER.size + k
+        expected = start + n * a * _ENTRY_DTYPE.itemsize
+        if len(raw) != expected:
+            raise FileSizeError(f"{path}: expected {expected} bytes, found {len(raw)}")
+        names = _parse_json(raw[_HEADER.size : start], path)
         if type(names) is not list or not all(type(name) is str for name in names):
-            raise FormatError(f"{sidecar}: expected a JSON list of attribute names")
-        return cls(entries["label"].copy(), entries["conf"].copy(), names)
+            raise FormatError(f"{path}: expected a JSON list of attribute names")
+        entries = np.frombuffer(raw, dtype=_ENTRY_DTYPE, offset=start).reshape(n, a)
+        with naming(path):
+            return cls(entries["label"].copy(), entries["conf"].copy(), names)
 
 
-def _load_json(path: Path, what: str):
-    """Parse the JSON file at ``path``; invalid JSON or UTF-8 is a FormatError."""
+def _parse_json(raw: bytes, path: str | Path):
+    """Parse JSON bytes read from ``path``; invalid JSON or UTF-8 is a FormatError naming it."""
     try:
-        return json.loads(read_bytes(path, what))
+        return json.loads(raw)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 

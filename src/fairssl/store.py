@@ -15,17 +15,17 @@ lines aside), ``source`` and optional ``quality`` and ``group``;
 :func:`read_jsonl` reads them, and every other JSON-lines file of the
 pipeline, into typed columns, and :func:`write_jsonl` writes them all.
 
-The pipeline's files are read and written by three helpers here:
+The pipeline's files are read and written by four helpers here:
 :func:`read_bytes` (the one place a read OSError becomes a DataError),
-:func:`read_container` (magic, version and size of FSSL, FSPL and FSCK
-files) and :func:`write_file`, which replaces a file atomically.
+:func:`read_container` (magic and version of FSSL, FSPL and FSCK files),
+:func:`naming`, which prefixes the errors of objects built from a file
+with its path, and :func:`write_file`, which replaces a file atomically.
 """
 
 from __future__ import annotations
 
 import array
 import contextlib
-import copy
 import io
 import itertools
 import json
@@ -147,6 +147,16 @@ def read_container(
     return fields, raw
 
 
+@contextlib.contextmanager
+def naming(path: str | Path) -> Iterator[None]:
+    """Re-raise a DataError raised inside as the same class, its message
+    prefixed with ``path``: the errors of objects built from a file name it."""
+    try:
+        yield
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def write_file(path: str | Path, *chunks) -> None:
     """Replace ``path`` with ``chunks`` (bytes, buffers, or str as UTF-8) in order.
 
@@ -184,10 +194,8 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """
     (n, d, flags), raw = read_container(path, MAGIC, FORMAT_VERSION, _HEADER, "embeddings", _PAYLOAD)
     data = np.frombuffer(raw, dtype=_PAYLOAD, offset=_HEADER.size).reshape(n, d)
-    try:
+    with naming(path):
         return EmbeddingMatrix(data, normalized=bool(flags & _FLAG_NORMALIZED))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -200,8 +208,8 @@ class DatasetManifest:
     Build one with :meth:`from_columns`; the constructor checks that ids
     are unique and quality scores finite (JSON has no number for NaN or
     infinity, so no manifest file can hold one). ``group`` is
-    evaluation-only: training-side code must receive manifests with the
-    labels stripped (see :meth:`strip_group_labels`).
+    evaluation-only: curation never reads it and writes none, so no
+    training-side file carries a group label.
     """
 
     ids: list[str]
@@ -236,16 +244,10 @@ class DatasetManifest:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def validate_rows(self, n: int) -> None:
-        """Check the manifest describes exactly the rows of an n-row matrix."""
+    def validate_rows(self, n: int, where: str | Path) -> None:
+        """Check the manifest ``where`` describes exactly the rows of an n-row matrix."""
         if len(self) != n:
-            raise DataError(f"manifest describes {len(self)} rows but the matrix has {n}")
-
-    def strip_group_labels(self) -> "DatasetManifest":
-        """Copy with all group labels removed (fairness-blind view)."""
-        stripped = copy.copy(self)  # columns shared, checks not repeated
-        stripped.group, stripped.has_group = np.zeros_like(self.group), np.zeros_like(self.has_group)
-        return stripped
+            raise DataError(f"{where}: manifest describes {len(self)} rows but the matrix has {n}")
 
     def save(self, path: str | Path) -> None:
         write_jsonl(path, {
@@ -266,7 +268,8 @@ class DatasetManifest:
             raise DataError(f"{path}: sample {ids[i]!r} is record {i} but names row {rows[i]}")
         # names become codes once every line has parsed: a FormatError on
         # any line wins over an unknown source
-        return cls(ids, _source_codes(ids, sources), *quality, *group)
+        with naming(path):
+            return cls(ids, _source_codes(ids, sources), *quality, *group)
 
 
 def check_unique_ids(ids: Sequence[str], where: str | Path) -> None:

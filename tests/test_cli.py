@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from fairssl.cli import main
 from fairssl.config import apply_overrides, config_from_dict, load_config
 from fairssl.errors import ConfigError, DataError, NumericError
 from fairssl.network import Layer, ModelParams, save_checkpoint
-from fairssl.pipeline import STAGES, run_stage
+from fairssl.pipeline import ARTIFACTS, STAGES, run_stage
 from fairssl.store import DatasetManifest
 from fairssl.synthetic import generate_world
 
@@ -293,6 +294,10 @@ class TestCliExitCodes:
         "workers=null", "workers=abc", "trainer.epochs=2.5", "trainer.batch_size=2.5",
         "curation.retrieval_m=1.5", "model.encoder_dims=[a]", "model.projection_dims=8",
         "seed=2.5", "seed=true", "seed='7'", "seed=[7]",
+        # values of the right type that no setting takes: a non-finite float, a width below 1
+        "trainer.noise_sigma=.nan", "curation.quality_threshold=.nan", "probe.l2=.inf",
+        "trainer.scale_jitter=.inf", "pseudolabel.scale=.nan", "model.encoder_dims=[0]",
+        "model.encoder_dims=[-2]", "model.projection_dims=[8,0,4]",
     ])
     def test_mistyped_config_value_exits_2_before_any_stage(self, tmp_path, world_dir, capsys, override):
         wdir, world = world_dir
@@ -477,6 +482,25 @@ class TestStages:
         assert report["augmented_total"] == len(augmented)
         assert report["kept_after_dedup"] <= report["pool"]
 
+    def test_curate_is_blind_to_input_groups(self, tmp_path, world_dir):
+        # curation reads no group label: tagging both input manifests changes no artifact
+        wdir, world = world_dir
+        files = dict(world.files)
+        for key in ("curated_manifest", "uncurated_manifest"):
+            manifest = DatasetManifest.load(world.files[key])
+            assert not manifest.has_group.any()
+            manifest.group[:] = np.arange(len(manifest)) % 2
+            manifest.has_group[:] = True
+            files[key] = str(tmp_path / f"tagged_{key}.jsonl")
+            manifest.save(files[key])
+        runs = [
+            run_stage(config_from_dict({"seed": 3, "paths": {**paths, "out_dir": str(tmp_path / name)}}), "curate")
+            for name, paths in (("plain", world.files), ("tagged", files))
+        ]
+        assert not DatasetManifest.load(runs[1]["augmented_manifest"]).has_group.any()
+        for name, path in runs[0].items():
+            assert path.read_bytes() == runs[1][name].read_bytes(), name
+
     def test_cli_pipeline_and_evaluate_smoke(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir
         cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")
@@ -587,9 +611,11 @@ class TestStages:
         assert len(manifest["config_hash"]) == 64
         assert set(manifest["inputs"]) >= {"curated_embeddings", "template_bank"}
         for name, digest in manifest["artifacts"].items():
-            assert len(digest) == 64
-        names = out / "pseudolabels.fspl.attrs.json"
-        assert manifest["artifacts"]["pseudolabel_names"] == hashlib.sha256(names.read_bytes()).hexdigest()
+            assert digest == hashlib.sha256((out / ARTIFACTS[name]).read_bytes()).hexdigest()
+        # the run directory holds only hashed artifacts and the run manifests
+        stage_manifests = {f"run_manifest_{command.replace('-', '_')}.json" for command in STAGES}
+        assert len(stage_manifests) == 7
+        assert {p.name for p in out.iterdir()} == set(ARTIFACTS.values()) | stage_manifests
         # each stage's manifest hashes the same bytes as the pipeline's, and together they cover it
         covered = set()
         for command in ("curate", "pseudolabel", "pretrain", "train-meta", "probe", "evaluate"):
@@ -650,7 +676,7 @@ class TestStages:
         swapped = [*lines[:3], lines[4], lines[3], *lines[5:]]
         for body, problem in (
             (swapped, f"m.jsonl: sample {json.loads(lines[4])['id']!r} is record 3 but names row 4"),
-            (lines[:-1], f"manifest describes {len(lines) - 1} rows but the matrix has {len(lines)}"),
+            (lines[:-1], f"m.jsonl: manifest describes {len(lines) - 1} rows but the matrix has {len(lines)}"),
         ):
             (tmp_path / "m.jsonl").write_text("\n".join(body) + "\n")
             cfg_path = write_config(tmp_path / "cfg.yaml", {**world.files, key: str(tmp_path / "m.jsonl")}, out)
@@ -659,6 +685,33 @@ class TestStages:
             assert problem in err and "Traceback" not in err
             marker = json.loads((out / f"run_manifest_{stage}.json").read_text())
             assert marker["status"] == "failed" and problem in marker["error"]
+
+    def test_short_curated_or_pool_manifest_exits_3_naming_its_file(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        for key in ("curated_manifest", "uncurated_manifest"):
+            lines = open(world.files[key]).read().splitlines()
+            short = tmp_path / f"short_{key}.jsonl"
+            short.write_text("\n".join(lines[:-1]) + "\n")
+            cfg_path = write_config(tmp_path / "cfg.yaml", {**world.files, key: str(short)}, tmp_path / "out")
+            assert main(["curate", "--config", str(cfg_path)]) == 3
+            err = capsys.readouterr().err
+            assert f"{short}: manifest describes {len(lines) - 1} rows but the matrix has {len(lines)}" in err
+            assert "Traceback" not in err
+
+    def test_version_1_pseudolabel_table_exits_3_at_pretrain(self, tmp_path, world_dir, capsys):
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        for stage in ("curate", "pseudolabel"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        table = out / "pseudolabels.fspl"
+        raw = table.read_bytes()
+        (k,) = struct.unpack_from("<I", raw, 20)  # a version-1 table had no names: they were a second file
+        table.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:20] + raw[24 + k :])
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {table}: unsupported version 1" in err and "Traceback" not in err
 
     def test_non_binary_evaluation_label_exits_3_at_the_probe_fit(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir

@@ -85,6 +85,12 @@ class TestProbe:
         with pytest.raises(DataError, match=re.escape(f"exactly {{0, 1}}, got {values}")):
             train_probe(rng.standard_normal((300, 4)), y, l2=1e-3)
 
+    @pytest.mark.parametrize("l2", [-1e-4, np.nan, np.inf])
+    def test_l2_must_be_finite_and_non_negative(self, rng, l2):
+        # an infinite penalty made the Hessian non-finite and the lstsq solve loop in LAPACK
+        with pytest.raises(DataError, match="probe l2 must be finite and non-negative"):
+            train_probe(rng.standard_normal((20, 4)), np.arange(20) % 2, l2=l2)
+
     def test_two_classes_split_the_logit_exactly(self, rng):
         X = rng.standard_normal((200, 4))
         y = (X[:, 0] - X[:, 1] + 0.5 * rng.standard_normal(200) > 0).astype(int)

@@ -44,7 +44,7 @@ def _valid_files(directory):
     ).save(directory / "m.jsonl")
     return {
         "fssl": (directory / "e.fssl", load_embeddings),
-        "fspl": (directory / "t.fspl", PseudoLabelTable.load),  # its name sidecar stays intact
+        "fspl": (directory / "t.fspl", PseudoLabelTable.load),
         "fsck": (directory / "c.fsck", load_checkpoint),
         "jsonl": (directory / "m.jsonl", DatasetManifest.load),
     }
@@ -77,12 +77,10 @@ def test_corrupted_file_loads_or_raises_pipeline_error(valid_files, fmt, data):
     raw = path.read_bytes()
     bad = path.with_name("bad" + path.suffix)
     bad.write_bytes(data.draw(corrupted(raw)))
-    if fmt == "fspl":
-        sidecar = path.with_name(path.name + ".attrs.json").read_bytes()
-        bad.with_name(bad.name + ".attrs.json").write_bytes(sidecar)
     try:
         loaded = load(bad)
-    except PipelineError:
+    except PipelineError as exc:
+        assert str(bad) in str(exc)  # every error about a file names it
         return
     if fmt == "fssl":
         assert np.isfinite(loaded.data).all()

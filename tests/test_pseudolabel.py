@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from fairssl.pseudolabel import (
     attribute_probabilities,
     build_pseudolabel_table,
     label_attribute,
-    names_path,
     select_validation_subset,
 )
 from fairssl.store import EmbeddingMatrix, normalize_rows, save_embeddings
@@ -203,20 +203,30 @@ class TestTableIO:
         assert back.confidences.tobytes() == confs.tobytes()
         assert back.attribute_names == ["a", "b", "c"]
 
-    @pytest.mark.parametrize("sidecar", [None, b"[not json", b"\xff", b'{"a": 1}', b'["a", 2]', b'"ab"'])
-    def test_sidecar_missing_or_malformed(self, tmp_path, sidecar):
+    @pytest.mark.parametrize("names", [None, b"[not json", b"\xff", b'{"a": 1}', b'["a", 2]', b'"ab"'])
+    def test_names_missing_or_malformed(self, tmp_path, names):
         table = PseudoLabelTable(
             np.zeros((2, 2), dtype=np.uint8), np.full((2, 2), 0.75, dtype=np.float32), ["a", "b"]
         )
         path = tmp_path / "t.fspl"
         table.save(path)
-        names = names_path(path)
-        if sidecar is None:
-            names.unlink()
-        else:
-            names.write_bytes(sidecar)
-        with pytest.raises(FormatError, match="attrs.json"):
+        raw = path.read_bytes()
+        (k,) = struct.unpack_from("<I", raw, 20)  # the names follow the 24-byte header
+        names = names or b""
+        path.write_bytes(raw[:20] + struct.pack("<I", len(names)) + names + raw[24 + k :])
+        with pytest.raises(FormatError, match="t.fspl: .*(JSON|attribute names)"):
             PseudoLabelTable.load(path)
+
+    def test_one_file_holds_the_names(self, tmp_path):
+        table = PseudoLabelTable(
+            np.array([[0, 1]], dtype=np.uint8), np.array([[0.75, 1.0]], dtype=np.float32), ["b", "a"]
+        )
+        table.save(tmp_path / "t.fspl")
+        assert [p.name for p in tmp_path.iterdir()] == ["t.fspl"]
+        names = b'["b", "a"]'
+        entries = b"\x00" + np.float32(0.75).tobytes() + b"\x01" + np.float32(1.0).tobytes()
+        header = struct.pack("<4sIQII", b"FSPL", 2, 1, 2, len(names))
+        assert (tmp_path / "t.fspl").read_bytes() == header + names + entries
 
     def test_truncation(self, tmp_path, rng):
         table = PseudoLabelTable(
@@ -242,12 +252,12 @@ class TestTableIO:
         table.save(path)
         raw = bytearray(path.read_bytes())
         field, value = entry
-        at = 20 + 3 * 5 + (0 if field == "label" else 1)  # header, then the last entry
+        at = len(raw) - 5 + (0 if field == "label" else 1)  # the last entry
         raw[at : at + (1 if field == "label" else 4)] = (
             bytes([value]) if field == "label" else np.float32(value).tobytes()
         )
         path.write_bytes(bytes(raw))
-        with pytest.raises(DataError, match=problem):
+        with pytest.raises(DataError, match=f"t.fspl: {problem}"):
             PseudoLabelTable.load(path)
 
 

@@ -292,23 +292,15 @@ def test_manifest_rejects_non_finite_quality(value):
 
 def test_manifest_row_count():
     manifest = DatasetManifest.from_columns(["a", "b"], "curated")
-    manifest.validate_rows(2)
+    manifest.validate_rows(2, "m.jsonl")
     for n in (1, 3):
-        with pytest.raises(DataError, match=f"manifest describes 2 rows but the matrix has {n}"):
-            manifest.validate_rows(n)
+        with pytest.raises(DataError, match=f"^m.jsonl: manifest describes 2 rows but the matrix has {n}$"):
+            manifest.validate_rows(n, "m.jsonl")
 
 
 def test_manifest_unknown_source():
     with pytest.raises(DataError, match="unknown source 'scraped' for sample 'b'"):
         DatasetManifest.from_columns(["a", "b"], ["curated", "scraped"])
-
-
-def test_strip_group_labels():
-    manifest = DatasetManifest.from_columns(["a"], "curated", group=[3])
-    stripped = manifest.strip_group_labels()
-    assert manifest.has_group.all() and manifest.group[0] == 3
-    assert not stripped.has_group.any()
-    assert stripped.ids == ["a"]
 
 
 GOOD_LINE = b'{"id": "a", "row": 0, "source": "curated"}'
@@ -371,7 +363,14 @@ def test_unknown_source_wins_over_a_later_duplicate_id(tmp_path):
     path.write_bytes(
         GOOD_LINE + b'\n{"id": "b", "row": 1, "source": "scraped"}\n{"id": "a", "row": 2, "source": "curated"}\n'
     )
-    with pytest.raises(DataError, match=r"^unknown source 'scraped' for sample 'b'$"):
+    with pytest.raises(DataError, match=r"/m\.jsonl: unknown source 'scraped' for sample 'b'$"):
+        DatasetManifest.load(path)
+
+
+def test_duplicate_id_in_a_file_names_the_file(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(GOOD_LINE + b'\n{"id": "a", "row": 1, "source": "curated"}\n')
+    with pytest.raises(DataError, match=r"/m\.jsonl: manifest: sample id 'a' appears more than once$"):
         DatasetManifest.load(path)
 
 
