@@ -27,8 +27,8 @@ threshold +- delta; float32 underflow adds at most d * 2**-150, which it
 covers too while P >= 2**-126 (unit rows have P ~ 1). For d = 64 and unit
 rows delta is about 8.1e-6.
 
-- Dedup: a row whose best float32 score against a chunk of kept rows is
-  above threshold + delta has a float64 score at or above the threshold
+- Dedup: a row whose best float32 score against the kept rows of a chunk
+  is above threshold + delta has a float64 score at or above the threshold
   (a duplicate); below threshold - delta, it has none (it survives). Rows
   in between are rescored against that chunk in float64.
 - Top-m: the m-th largest score moves by at most delta, so every float64
@@ -38,13 +38,11 @@ rows delta is about 8.1e-6.
 So outputs equal a plain float64 scan's, given that BLAS computes a pair's
 float64 dot the same way whatever other rows share the GEMM.
 
-Both searches work in the pool's own buffer, so curation holds one
-pool-sized matrix. Dedup moves each block's survivors to the front of the
-pool as it scans and reads its kept-row chunks from that prefix; it puts
-every row back before it returns, saving only the dropped rows the prefix
-overwrote. Top-m scores every pool row and sets the rows left out of the
-kept set to -inf in each block of scores, so it gathers no candidate
-matrix.
+Both searches read the pool in place and never write it, so curation
+holds one pool-sized matrix and gathers no candidate matrix. Each scores
+blocks of rows against the pool and sets the rows it must not match to
+-inf in each block of scores: dedup the earlier rows it has already
+dropped, top-m the rows left out of the kept set.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from .store import SOURCES, DatasetManifest, EmbeddingMatrix
 
 log = logging.getLogger(__name__)
 
-# Rows per dedup block, kept rows per dedup GEMM, and bytes per top-m block
+# Rows per dedup block, earlier rows per dedup GEMM, and bytes per top-m block
 # of float32 scores: they bound scratch memory and do not change any output.
 # 2 MiB holds as many queries as the 4 MiB of float64 scores used before;
 # 4 MiB of float32 scores raised peak memory by 10 MiB on an 8k-row pool.
@@ -113,73 +111,43 @@ def deduplicate(pool: EmbeddingMatrix, threshold: float) -> np.ndarray:
 
     Keeps row i iff its cosine similarity to every lower-indexed kept row
     stays below ``threshold``. Rows are taken ``_DEDUP_BLOCK`` at a time:
-    one float32 GEMM per ``_DEDUP_CHUNK`` kept rows drops the block rows an
-    earlier kept row already covers, rescoring in float64 the rows whose
-    best float32 score lies within the screen margin of ``threshold``; the
-    survivors' float64 Gram matrix settles first-wins inside the block.
-    Deterministic by construction; returns the kept indices sorted
-    ascending.
-
-    The kept rows are compacted into the front of ``pool.data`` as the scan
-    goes: a block's survivors land at or before the block's start, so no
-    unread row is overwritten, and the chunks are read from that prefix.
-    The dropped rows the prefix overwrites are saved, and every row is put
-    back in a ``finally``, so ``pool`` is left byte-identical even when the
-    scan raises. A read-only or non-contiguous pool is copied first, and the
-    copy is scanned the same way.
+    one float32 GEMM per ``_DEDUP_CHUNK`` earlier rows, in which the rows
+    already dropped score -inf, drops the block rows an earlier kept row
+    already covers, rescoring in float64 the rows whose best float32 score
+    lies within the screen margin of ``threshold``; the survivors' float64
+    Gram matrix settles first-wins inside the block. Deterministic by
+    construction; reads ``pool.data`` in place and never writes it. Returns
+    the kept indices sorted ascending.
     """
     _require_normalized(pool, "dedup pool")
-    delta = _screen_margin(pool.d, _max_norm(pool.data) ** 2)
-    data = np.require(pool.data, requirements=("C", "W"))  # a copy if it is read-only or strided
+    data = pool.data
+    delta = _screen_margin(pool.d, _max_norm(data) ** 2)
     kept = np.zeros(pool.n, dtype=bool)
-    n_kept = 0  # data[:n_kept] holds the kept rows, in order
-    saved: list[tuple[np.ndarray, np.ndarray]] = []  # (positions, rows) the prefix overwrote
-    try:
-        for start in range(0, pool.n, _DEDUP_BLOCK):
-            block = data[start : start + _DEDUP_BLOCK]
-            block64 = block.astype(np.float64)
-            alive = np.arange(block.shape[0])
-            for c0 in range(0, n_kept, _DEDUP_CHUNK):
-                chunk = data[c0 : min(c0 + _DEDUP_CHUNK, n_kept)]
-                best = (chunk @ block[alive].T).max(axis=0).astype(np.float64)
-                unsure = np.abs(best - threshold) <= delta
-                if unsure.any():
-                    exact = block64[alive[unsure]] @ chunk.astype(np.float64).T
-                    best[unsure] = exact.max(axis=1)
-                alive = alive[~(best >= threshold)]
-            rows = block64[alive]
-            clash = np.triu(rows @ rows.T >= threshold, k=1)
-            keep = np.ones(alive.size, dtype=bool)
-            for j in np.flatnonzero(clash.any(axis=1)):
-                if keep[j]:
-                    keep[clash[j]] = False
-            alive = alive[keep]
-            kept[start + alive] = True
-            end = n_kept + alive.size
-            lost = n_kept + np.flatnonzero(~kept[n_kept:end])
-            if lost.size:
-                saved.append((lost, data[lost]))
-            data[n_kept:end] = block[alive]
-            n_kept = end
-    finally:
-        _restore_rows(data, np.flatnonzero(kept)[:n_kept], saved)
+    for start in range(0, pool.n, _DEDUP_BLOCK):
+        block = data[start : start + _DEDUP_BLOCK]
+        block64 = block.astype(np.float64)
+        alive = np.arange(block.shape[0])
+        for c0 in range(0, start, _DEDUP_CHUNK):
+            chunk = data[c0 : min(c0 + _DEDUP_CHUNK, start)]
+            dropped = ~kept[c0 : c0 + chunk.shape[0]]
+            scores = chunk @ block[alive].T
+            scores[dropped] = -np.inf
+            best = scores.max(axis=0).astype(np.float64)
+            del scores  # so no two chunks' scores are alive at once
+            unsure = np.abs(best - threshold) <= delta
+            if unsure.any():
+                exact = block64[alive[unsure]] @ chunk.astype(np.float64).T
+                exact[:, dropped] = -np.inf
+                best[unsure] = exact.max(axis=1)
+            alive = alive[~(best >= threshold)]
+        rows = block64[alive]
+        clash = np.triu(rows @ rows.T >= threshold, k=1)
+        keep = np.ones(alive.size, dtype=bool)
+        for j in np.flatnonzero(clash.any(axis=1)):
+            if keep[j]:
+                keep[clash[j]] = False
+        kept[start + alive[keep]] = True
     return np.flatnonzero(kept)
-
-
-def _restore_rows(
-    data: np.ndarray, kept: np.ndarray, saved: list[tuple[np.ndarray, np.ndarray]]
-) -> None:
-    """Undo ``deduplicate``'s compaction: kept row ``kept[r]`` sits at
-    position r, and ``saved`` holds the dropped rows it overwrote."""
-    # kept[r] - r never falls with r: ranks below the first moved row sit
-    # where they started. Moving the highest ranks first never overwrites a
-    # rank still to move, since kept[r] >= r.
-    first = int(np.searchsorted(kept - np.arange(kept.size), 1))
-    for r1 in range(kept.size, first, -_DEDUP_CHUNK):
-        r0 = max(first, r1 - _DEDUP_CHUNK)
-        data[kept[r0:r1]] = data[r0:r1].copy()
-    for lost, rows in saved:
-        data[lost] = rows
 
 
 def _exact_topm(

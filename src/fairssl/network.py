@@ -210,10 +210,10 @@ class GradientBundle:
         return self.flat[span.start : span.split].reshape(span.shape), self.flat[span.split : span.stop]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.flat))
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
+        """Euclidean norm by numpy's pairwise sum, not a BLAS dot, whose
+        result moves with the BLAS thread count; inf if the squares overflow."""
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.sum(self.flat * self.flat)))
 
 
 @dataclass

@@ -11,9 +11,11 @@ failure marker in its place. Stages communicate only through files, so
 fails, its own manifest, the failing stage's and those of every later stage
 are marked failed. Nothing here is time- or host-dependent: identical config
 and seed reproduce every artifact bit for bit, regardless of the workers
-setting, on one numpy build with one BLAS thread count (another may change
-the last bits of a float sum). The global seed is the only source of
-randomness; ``PipelineConfig`` hands it to the training stages.
+setting or the BLAS thread count, on one numpy build (another may change
+the last bits of a float sum). The probe manifest's unhashed
+``probe_grad_norm`` is excepted: it may move with the thread count. The
+global seed is the only source of randomness; ``PipelineConfig`` hands it
+to the training stages.
 
 Only the probe/evaluate stages read group labels: curation ignores its input
 manifests' groups and writes none, and the training stages read no manifest.

@@ -89,13 +89,9 @@ class TemplateBank:
                 neg_path = index_path.parent / entry["neg"]
             except (TypeError, KeyError) as exc:
                 raise FormatError(f"{index_path}: attribute {name!r} needs pos/neg paths") from exc
-            attributes.append(
-                AttributeTemplates(
-                    name=name,
-                    pos=load_embeddings(pos_path).data,
-                    neg=load_embeddings(neg_path).data,
-                )
-            )
+            pos, neg = load_embeddings(pos_path).data, load_embeddings(neg_path).data
+            with naming(index_path):
+                attributes.append(AttributeTemplates(name=name, pos=pos, neg=neg))
         return cls(attributes)
 
 

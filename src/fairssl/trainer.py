@@ -151,10 +151,14 @@ class AdamW:
         self.step_count = 0
         self.m, self.v, self._a, self._b = (np.zeros_like(params.flat) for _ in range(4))
 
-    def step(self, params: ModelParams, grads: GradientBundle) -> None:
-        if not grads.is_finite():
+    def step(self, params: ModelParams, grads: GradientBundle) -> float:
+        """Apply one update and return the gradient norm. A non-finite entry
+        or an overflow makes the norm non-finite: then raise NumericError."""
+        norm = grads.norm()
+        if not math.isfinite(norm):
             bad = [n for n, s in grads.layout.items() if not np.isfinite(grads.flat[s.start : s.stop]).all()]
-            raise NumericError(f"non-finite gradient in layers {bad}; aborting optimizer step")
+            why = f"non-finite gradient in layers {bad}" if bad else f"gradient norm overflows to {norm}"
+            raise NumericError(f"{why}; aborting optimizer step")
         lr = self.schedule.lr(self.step_count)
         t = self.step_count + 1
         root2 = math.sqrt(1.0 - self.beta2**t)
@@ -186,6 +190,7 @@ class AdamW:
                 w, a = params.flat[span.start : span.split], self._a[span.start : span.split]
                 w -= np.multiply(lr * self.weight_decay, w, out=a)
         self.step_count += 1
+        return norm
 
 
 def make_views(
@@ -320,8 +325,7 @@ def pretrain_epoch(
             loss, mask = topk_average(terms, k)
             dZ = weighted_grad_from_stats(Z, R, mask / k, loss_cfg.temperature)
         bundle = backward(params, tape, d_projection=dZ)
-        optimizer.step(params, bundle)
-        return {"skipped": False, "loss": loss, "grad_norm": bundle.norm()}
+        return {"skipped": False, "loss": loss, "grad_norm": optimizer.step(params, bundle)}
 
     return _run_epoch(step, X.shape[0], cfg, optimizer, rng_shuffle, stratify_labels)
 
@@ -404,8 +408,7 @@ def meta_step(
     bundle = backward(params, tape, d_projection=dZ)
     head = params.layout["head"]
     bundle.flat[head.start : head.stop] += g_v.flat[head.start : head.stop]
-    metrics["grad_norm"] = bundle.norm()
-    optimizer.step(params, bundle)
+    metrics["grad_norm"] = optimizer.step(params, bundle)
     return metrics
 
 

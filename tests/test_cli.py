@@ -6,20 +6,23 @@ import importlib.util
 import json
 import os
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairssl import config as config_module
 from fairssl.cli import main
-from fairssl.config import apply_overrides, config_from_dict, load_config
+from fairssl.config import PipelineConfig, apply_overrides, config_from_dict, load_config
 from fairssl.errors import ConfigError, DataError, NumericError
 from fairssl.network import Layer, ModelParams, save_checkpoint
 from fairssl.pipeline import ARTIFACTS, STAGES, run_stage
-from fairssl.store import DatasetManifest
+from fairssl.store import DatasetManifest, EmbeddingMatrix, save_embeddings
 from fairssl.synthetic import generate_world
 
 
@@ -46,7 +49,33 @@ def write_config(path, world_files, out_dir, **extra):
     return path
 
 
+def _known_keys() -> list[tuple[str, ...]]:
+    """Every key ``config_from_dict`` knows: (top-level key,) or (section, key)."""
+    keys = []
+    for f in dataclasses.fields(PipelineConfig):
+        hint = config_module._field_type(PipelineConfig, f.name)
+        if dataclasses.is_dataclass(hint):
+            keys += [(f.name, g.name) for g in dataclasses.fields(hint)]
+        else:
+            keys.append((f.name,))
+    return keys
+
+
+_YAML_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+
+
 class TestConfig:
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(_known_keys()), value=_YAML_SCALARS | st.lists(_YAML_SCALARS, max_size=4))
+    def test_any_value_at_any_key_loads_or_raises_config_error(self, key, value):
+        data = {"seed": 1}
+        apply_overrides(data, [f"{'.'.join(key)}={yaml.safe_dump(value, default_flow_style=True).strip()}"])
+        try:
+            cfg = config_from_dict(data)
+        except ConfigError:
+            return
+        assert len(cfg.config_hash()) == 64
+
     def test_seed_mandatory(self):
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict({})
@@ -442,6 +471,37 @@ class TestCliExitCodes:
         assert failed["workers"] == 2
 
 
+    @pytest.mark.parametrize("pos, neg, message", [
+        (np.ones((1, 4)), np.eye(4)[:1], "pos templates must be unit rows"),  # not flagged as normalized
+        (np.eye(4)[:2], np.eye(4)[2:3], "template count/shape mismatch"),
+    ])
+    def test_bad_template_rows_exit_3_naming_the_bank(self, tmp_path, world_dir, capsys, pos, neg, message):
+        wdir, world = world_dir
+        for name, rows in (("pos", pos), ("neg", neg)):
+            save_embeddings(EmbeddingMatrix(rows.astype(np.float32)), tmp_path / f"{name}.fssl")
+        bank = tmp_path / "bank.json"
+        bank.write_text(json.dumps({"a": {"pos": "pos.fssl", "neg": "neg.fssl"}}))
+        cfg_path = write_config(tmp_path / "cfg.yaml", dict(world.files, template_bank=str(bank)), tmp_path / "out")
+        assert main(["curate", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["pseudolabel", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {bank}: attribute 'a': {message}" in err and "Traceback" not in err
+
+    def test_overflowed_gradient_exits_4_at_pretrain(self, tmp_path, world_dir, capsys):
+        # a tiny temperature trains at a finite loss near 1e297 whose gradient norm overflows
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        for stage in ("curate", "pseudolabel"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(cfg_path), "--set", "loss.temperature=1e-300"]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: gradient norm overflows to inf" in err and "Traceback" not in err
+        assert json.loads((out / "run_manifest_pretrain.json").read_text())["status"] == "failed"
+        assert not (out / "pretrain_checkpoint.fsck").exists()
+
     def test_template_bank_without_attributes_exits_3_at_pseudolabel(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir
         bank = tmp_path / "bank.json"
@@ -524,6 +584,25 @@ class TestStages:
         report = json.loads(out)
         assert set(report) >= {"avg_acc", "ser", "eod", "dpd", "min_grp_acc", "max_grp_acc"}
         assert {name: p.read_bytes() for name, p in reports.items()} == written
+
+    def test_artifacts_identical_at_one_and_two_blas_threads(self, tmp_path, world_dir):
+        # the model has about 39k parameters, enough for OpenBLAS to split a
+        # dot product over threads; the gradient norm must not depend on that
+        wdir, world = world_dir
+        src = Path(__file__).resolve().parents[1] / "src"
+        hashes = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            cfg_path = write_config(tmp_path / f"threads{threads}.yaml", world.files, out,
+                                    model={"encoder_dims": [128, 64], "projection_dims": [128, 128, 32]})
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-m", "fairssl.cli", "pipeline", "--config", str(cfg_path)],
+                                    env=env, capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr[-2000:]
+            manifests = sorted(out.glob("run_manifest_*.json"))
+            hashes.append({p.name: json.loads(p.read_text())["artifacts"] for p in manifests})
+        assert len(hashes[0]) == 7 and hashes[0] == hashes[1]
 
     def test_probe_prints_only_from_the_cli(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir

@@ -312,12 +312,12 @@ class TestDedupMatchesPerRowScan:
 
 
 class TestDedupLeavesPoolAsFound:
-    """``deduplicate`` compacts the kept rows into the front of the pool's
-    own buffer while it scans, and must put every row back."""
+    """``deduplicate`` reads the pool in place and never writes it, even
+    when most earlier rows are dropped and score -inf, or the scan raises."""
 
     def duplicate_heavy(self, rng, n=240):
-        # at least half the rows repeat an earlier one, so the prefix of
-        # kept rows falls well behind the scan
+        # at least half the rows repeat an earlier one, so most of each
+        # chunk is masked
         codes = rng.integers(0, 2**SIGN_D, size=n // 3)
         return as_pool(sign_rows(codes[rng.integers(0, codes.size, size=n)]))
 
@@ -549,15 +549,19 @@ def test_knn_retrieve_scratch_independent_of_query_count(rng, make_unit_rows):
     assert peak < candidate_bytes + 16 * 2**20
 
 
-def test_dedup_scratch_below_half_the_pool(rng, make_unit_rows):
-    # the kept rows live in the pool's own buffer, not in a pool-sized copy;
-    # a smaller kept-row chunk keeps the GEMM scores clear of the bound
+def test_dedup_scratch_below_half_the_pool(rng, make_unit_rows, tmp_path):
+    # the pool is read in place, writable or not, never copied; a smaller
+    # chunk keeps the GEMM scores clear of the bound
     rows = make_unit_rows(rng, 20000, 64).astype(np.float32)
-    rows[100::2000] = rows[5:15]  # a few duplicates, so some rows move
+    rows[100::2000] = rows[5:15]  # a few duplicates, so some rows score -inf
     pool = EmbeddingMatrix(rows, normalized=True)
-    with mock.patch.object(curation, "_DEDUP_CHUNK", 1024):
-        peak = traced_peak(lambda: deduplicate(pool, 0.95))
-    assert peak < pool.data.nbytes / 2
+    save_embeddings(pool, tmp_path / "pool.fssl")
+    loaded = load_embeddings(tmp_path / "pool.fssl")
+    assert not loaded.data.flags.writeable
+    for matrix in (pool, loaded):
+        with mock.patch.object(curation, "_DEDUP_CHUNK", 1024):
+            peak = traced_peak(lambda: deduplicate(matrix, 0.95))
+        assert peak < matrix.data.nbytes / 2
 
 
 def test_knn_retrieve_scratch_below_half_the_pool(rng, make_unit_rows):

@@ -125,6 +125,17 @@ class TestAdamW:
         with pytest.raises(NumericError, match="head"):
             opt.step(params, grads)
 
+    def test_overflowing_gradient_norm_aborts(self):
+        # every entry is finite, but the sum of their squares overflows
+        params = tiny_params()
+        before = params.flat.copy()
+        grads = GradientBundle.zeros_like(params)
+        grads.flat[:] = 1e200
+        opt = AdamW(params, LrSchedule(0.1))
+        with pytest.raises(NumericError, match="gradient norm overflows to inf"):
+            opt.step(params, grads)
+        assert np.array_equal(params.flat, before) and opt.step_count == 0
+
     def test_flat_step_matches_layered_oracle_bit_for_bit(self, rng):
         params = tiny_params(seed=3)
         set_frozen(params, ["projection.1"])
@@ -385,13 +396,14 @@ class TestMetaStep:
         class Recording(AdamW):
             def step(self, params, grads):
                 applied.append(grads.flat.copy())
-                super().step(params, grads)
+                return super().step(params, grads)
 
         metrics = meta_step(params, X, labels, idx, val_x, val_y, LossConfig(), TrainConfig(batch_size=8, seed=0),
                             Recording(params, LrSchedule(1e-3)), substream(1, "v"))
         assert not metrics["skipped"]
         [flat] = applied
-        assert metrics["grad_norm"] == float(np.linalg.norm(flat)) > 0.0
+        assert metrics["grad_norm"] == GradientBundle(flat, params.layout).norm() > 0.0
+        assert metrics["grad_norm"] == pytest.approx(float(np.linalg.norm(flat)), rel=1e-12)
         head = params.layout["head"]
         assert np.any(flat[head.start : head.stop] != 0.0)
 
