@@ -168,12 +168,16 @@ def _field_type(cls, key: str):
 
 
 def _check_types(cls, data: dict, where: str) -> None:
-    """Check each value has its field's type and, if a float, is finite."""
+    """Check each value has its field's type and each number in it, list
+    items included, is a finite float or an int64 (so a finite float64)."""
     for key, value in data.items():
         if not _matches(value, _field_type(cls, key)):
             raise ConfigError(f"{where}: {key} must be {cls.__annotations__[key]}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(f"{where}: {key} must be finite, got {item!r}")
+            if isinstance(item, int) and not -(2**63) <= item < 2**63:
+                raise ConfigError(f"{where}: {key} must fit in 64 bits, got {len(str(abs(item)))} digits")
 
 
 def _build_section(cls, data: dict, where: str, top_keys: list[str]):
@@ -227,7 +231,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override {item!r} has an empty key path")
         try:
             value = yaml.load(raw_value, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int beyond Python's digit limit
             raise ConfigError(f"override {item!r}: cannot parse value: {exc}") from exc
         _assign(data, keys, value, f"override {item!r}")
     return data
@@ -257,7 +261,7 @@ def load_config(
         data = yaml.load(path.read_bytes(), Loader=_YAML_LOADER) or {}
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")

@@ -1,16 +1,16 @@
 """Linear probing on frozen features and group-fairness metrics.
 
 This is the only part of the pipeline that may look at group labels. Every
-task here is binary, so the probe is one L2-regularised logistic regression
-on labels that must be exactly {0, 1} (no penalty on the bias), solved by
-damped Newton steps from zero. The objective is convex and the problem tiny,
-features + 1 parameters, so each step solves the exact (features + 1)^2
-Hessian system and about ten steps reach the optimum. The fit is returned as
-a two-class model whose class weights are ``-w/2`` and ``w/2``: the penalty
-``(l2/4)|w|^2`` is then the ``(l2/2)`` penalty on both class weights, so
-``l2`` means what it means for a two-class softmax regression and the
-optimum is that regression's. The same solver fits the validation head at
-the stage-2 switch.
+task here is binary: a classifier is one logit ``z`` that predicts class 1
+where ``z > 0``, and the probe, its Newton steps and the stage-2 validation
+loss share one :func:`logistic_loss`. The probe is one L2-regularised
+logistic regression on labels that must be exactly {0, 1} (no penalty on the
+bias), solved by damped Newton steps from zero: the problem is convex and
+tiny, features + 1 parameters, so each step solves the exact Hessian system
+and about ten steps reach the optimum. Its penalty ``(l2/4)|w|^2`` makes the
+optimum that of a two-class softmax regression with ``(l2/2)`` on both class
+weights, which are ``-w/2`` and ``w/2`` there. The same solver fits the
+validation head at the stage-2 switch.
 
 ``build_report`` is the only metric entry point. It tallies each group once
 (samples, correct, positives, negatives, true and false positives, positive
@@ -38,19 +38,19 @@ _EPS = np.finfo(np.float64).eps
 
 @dataclass
 class ProbeModel:
-    """Affine classifier trained on frozen features."""
+    """One-logit affine classifier trained on frozen features."""
 
-    weight: np.ndarray  # (2, features)
-    bias: np.ndarray  # (2,)
+    weight: np.ndarray  # (features,)
+    bias: float
     final_loss: float = float("nan")
     grad_norm: float = float("nan")
     iterations: int = 0
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        return _batch(features) @ self.weight.T + self.bias
+        return _batch(features) @ self.weight + self.bias
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(features), axis=1)
+        return (self.logits(features) > 0).astype(np.int64)
 
 
 def _batch(features: np.ndarray) -> np.ndarray:
@@ -71,19 +71,18 @@ def softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return shift, np.log(denom), ex / denom[..., None]
 
 
-def softmax_cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row softmax cross-entropy of the class logits against the labels
-    ``y``, and the softmax probabilities."""
-    shift, log_denom, probs = softmax(logits)
-    return log_denom - (logits[np.arange(y.size), y] - shift), probs
+def logistic_loss(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row logistic loss ``logaddexp(0, z) - y z`` of the logits ``z``
+    against the {0, 1} labels ``y``, and the sigmoid of ``z``, without overflow."""
+    return np.logaddexp(0.0, z) - y * z, np.exp(-np.logaddexp(0.0, -z))
 
 
 def _objective(theta, Xa, y, l2):
     """Mean logistic loss plus ``(l2/4)|w|^2`` at ``theta = [w | b]`` over
-    ``[X | 1]``, and the logits."""
-    z = Xa @ theta
+    ``[X | 1]``, and the sigmoid of the logits."""
+    loss, p = logistic_loss(Xa @ theta, y)
     w = theta[:-1]
-    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.25 * l2 * np.dot(w, w)), z
+    return float(np.mean(loss) + 0.25 * l2 * np.dot(w, w)), p
 
 
 def train_probe(features: np.ndarray, labels: np.ndarray, *, l2: float) -> ProbeModel:
@@ -97,8 +96,6 @@ def train_probe(features: np.ndarray, labels: np.ndarray, *, l2: float) -> Probe
     Stops once the gradient norm is below ``_GRAD_TOL`` times the largest
     absolute feature value (at least 1), which full Newton steps reach
     quadratically; raises ``NumericError`` if the step cap is hit instead.
-    The two-class model returned splits the logit ``[x | 1] @ [w | b]`` as
-    weights ``[-w/2, w/2]`` and biases ``[-b/2, b/2]``.
     """
     if not 0 <= l2 < np.inf:  # NaN fails; an infinite penalty makes the Hessian solve hang
         raise DataError(f"probe l2 must be finite and non-negative, got {l2}")
@@ -118,16 +115,13 @@ def train_probe(features: np.ndarray, labels: np.ndarray, *, l2: float) -> Probe
     tol = _GRAD_TOL * max(1.0, float(np.abs(X).max()))
 
     theta = np.zeros(cols)
-    loss, z = _objective(theta, Xa, y, l2)
+    loss, p = _objective(theta, Xa, y, l2)
     for steps in range(_NEWTON_MAX_STEPS + 1):
-        p = np.exp(-np.logaddexp(0.0, -z))  # the sigmoid, without overflow
         grad = Xa.T @ (p - y) / n
         grad[:-1] += 0.5 * l2 * theta[:-1]
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
-            half = theta / 2
-            return ProbeModel(np.vstack([-half[:-1], half[:-1]]), np.array([-half[-1], half[-1]]),
-                              final_loss=loss, grad_norm=gnorm, iterations=steps)
+            return ProbeModel(theta[:-1], float(theta[-1]), final_loss=loss, grad_norm=gnorm, iterations=steps)
         if steps == _NEWTON_MAX_STEPS:
             raise NumericError(
                 f"probe solver did not converge in {_NEWTON_MAX_STEPS} Newton steps "
@@ -145,14 +139,14 @@ def train_probe(features: np.ndarray, labels: np.ndarray, *, l2: float) -> Probe
         slack = 8 * _EPS * max(1.0, abs(loss))
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            new_loss, new_z = _objective(theta + t * step, Xa, y, l2)
+            new_loss, new_p = _objective(theta + t * step, Xa, y, l2)
             if new_loss <= loss - _ARMIJO * t * decrement + slack:
                 break
             t *= 0.5
         else:
             raise NumericError("probe line search stalled; objective may be ill-conditioned")
         theta = theta + t * step
-        loss, z = new_loss, new_z
+        loss, p = new_loss, new_p
 
 
 @dataclass

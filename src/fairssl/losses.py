@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateBatchError
-from .evaluation import softmax, softmax_cross_entropy
+from .evaluation import logistic_loss, softmax
 from .network import GradientBundle, ModelParams, backward, forward_features, head_forward
 
 _UNIT_TOL = 1e-5
@@ -170,11 +170,11 @@ def topk_average(values: np.ndarray, k: int) -> tuple[float, np.ndarray]:
 def validation_topk_loss(
     params: ModelParams, val_x: np.ndarray, val_y: np.ndarray, k: int
 ) -> tuple[float, GradientBundle]:
-    """Mean of the k largest per-sample classification losses on a held-out
-    set, with its exact parameter gradient.
+    """Mean of the k largest per-sample logistic losses of the head logit on
+    a held-out set, with its exact parameter gradient.
 
     Only the k contributing samples carry gradient. With k equal to the
-    sample count this is the ordinary mean cross entropy.
+    sample count this is the ordinary mean logistic loss.
     """
     features, tape = forward_features(params, val_x)  # rejects all but a batch of rows
     y = np.asarray(val_y, dtype=np.int64).ravel()
@@ -184,10 +184,7 @@ def validation_topk_loss(
         raise DataError("validation labels do not match the sample count")
     if not 1 <= k <= len(features):
         raise ConfigError(f"k={k} out of range for {len(features)} validation samples")
-    logits = head_forward(params, features)
-    ce, d_logits = softmax_cross_entropy(logits, y)
-    d_logits[np.arange(y.size), y] -= 1.0
-    loss, mask = topk_average(ce, k)
-    d_logits *= (mask.astype(np.float64) / k)[:, None]
-    bundle = backward(params, tape, d_logits=d_logits)
-    return loss, bundle
+    per_row, p = logistic_loss(head_forward(params, features)[:, 0], y)
+    loss, mask = topk_average(per_row, k)
+    d_logits = (p - y) * mask / k
+    return loss, backward(params, tape, d_logits=d_logits[:, None])

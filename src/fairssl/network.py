@@ -1,5 +1,5 @@
 """Trainable model over precomputed embeddings: MLP encoder, 3-layer
-projection network with unit-norm output, and a linear classification head.
+projection network with unit-norm output, and a one-logit linear head.
 
 Gradients are exact reverse-mode, written specifically for this affine/relu
 chain (no general autodiff). The forward pass records a tape of activations;
@@ -103,6 +103,8 @@ class ModelParams:
                 raise DataError(
                     f"layer dimension chain broken: {prev.out_dim} -> {nxt.in_dim}"
                 )
+        if head.out_dim != 1:
+            raise DataError(f"the head must have 1 output, the logit of the binary task, got {head.out_dim}")
         if encoder and head.in_dim != encoder[-1].out_dim:
             raise DataError(
                 f"head expects {head.in_dim} features, encoder produces {encoder[-1].out_dim}"
@@ -138,7 +140,7 @@ class ModelParams:
         Encoder: relu on hidden layers, linear final layer (the feature
         layer). Projection: exactly three affine layers with relu between
         them; its output is normalized by the forward pass. Head: one affine
-        layer with the two classes of the binary pseudo-labels.
+        layer with one output, the logit of the binary pseudo-labels.
         """
         if len(projection_dims) != 3:
             raise ConfigError(f"projection_dims must list 3 widths, got {projection_dims}")
@@ -161,7 +163,7 @@ class ModelParams:
         pdims = [encoder_dims[-1]] + list(projection_dims)
         for i, (n_in, n_out) in enumerate(zip(pdims, pdims[1:])):
             proj.append(affine(n_in, n_out, "identity" if i == 2 else "relu"))
-        head = affine(encoder_dims[-1], 2, "identity")
+        head = affine(encoder_dims[-1], 1, "identity")
         return cls(encoder, proj, head)
 
     def layer_names(self) -> list[str]:
@@ -271,7 +273,7 @@ def forward_embed(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def head_forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Affine class logits from a batch of encoder features (no nonlinearity)."""
+    """The head logit of each row of a batch of encoder features, (n, 1)."""
     F = np.asarray(features, dtype=np.float64)
     if F.ndim != 2 or F.shape[1] != params.head.in_dim:
         raise DataError(f"features must be rows of {params.head.in_dim} values, got shape {F.shape}")

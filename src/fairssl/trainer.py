@@ -6,7 +6,7 @@ noise, scale jitter — the embedding-space analogue of image augmentations).
 Stage 2 freezes every encoder layer but the last and reweights samples
 each step: the weight of a sample is the positively clamped, normalized
 alignment between its training-loss gradient and the gradient of a top-k
-classification loss on a high-confidence pseudo-labeled validation subset.
+logistic loss of the head on a high-confidence pseudo-labeled validation subset.
 
 The per-sample alignments are computed exactly but without materializing
 per-sample gradients: with g_v the validation gradient and J the Jacobian of
@@ -397,7 +397,7 @@ def meta_step(
     sample_align = 0.5 * (anchor_align[:n] + anchor_align[n:])
     state = meta_weights(sample_align, 1.0)  # normalizing the weights cancels the step size
 
-    metrics = {"skipped": state.skipped, "active_samples": int(np.count_nonzero(state.w)), "meta_state": state}
+    metrics = {"skipped": state.skipped, "active_samples": int(np.count_nonzero(state.w))}
     if state.skipped:
         return metrics
     w = state.w
@@ -487,9 +487,6 @@ def meta_stage(
         "validation head fit: probe_iterations=%d probe_grad_norm=%.3e probe_loss=%.6f",
         probe.iterations, probe.grad_norm, probe.final_loss,
     )
-    if probe.weight.shape != params.head.weight.shape:  # a checkpoint made elsewhere
-        raise DataError(f"the checkpoint's head has {params.head.out_dim} classes but the validation "
-                        f"pseudo-labels have {probe.weight.shape[0]}")
     params.head.weight[...] = probe.weight
     params.head.bias[...] = probe.bias
 

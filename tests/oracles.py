@@ -271,9 +271,12 @@ def groups_with_accuracy(correct, sizes, keys=None):
 
 def gd_probe(features, labels, l2: float = 1e-4, seed: int = 0, max_iter: int = 20000,
              tol: float = 1e-6) -> ProbeModel:
-    """Reference probe fit: full-batch gradient descent with Armijo
-    backtracking from a seeded random start, stopped at gradient norm ``tol``
-    or after ``max_iter`` iterations (whichever comes first, without error)."""
+    """Reference probe fit: a two-class softmax regression with
+    ``(l2/2)|W|^2`` by full-batch gradient descent with Armijo backtracking
+    from a seeded random start, stopped at gradient norm ``tol`` or after
+    ``max_iter`` iterations (whichever comes first, without error). Returned
+    as the one-logit model of the class-score difference ``W[1] - W[0]``,
+    ``b[1] - b[0]``."""
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     y = np.asarray(labels, dtype=np.int64).ravel()
     n = X.shape[0]
@@ -292,7 +295,7 @@ def gd_probe(features, labels, l2: float = 1e-4, seed: int = 0, max_iter: int = 
         return loss, d.T @ X + l2 * W, d.sum(axis=0)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0x70726F62]))
-    W = 0.01 * rng.standard_normal((int(y.max()) + 1, X.shape[1]))
+    W = 0.01 * rng.standard_normal((2, X.shape[1]))
     b = np.zeros(W.shape[0])
     loss, gW, gb = objective(W, b)
     step = 1.0
@@ -311,7 +314,7 @@ def gd_probe(features, labels, l2: float = 1e-4, seed: int = 0, max_iter: int = 
         else:
             raise AssertionError("reference line search stalled")
     gnorm = float(np.sqrt(np.sum(gW * gW) + np.sum(gb * gb)))
-    return ProbeModel(W, b, final_loss=loss, grad_norm=gnorm, iterations=iterations)
+    return ProbeModel(W[1] - W[0], float(b[1] - b[0]), final_loss=loss, grad_norm=gnorm, iterations=iterations)
 
 
 def layered_adamw(params, grads, moments: dict, t: int, lr: float, weight_decay: float = 0.0,

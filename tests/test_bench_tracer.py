@@ -1,11 +1,12 @@
 """The benchmark tracer's targets still exist in the package.
 
-``bench/run.py --trace 1`` fails when a traced name is renamed or a hooked
-function loses an argument its hook reads, but only after minutes of
-benchmark runs. This checks the same bindings statically, without calling
-``Tracer.install()``, which rebinds module attributes for the whole process,
-and checks that the training stages reach the traced trainer names through
-the module attribute, so a rebinding sees every call.
+``bench/run.py --trace 1`` fails when a traced name is renamed, a hooked
+function loses an argument its hook reads or its result loses a field the
+hook reads, but only after minutes of benchmark runs. This checks the same
+bindings statically and runs each hook on a tiny call of its function,
+without calling ``Tracer.install()``, which rebinds module attributes for
+the whole process; and it checks that the training stages reach the traced
+trainer names through the module attribute, so a rebinding sees every call.
 """
 
 import ast
@@ -14,6 +15,7 @@ import importlib
 import importlib.util
 import inspect
 import textwrap
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,46 @@ def test_hooks_read_the_expected_arguments():
     assert reads["curation.deduplicate"] == {"pool"}
     assert reads["curation.knn_retrieve"] == {"curated", "m"}
     assert reads["trainer.meta_step"] == {"idx"}
+
+
+def _tiny_call(name: str):
+    """One small real call of the hooked function ``name``: (function, args, kwargs)."""
+    import numpy as np
+
+    from fairssl import curation, evaluation, trainer
+    from fairssl.losses import LossConfig
+    from fairssl.network import ModelParams
+    from fairssl.seeding import substream
+    from fairssl.store import EmbeddingMatrix, normalize_rows
+
+    rng = np.random.default_rng(0)
+    pool = normalize_rows(EmbeddingMatrix(rng.standard_normal((20, 4))))
+    if name == "curation.deduplicate":
+        return curation.deduplicate, (pool, 0.95), {}
+    if name == "curation.knn_retrieve":
+        return curation.knn_retrieve, (pool, pool, np.arange(10), 2), {}
+    X = rng.standard_normal((30, 6))
+    labels = rng.integers(0, 2, size=(30, 2))
+    if name == "evaluation.train_probe":
+        return evaluation.train_probe, (X, labels[:, 0]), {"l2": 1e-3}
+    if name == "trainer.meta_step":
+        params = ModelParams.create(6, [8, 5], [6, 6, 4], seed=0)
+        cfg = trainer.TrainConfig(batch_size=8, seed=0)
+        optimizer = trainer.AdamW(params, trainer.LrSchedule(1e-3))
+        return trainer.meta_step, (params, X, labels, np.arange(8), X[20:], labels[20:, 0], LossConfig(), cfg,
+                                   optimizer, substream(0, "views")), {}
+    raise AssertionError(f"no tiny call for hooked function {name}")
+
+
+@pytest.mark.parametrize("name", sorted(_tracer().HOOKS))
+def test_hook_reads_the_result_of_a_tiny_call(name):
+    # reshaping a result (the probe model, the meta-step metrics) breaks its hook here, not in a traced run
+    fn, args, kwargs = _tiny_call(name)
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    counts = defaultdict(int)
+    _tracer().HOOKS[name](counts, bound.arguments, fn(*args, **kwargs))
+    assert counts and all(int(v) == v >= 0 for v in counts.values()), dict(counts)
 
 
 def test_stages_call_the_traced_trainer_names(monkeypatch):

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import struct
 import subprocess
@@ -61,7 +62,18 @@ def _known_keys() -> list[tuple[str, ...]]:
     return keys
 
 
-_YAML_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+# integers beyond +-2**1024 convert to no finite float64
+_INTEGERS = st.integers() | st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
+_YAML_SCALARS = st.none() | st.booleans() | _INTEGERS | st.floats() | st.text(max_size=8)
+
+
+def _numbers(value):
+    """Every int and float in a nested dict or list."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) else []
 
 
 class TestConfig:
@@ -75,6 +87,10 @@ class TestConfig:
         except ConfigError:
             return
         assert len(cfg.config_hash()) == 64
+        # what loads, a stage can use: every number is a finite float64, every int an int64
+        for number in _numbers(dataclasses.asdict(cfg)):
+            assert math.isfinite(float(number))
+            assert not isinstance(number, int) or -(2**63) <= number < 2**63
 
     def test_seed_mandatory(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -327,6 +343,12 @@ class TestCliExitCodes:
         "trainer.noise_sigma=.nan", "curation.quality_threshold=.nan", "probe.l2=.inf",
         "trainer.scale_jitter=.inf", "pseudolabel.scale=.nan", "model.encoder_dims=[0]",
         "model.encoder_dims=[-2]", "model.projection_dims=[8,0,4]",
+        # integers no stage can take, which loaded and then escaped a stage as a raw exception
+        pytest.param("trainer.epochs=1" + "0" * 400, id="trainer.epochs=1e400"),
+        pytest.param("probe.l2=1" + "0" * 400, id="probe.l2=1e400"),
+        pytest.param("model.encoder_dims=[1" + "0" * 400 + "]", id="model.encoder_dims=[1e400]"),
+        pytest.param("probe.l2=-9223372036854775809", id="probe.l2=int64-min-minus-1"),
+        pytest.param("trainer.epochs=1" + "0" * 5000, id="trainer.epochs=1e5000"),  # past Python's digit limit
     ])
     def test_mistyped_config_value_exits_2_before_any_stage(self, tmp_path, world_dir, capsys, override):
         wdir, world = world_dir
@@ -358,7 +380,7 @@ class TestCliExitCodes:
         assert main(["pipeline", "--config", str(cfg_path), "--set", "trainer.base_lr=1"]) == 0
 
     def test_removed_num_classes_key_exits_2_at_load(self, tmp_path, world_dir, capsys):
-        # removed keys: the head always has the two classes of the binary pseudo-labels,
+        # removed keys: the head is always the one logit of the binary pseudo-labels,
         # stage 2 always freezes every encoder layer but the last and trains the head,
         # training draws from the global seed and the meta weights take a unit virtual step
         wdir, world = world_dir
@@ -372,23 +394,27 @@ class TestCliExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_head_class_mismatch_exits_3(self, tmp_path, world_dir, capsys):
-        # a pretrain checkpoint made elsewhere, whose head has 3 classes: the pseudo-labels are binary
+        # a checkpoint whose head has two rows, as every checkpoint made before the
+        # head became the one logit of the binary task: refused at load, naming the file
         wdir, world = world_dir
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
         for stage in ("curate", "pseudolabel"):
             assert main([stage, "--config", str(cfg_path)]) == 0
-        two = ModelParams.create(world.config.dim, [16, 8], [16, 16, 6], seed=17)
-        three = ModelParams(two.encoder, two.projection, Layer(np.full((3, 8), 0.1), np.zeros(3)))
-        save_checkpoint(three, out / "pretrain_checkpoint.fsck")
+        layer = struct.Struct("<BBBII")  # section, activation, frozen, in_dim, out_dim
+        save_checkpoint(ModelParams.create(world.config.dim, [16, 8], [16, 16, 6], seed=17), tmp_path / "one.fsck")
+        one = (tmp_path / "one.fsck").read_bytes()
+        two = one[: -(layer.size + 4 * 9)] + layer.pack(2, 0, 0, 8, 2) + np.full(18, 0.1, "<f4").tobytes()
         capsys.readouterr()
-        assert main(["train-meta", "--config", str(cfg_path)]) == 3
-        err = capsys.readouterr().err
-        assert "checkpoint's head has 3 classes" in err and "pseudo-labels have 2" in err
-        assert "Traceback" not in err
-        marker = json.loads((out / "run_manifest_train_meta.json").read_text())
-        assert marker["status"] == "failed"
-        assert "head has 3 classes" in marker["error"]
+        for stage, name in (("train-meta", "pretrain_checkpoint.fsck"), ("probe", "final_checkpoint.fsck")):
+            (out / name).write_bytes(two)
+            assert main([stage, "--config", str(cfg_path)]) == 3
+            err = capsys.readouterr().err
+            assert f"{out / name}: the head must have 1 output" in err and "got 2" in err
+            assert "Traceback" not in err
+            marker = json.loads((out / f"run_manifest_{stage.replace('-', '_')}.json").read_text())
+            assert marker["status"] == "failed"
+            assert name in marker["error"] and "got 2" in marker["error"]
 
     def test_failed_pipeline_rerun_marks_the_failing_stage(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir

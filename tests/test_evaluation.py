@@ -7,24 +7,25 @@ from hypothesis import strategies as st
 
 from fairssl import evaluation
 from fairssl.errors import DataError, NumericError
-from fairssl.evaluation import build_report, softmax, softmax_cross_entropy, train_probe
+from fairssl.evaluation import build_report, logistic_loss, softmax, train_probe
 
 from oracles import confusion_rates, gd_probe, groups_with_accuracy, log_softmax
 
 
 @pytest.mark.parametrize("scale", [1.0, 50.0, 1e3])
-def test_softmax_cross_entropy_matches_a_log_softmax_oracle(rng, scale):
-    logits = rng.standard_normal((8, 3)) * scale
-    logits[:3] = [[1e3, -1e3, 0.0], [-1e3, -1e3, -1e3], [1e3, 1e3, -1e3]]
-    y = np.array([1, 2, 0, 0, 1, 2, 0, 1])
-    loss, probs = softmax_cross_entropy(logits, y)
-    expected = log_softmax(logits)
-    assert np.isfinite(loss).all() and np.isfinite(probs).all()
+def test_logistic_loss_matches_a_log_softmax_oracle(rng, scale):
+    # the logit z is the class-1 score against a class-0 score of 0
+    z = rng.standard_normal(10) * scale
+    z[:4] = [1e3, -1e3, 1e3, -1e3]  # saturated, both ways, for both labels
+    y = np.array([0, 1, 1, 0, 1, 0, 1, 0, 1, 1])
+    loss, p = logistic_loss(z, y)
+    expected = log_softmax(np.column_stack([np.zeros_like(z), z]))
+    assert np.isfinite(loss).all() and np.isfinite(p).all()
     # log-probabilities carry the rounding of the largest logit: a few ulps of it
-    tol = 16 * np.finfo(np.float64).eps * np.abs(logits).max()
+    tol = 16 * np.finfo(np.float64).eps * np.abs(z).max()
     np.testing.assert_allclose(loss, -expected[np.arange(y.size), y], rtol=0, atol=tol)
-    np.testing.assert_allclose(probs, np.exp(expected), rtol=tol, atol=1e-300)
-    assert loss[0] == 2e3 and loss[1] == np.log(3.0)  # a 2,000-nat gap is exact in float64
+    np.testing.assert_allclose(p, np.exp(expected[:, 1]), rtol=tol, atol=1e-300)
+    assert loss[0] == loss[1] == 1e3 and loss[2] == loss[3] == 0.0  # saturated losses are exact
 
 
 @pytest.mark.parametrize("scale", [1.0, 50.0, 1e3])
@@ -91,14 +92,16 @@ class TestProbe:
         with pytest.raises(DataError, match="probe l2 must be finite and non-negative"):
             train_probe(rng.standard_normal((20, 4)), np.arange(20) % 2, l2=l2)
 
-    def test_two_classes_split_the_logit_exactly(self, rng):
+    def test_predict_is_the_sign_of_the_logit(self, rng):
         X = rng.standard_normal((200, 4))
         y = (X[:, 0] - X[:, 1] + 0.5 * rng.standard_normal(200) > 0).astype(int)
         probe = train_probe(X, y, l2=1e-3)
-        assert np.array_equal(probe.weight[0], -probe.weight[1])
-        assert probe.bias[0] == -probe.bias[1]
-        logit = X @ (2 * probe.weight[1]) + 2 * probe.bias[1]
-        assert np.array_equal(probe.predict(X), (logit > 0).astype(int))
+        assert probe.weight.shape == (4,) and isinstance(probe.bias, float)
+        pred = probe.predict(X)
+        assert pred.dtype == np.int64
+        assert np.array_equal(pred, X @ probe.weight + probe.bias > 0)
+        # a logit of exactly 0 predicts class 0, as the argmax of two tied scores did
+        assert evaluation.ProbeModel(np.ones(4), -2.0).predict(np.full((1, 4), 0.5)).tolist() == [0]
 
     def test_step_cap_raises_instead_of_returning(self, rng, monkeypatch):
         X = rng.standard_normal((200, 3))
@@ -119,7 +122,7 @@ class TestProbe:
         with pytest.raises(DataError, match=r"batch of rows, got shape \(4,\)"):
             train_probe(np.ones(4), [0, 1, 0, 1], l2=1e-4)
         probe = train_probe(rng.standard_normal((20, 4)), np.arange(20) % 2, l2=1e-4)
-        assert probe.logits(np.ones((1, 4))).shape == (1, 2)
+        assert probe.logits(np.ones((1, 4))).shape == (1,)
         with pytest.raises(DataError, match=r"batch of rows, got shape \(4,\)"):
             probe.logits(np.ones(4))
 
@@ -132,8 +135,7 @@ class TestProbe:
         y = (base[:, 0] - 0.5 * base[:, 1] + rng.standard_normal(300) > 0).astype(int)
         probe = train_probe(X, y, l2=0.0)
         assert probe.grad_norm <= 1e-8
-        assert abs(probe.bias.sum()) <= 1e-12
-        assert probe.weight[:, 2] == pytest.approx(2.0 * probe.weight[:, 0], rel=1e-6)
+        assert probe.weight[2] == pytest.approx(2.0 * probe.weight[0], rel=1e-6)
         reference = gd_probe(X, y, l2=0.0)
         assert probe.final_loss <= reference.final_loss + 1e-9
         assert np.array_equal(probe.predict(X), reference.predict(X))

@@ -27,7 +27,7 @@ def identity_params(d=4):
     return ModelParams(
         [Layer(np.eye(d), np.zeros(d), "identity")],
         [Layer(np.eye(d), np.zeros(d), "identity") for _ in range(3)],
-        Layer(np.eye(d), np.zeros(d), "identity"),
+        Layer(np.eye(d)[:1], np.zeros(1), "identity"),  # the logit is the first feature
     )
 
 
@@ -51,7 +51,7 @@ class TestForward:
         params = ModelParams(
             [Layer(np.zeros((d, d)), np.zeros(d), "identity")],
             [Layer(np.zeros((d, d)), np.zeros(d), "identity") for _ in range(3)],
-            Layer(np.eye(d), np.zeros(d), "identity"),
+            Layer(np.eye(d)[:1], np.zeros(1), "identity"),
         )
         with pytest.raises(NumericError, match="row 0"):
             forward_embed(params, np.ones((1, d)))
@@ -95,6 +95,14 @@ class TestForward:
 
 
 class TestHead:
+    def test_one_logit(self):
+        # every task is binary: the head is one row, and any other width is refused
+        assert small_params().head.weight.shape == (1, 5)
+        base = identity_params(3)
+        for width in (0, 2, 3):
+            with pytest.raises(DataError, match=f"head must have 1 output, .* got {width}"):
+                ModelParams(base.encoder, base.projection, Layer(np.zeros((width, 3)), np.zeros(width)))
+
     def test_zero_weights(self):
         params = small_params()
         params.head.weight[...] = 0.0
@@ -106,7 +114,7 @@ class TestHead:
     def test_identity_passthrough(self):
         params = identity_params(4)
         f = np.array([[1.0, -2.0, 3.0, 0.5]])
-        assert np.allclose(head_forward(params, f), f)
+        assert np.array_equal(head_forward(params, f), f[:, :1])
 
     def test_matches_manual_product(self, rng):
         params = small_params(seed=9)
@@ -160,7 +168,7 @@ class TestBackward:
     def test_head_path_finite_differences(self, rng):
         params = small_params(seed=11)
         x = rng.standard_normal((3, 6))
-        w = rng.standard_normal((3, 2))
+        w = rng.standard_normal((3, 1))
 
         def loss_value():
             feats, tape = forward_features(params, x)
@@ -188,7 +196,7 @@ class TestBackward:
         _, z, tape = forward_embed(params, x)
         upstream = dict(
             d_projection=rng.standard_normal(z.shape),
-            d_logits=rng.standard_normal((5, 2)),
+            d_logits=rng.standard_normal((5, 1)),
         )
         full = backward(params, tape, **upstream)
         set_frozen(params, frozen)
@@ -244,7 +252,7 @@ class TestFlatLayout:
         shared = Layer(np.eye(d), np.zeros(d))
         with pytest.raises(DataError, match="more than once"):
             ModelParams([Layer(np.eye(d), np.zeros(d))], [shared, Layer(np.eye(d), np.zeros(d)), shared],
-                        Layer(np.eye(d), np.zeros(d)))
+                        Layer(np.eye(d)[:1], np.zeros(1)))
 
 
 class TestJvp:
@@ -283,7 +291,7 @@ class TestJvp:
         _, z, tape = forward_embed(params, x)
         direction = backward(
             params, tape, d_projection=rng.standard_normal(z.shape),
-            d_logits=rng.standard_normal((7, 2)),
+            d_logits=rng.standard_normal((7, 1)),
         )
         got = forward_jvp(params, tape, direction)
         want = dense_jvp(params, tape, direction)
@@ -449,5 +457,5 @@ class TestCheckpoint:
             ModelParams(
                 [Layer(np.eye(d), np.zeros(d))],
                 [Layer(np.eye(d), np.zeros(d))] * 2,
-                Layer(np.eye(d), np.zeros(d)),
+                Layer(np.eye(d)[:1], np.zeros(1)),
             )
