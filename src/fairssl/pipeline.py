@@ -147,8 +147,8 @@ def write_failure_manifest(cfg: PipelineConfig, command: str, error: Exception |
 
 
 def _curate(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Path]) -> None:
-    curated = normalize_rows(load_embeddings(inputs["curated_embeddings"]))
-    pool = normalize_rows(load_embeddings(inputs["uncurated_embeddings"]))
+    curated = load_embeddings(inputs["curated_embeddings"], normalize=True)
+    pool = load_embeddings(inputs["uncurated_embeddings"], normalize=True)
     curated_manifest = DatasetManifest.load(inputs["curated_manifest"])
     pool_manifest = DatasetManifest.load(inputs["uncurated_manifest"])
     curated_manifest.validate_rows(curated.n, inputs["curated_manifest"])

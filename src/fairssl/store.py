@@ -9,22 +9,28 @@ Binary layout (little-endian)::
 
     magic "FSSL" | u32 version=1 | u64 n | u32 d | u32 flags | n*d float32
 
-Flag bit 0 marks a row-normalized matrix. Manifest records are one JSON
-object per line with keys ``id``, ``row`` (record i names row i, blank
-lines aside), ``source`` and optional ``quality`` and ``group``;
-:func:`read_jsonl` reads them, and every other JSON-lines file of the
-pipeline, into typed columns, and :func:`write_jsonl` writes them all.
+Flag bit 0 marks a row-normalized matrix. A load holds one copy of the
+payload: the matrix is a view of the buffer the file was read into, and
+``load_embeddings(path, normalize=True)`` scales the rows in that buffer.
+Manifest records are one JSON object per line with keys ``id``, ``row``
+(record i names row i, blank lines aside), ``source`` and optional
+``quality`` and ``group``; :func:`read_jsonl` streams them, and every other
+JSON-lines file of the pipeline, into typed columns, and
+:func:`write_jsonl` writes them all.
 
 The pipeline's files are read and written by four helpers here:
-:func:`read_bytes` (the one place a read OSError becomes a DataError),
+:func:`read_bytes` (a whole file into a buffer the caller owns),
 :func:`read_container` (magic and version of FSSL, FSPL and FSCK files),
 :func:`naming`, which prefixes the errors of objects built from a file
 with its path, and :func:`write_file`, which replaces a file atomically.
+Every read goes through ``_reading``, the one place a read OSError
+becomes a DataError.
 """
 
 from __future__ import annotations
 
 import array
+import codecs
 import contextlib
 import io
 import itertools
@@ -95,8 +101,14 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     zero row, since a zero embedding indicates upstream corruption rather
     than a valid sample.
     """
-    out = np.empty(m.data.shape, dtype=np.float32)
-    for start, rows in _row_blocks(m.data):
+    return _normalize_into(m.data, np.empty(m.data.shape, dtype=np.float32))
+
+
+def _normalize_into(data: np.ndarray, out: np.ndarray) -> EmbeddingMatrix:
+    """The rows of ``data`` scaled as :func:`normalize_rows` describes,
+    written to ``out``, which may be ``data`` itself: each block is copied
+    to float64 before its rows are written."""
+    for start, rows in _row_blocks(data):
         block = rows.astype(np.float64)
         norms = np.linalg.norm(block, axis=1)
         zero_rows = np.flatnonzero(norms < 1e-30)
@@ -104,6 +116,7 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
             raise DegenerateInputError(f"cannot normalize zero row at index {start + zero_rows[0]}")
         block /= norms[:, None]
         out[start : start + block.shape[0]] = block
+        del block  # so no two blocks are alive at once
     return EmbeddingMatrix(out, normalized=True)
 
 
@@ -115,10 +128,23 @@ def _row_blocks(data: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield start, data[start : start + step]
 
 
-def read_bytes(path: str | Path, what: str) -> bytes:
-    """The contents of ``path``; an OSError becomes a DataError naming ``what``."""
+def read_bytes(path: str | Path, what: str) -> bytearray:
+    """The contents of ``path`` in a buffer that the caller owns and may
+    write to; an OSError becomes a DataError naming ``what``."""
+    with _reading(path, what) as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf) :]
+        buf += fh.read()  # whatever the file grew by since fstat
+        return buf
+
+
+@contextlib.contextmanager
+def _reading(path: str | Path, what: str) -> Iterator[io.BufferedReader]:
+    """``path`` open for binary reading; an OSError on opening or reading
+    becomes a DataError naming ``what``."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            yield fh
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -186,16 +212,24 @@ def save_embeddings(m: EmbeddingMatrix, path: str | Path) -> None:
     write_file(path, header, np.ascontiguousarray(m.data, dtype=_PAYLOAD))
 
 
-def load_embeddings(path: str | Path) -> EmbeddingMatrix:
+def load_embeddings(path: str | Path, normalize: bool = False) -> EmbeddingMatrix:
     """Read an embedding file, validating header, size, and finiteness.
 
-    The matrix is a read-only view over the bytes read, so a load holds one
-    copy of the payload; copy ``data`` before writing to it.
+    The matrix is a read-only view over the buffer the file was read into,
+    so a load holds one copy of the payload; copy ``data`` before writing to
+    it. With ``normalize`` the rows are then scaled in that buffer exactly
+    as :func:`normalize_rows` scales them, flagged files too, and the
+    writable result is still the only copy; its errors, a zero row's too,
+    name ``path``.
     """
     (n, d, flags), raw = read_container(path, MAGIC, FORMAT_VERSION, _HEADER, "embeddings", _PAYLOAD)
     data = np.frombuffer(raw, dtype=_PAYLOAD, offset=_HEADER.size).reshape(n, d)
     with naming(path):
-        return EmbeddingMatrix(data, normalized=bool(flags & _FLAG_NORMALIZED))
+        m = EmbeddingMatrix(data, normalized=bool(flags & _FLAG_NORMALIZED))
+        if normalize:
+            return _normalize_into(m.data, m.data)
+    m.data.flags.writeable = False
+    return m
 
 
 @dataclass(eq=False)
@@ -317,25 +351,54 @@ def read_jsonl(path: str | Path, fields: dict[str, type], optional: tuple[str, .
     ``float``, whose column is a list of str, an int64 array or a float64
     array (a float field also takes an integer). Keys named in ``optional``
     may be absent or null; their column is a ``(values, present)`` pair in
-    which absent values read 0 (or ""). Other keys are ignored.
+    which absent values read 0 (or ""). An int or float column that no
+    line fills is a read-only zero array that holds no per-row values,
+    and its mask too. Other keys are ignored.
     Undecodable bytes, invalid JSON, a line that is not an object, a
     missing, null or wrong-typed field, and an integer outside int64 (or,
     in a float field, outside the float range) and the non-standard
     constants NaN, Infinity and -Infinity raise FormatError naming
     ``path:line``.
+
+    The file is read twice and never held whole: once in chunks to check
+    that it is UTF-8, so a later line's bad byte wins over an earlier
+    line's bad JSON, then a line at a time to parse it.
     """
-    raw = read_bytes(path, "JSON-lines file")
-    try:
-        raw.decode("utf-8")  # the whole file first: a later line's bad byte still wins
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise FormatError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
+    _check_utf8(path)
     columns = [_Column(kind, key in optional) for key, kind in fields.items()]
-    lines = _parse_lines(raw, path, fields, optional)
-    while block := list(itertools.islice(lines, _LINE_BLOCK)):
-        for column, values in zip(columns, zip(*block)):
-            column.extend(values)
+    with _reading(path, "JSON-lines file") as fh:
+        lines = _parse_lines(fh, path, fields, optional)
+        while block := list(itertools.islice(lines, _LINE_BLOCK)):
+            for column, values in zip(columns, zip(*block)):
+                column.extend(values)
     return [column.finish() for column in columns]
+
+
+# Bytes per read of the UTF-8 check: they bound memory (a chunk and its
+# decoded text) and do not change any output.
+_UTF8_CHUNK = 2**20
+
+
+def _check_utf8(path: str | Path) -> None:
+    """Raise a FormatError naming ``path:line`` at the first sequence of
+    ``path`` that is not UTF-8. A chunk of ASCII is not decoded unless a
+    sequence begun in the chunk before it is still open."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    newlines = 0  # in the chunks read before this one
+    with _reading(path, "JSON-lines file") as fh:
+        while True:
+            chunk = fh.read(_UTF8_CHUNK)
+            try:
+                if decoder.getstate()[0] or not chunk.isascii():
+                    decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the open sequence, which holds no newline,
+                # followed by this chunk
+                lineno = newlines + exc.object.count(b"\n", 0, exc.start) + 1
+                raise FormatError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
+            if not chunk:
+                return
+            newlines += chunk.count(b"\n")
 
 
 def write_jsonl(path: str | Path, columns: dict[str, Sequence]) -> None:
@@ -358,11 +421,11 @@ _LINE_BLOCK = 1024
 
 
 def _parse_lines(
-    raw: bytes, path: str | Path, fields: dict[str, type], optional: tuple[str, ...]
+    fh: io.BufferedReader, path: str | Path, fields: dict[str, type], optional: tuple[str, ...]
 ) -> Iterator[tuple]:
-    """The tuple of ``fields`` values of each non-blank line of ``raw``,
-    None where an optional value is absent, checked as :func:`read_jsonl`
-    describes."""
+    """The tuple of ``fields`` values of each non-blank line of ``fh``,
+    which reads the UTF-8 file ``path``, None where an optional value is
+    absent, checked as :func:`read_jsonl` describes."""
     keys = tuple(fields)
     ranges = [_INT_RANGE.get(kind) for kind in fields.values()]
     # every accepted tuple of value types, mapped to the positions that
@@ -374,8 +437,7 @@ def _parse_lines(
     accepted = {
         types: tuple(i for i, t in enumerate(types) if t is int) for types in itertools.product(*choices)
     }
-    # io.BytesIO shares the bytes: only one line at a time is decoded
-    for lineno, line in enumerate(io.BytesIO(raw), start=1):
+    for lineno, line in enumerate(fh, start=1):
         line = line.decode().strip(" \t\r\n")  # JSON whitespace
         if not line:
             continue
@@ -406,12 +468,13 @@ class _Column:
     """One typed column, built a block of values at a time: a list for str,
     an int64 or float64 array for int or float (a float column also takes
     ints). An optional column also takes None, which reads as ``kind()``,
-    and keeps a presence mask."""
+    and keeps a presence mask; until its first value only counts Nones."""
 
     def __init__(self, kind: type, optional: bool):
         self.kind, self.optional = kind, optional
         self.values = [] if kind is str else array.array(_ARRAY_TYPES[kind][0])
         self.present = bytearray()
+        self.absent = 0  # Nones before an optional column's first value
 
     @classmethod
     def of(cls, kind: type, values: Sequence, optional: bool):
@@ -422,6 +485,12 @@ class _Column:
 
     def extend(self, values: Sequence) -> None:
         if self.optional:
+            if not self.present:
+                if all(map(operator.is_, values, itertools.repeat(None))):
+                    self.absent += len(values)
+                    return
+                self.present = bytearray(self.absent)
+                self.values.extend(itertools.repeat(self.kind(), self.absent))
             self.present.extend(map(operator.is_not, values, itertools.repeat(None)))
             if None in values:
                 zero = self.kind()
@@ -435,6 +504,11 @@ class _Column:
 
     def finish(self):
         """The column: its values, or ``(values, present)`` if optional."""
+        if self.optional and not self.present:  # no value: views of one zero
+            none = np.broadcast_to(np.False_, self.absent)
+            if self.kind is str:
+                return [""] * self.absent, none
+            return np.broadcast_to(np.zeros((), _ARRAY_TYPES[self.kind][1]), self.absent), none
         values = self.values
         if self.kind is not str:  # a view: the array's buffer is the column
             values = np.frombuffer(values, dtype=_ARRAY_TYPES[self.kind][1])

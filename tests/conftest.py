@@ -47,14 +47,15 @@ class _BreakingFile:
 def break_writes(monkeypatch):
     """``break_writes(exc, files=1, after=1)``: the first ``files`` files
     (None: all) that ``store.write_file`` opens raise ``exc`` after
-    ``after`` chunks, as a full disk or an interrupt would part-way."""
+    ``after`` chunks, as a full disk or an interrupt would part-way. Files
+    that ``store`` opens for reading are left alone."""
     from fairssl import store
 
     def install(exc, files=1, after=1):
         def breaking_open(path, mode="r", *args, **kwargs):
             nonlocal files
             fh = open(path, mode, *args, **kwargs)
-            if files == 0:
+            if files == 0 or not set(mode) & set("wax+"):
                 return fh
             if files is not None:
                 files -= 1

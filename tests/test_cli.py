@@ -23,7 +23,7 @@ from fairssl.config import PipelineConfig, apply_overrides, config_from_dict, lo
 from fairssl.errors import ConfigError, DataError, NumericError
 from fairssl.network import Layer, ModelParams, save_checkpoint
 from fairssl.pipeline import ARTIFACTS, STAGES, run_stage
-from fairssl.store import DatasetManifest, EmbeddingMatrix, save_embeddings
+from fairssl.store import DatasetManifest, EmbeddingMatrix, load_embeddings, save_embeddings
 from fairssl.synthetic import generate_world
 
 
@@ -554,8 +554,9 @@ class TestStages:
         wdir, world = world_dir
         # inject group labels into the training manifests: they must not survive
         manifest = DatasetManifest.load(world.files["uncurated_manifest"])
-        manifest.group[:] = 1
-        manifest.has_group[:] = True
+        # the loaded group columns are read-only views of one zero: replace them
+        manifest.group = np.ones(len(manifest), dtype=np.int64)
+        manifest.has_group = np.ones(len(manifest), dtype=bool)
         tagged_path = tmp_path / "tagged_uncurated.jsonl"
         manifest.save(tagged_path)
         files = dict(world.files, uncurated_manifest=str(tagged_path))
@@ -575,8 +576,8 @@ class TestStages:
         for key in ("curated_manifest", "uncurated_manifest"):
             manifest = DatasetManifest.load(world.files[key])
             assert not manifest.has_group.any()
-            manifest.group[:] = np.arange(len(manifest)) % 2
-            manifest.has_group[:] = True
+            manifest.group = np.arange(len(manifest)) % 2
+            manifest.has_group = np.ones(len(manifest), dtype=bool)
             files[key] = str(tmp_path / f"tagged_{key}.jsonl")
             manifest.save(files[key])
         runs = [
@@ -802,6 +803,19 @@ class TestStages:
             err = capsys.readouterr().err
             assert f"{short}: manifest describes {len(lines) - 1} rows but the matrix has {len(lines)}" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["curated_embeddings", "uncurated_embeddings"])
+    def test_zero_embedding_row_exits_3_naming_its_file(self, tmp_path, world_dir, capsys, key):
+        wdir, world = world_dir
+        data = load_embeddings(world.files[key]).data.copy()
+        data[7] = 0.0
+        zeroed = tmp_path / f"zeroed_{key}.fssl"
+        save_embeddings(EmbeddingMatrix(data), zeroed)
+        cfg_path = write_config(tmp_path / "cfg.yaml", {**world.files, key: str(zeroed)}, tmp_path / "out")
+        assert main(["curate", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{zeroed}: cannot normalize zero row at index 7" in err
+        assert "Traceback" not in err
 
     def test_version_1_pseudolabel_table_exits_3_at_pretrain(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir

@@ -18,6 +18,7 @@ from fairssl.curation import (
 from fairssl.errors import ConfigError, DataError
 from fairssl.store import DatasetManifest, EmbeddingMatrix, load_embeddings, normalize_rows, save_embeddings
 
+from conftest import unit_rows
 from oracles import cosine_similarity, exhaustive_knn, greedy_dedup, manifest_entries, stable_topm
 
 
@@ -520,6 +521,53 @@ def test_topm_ties_to_lower_index_property(bases, cand_picks, query_picks, m_fra
         assert not np.any((sims[q, left] > vals[-1]) | ((sims[q, left] == vals[-1]) & (left < row[-1])))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    layout=st.sampled_from(["one-group", "few-groups", "ties", "under-a-group"]),
+    group=st.integers(2, 6),
+    m=st.integers(1, 4),
+    n_q=st.integers(1, 5),
+    block=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_knn_retrieve_matches_float64_oracle_across_column_groups(layout, group, m, n_q, block, seed):
+    # the shortlist threshold comes from the maxima of column groups; the
+    # picks must be the float64 scan's wherever the top rows fall
+    rng = np.random.default_rng(seed)
+    queries = unit_rows(rng, n_q, SIGN_D).astype(np.float32)
+    n_c = group * int(rng.integers(3, 7)) + int(rng.integers(0, group))
+    pool = unit_rows(rng, n_c, SIGN_D)
+    kept = np.ones(n_c, dtype=bool)
+    if layout == "one-group":  # query 0's m best rows share one group
+        m = min(m, group)
+        start = group * int(rng.integers(0, n_c // group))
+        near = queries[0] + 0.02 * (1 + np.arange(m))[:, None] * unit_rows(rng, m, SIGN_D)
+        pool[start : start + m] = near / np.linalg.norm(near, axis=1, keepdims=True)
+    elif layout == "few-groups":  # m - 1 groups hold every kept row
+        m = max(m, 2)
+        groups = rng.choice(n_c // group, size=m - 1, replace=False)
+        kept[:] = False
+        for g in groups:
+            kept[g * group : (g + 1) * group] = True
+    elif layout == "ties":  # equal rows, and so equal scores, in many groups
+        codes = rng.integers(0, 2**SIGN_D, size=3)
+        pool = sign_rows(codes[rng.integers(0, 3, size=n_c)])
+        queries = sign_rows(codes[rng.integers(0, 3, size=n_q)] ^ rng.integers(0, 2**SIGN_D, size=n_q))
+    else:  # a single group wider than the whole pool
+        n_c = int(rng.integers(m, m + 4))
+        pool, kept = pool[:n_c], kept[:n_c]
+        group = n_c + int(rng.integers(1, 3))
+    pool = as_pool(pool).data
+    scores = queries.astype(np.float64) @ pool.astype(np.float64).T
+    scores[:, ~kept] = -np.inf
+    expected = np.argsort(-scores, axis=1, kind="stable")[:, :m]
+    with mock.patch.multiple(curation, _TOPM_GROUP=group, _TOPM_BLOCK_BYTES=block * 4 * n_c):
+        picks = _exact_topm(queries, pool, m, np.flatnonzero(~kept))
+        got = knn_retrieve(as_pool(queries), as_pool(pool), np.flatnonzero(kept), m)
+    assert np.array_equal(picks, expected)
+    assert np.array_equal(got, np.unique(expected))
+
+
 # --- memory: no query x pool or pool x pool float64 matrix at once --------
 
 MEMORY_LIMIT = 64 * 2**20
@@ -540,13 +588,15 @@ def test_dedup_memory_bounded(rng, make_unit_rows):
 
 
 def test_knn_retrieve_scratch_independent_of_query_count(rng, make_unit_rows):
-    # beyond the float64 candidate matrix (15.4 MB here) only a few
-    # 4 MiB top-m blocks may be alive at once, however many queries there are
+    # one block of scores is alive at a time: ten times the queries (3 and
+    # 24 blocks of 2 MiB here) may not add a block to the peak
     pool = EmbeddingMatrix(make_unit_rows(rng, 30000, 64).astype(np.float32), normalized=True)
-    curated = EmbeddingMatrix(make_unit_rows(rng, 400, 64).astype(np.float32), normalized=True)
-    candidate_bytes = pool.n * pool.d * 8
-    peak = traced_peak(lambda: knn_retrieve(curated, pool, np.arange(pool.n), 4))
-    assert peak < candidate_bytes + 16 * 2**20
+    queries = make_unit_rows(rng, 400, 64).astype(np.float32)
+    peaks = [
+        traced_peak(lambda: knn_retrieve(EmbeddingMatrix(queries[:n], normalized=True), pool, np.arange(pool.n), 4))
+        for n in (40, 400)
+    ]
+    assert abs(peaks[1] - peaks[0]) < curation._TOPM_BLOCK_BYTES, peaks
 
 
 def test_dedup_scratch_below_half_the_pool(rng, make_unit_rows, tmp_path):

@@ -259,6 +259,40 @@ def test_load_holds_one_payload_read_only(tmp_path, rng, normalized):
     assert not loaded.data.flags.writeable
 
 
+@pytest.mark.parametrize("case", ["flagged", "unflagged", "d=1"])
+@pytest.mark.parametrize("rows_per_block", [None, 3])
+def test_normalizing_load_equals_normalize_rows_of_load(tmp_path, rng, case, rows_per_block):
+    d = 1 if case == "d=1" else 16
+    block = rows_per_block or _block_rows(d)
+    data = _spread_rows(rng, 2 * block + 1, d)
+    if case == "flagged":  # within the flag's tolerance of unit norm, not on it
+        data = whole_matrix_normalize(data) * np.float32(1 + 4e-7)
+    save_embeddings(EmbeddingMatrix(data, normalized=case == "flagged"), tmp_path / "a.fssl")
+    with _blocks_of(block, d):
+        expected = normalize_rows(load_embeddings(tmp_path / "a.fssl"))
+        loaded = load_embeddings(tmp_path / "a.fssl", normalize=True)
+    if case == "flagged":
+        assert expected.data.tobytes() != data.tobytes()  # renormalizing moved bits
+    assert loaded.normalized and loaded.data.dtype == np.float32 and loaded.data.flags.writeable
+    assert loaded.data.tobytes() == expected.data.tobytes()
+
+
+def test_normalizing_load_holds_one_payload(tmp_path, rng):
+    # the rows are scaled in the buffer the file was read into; normalizing
+    # a loaded matrix held two payloads (2.0 times the payload here)
+    d = 64
+    data = rng.standard_normal((24 * _block_rows(d), d), dtype=np.float32)
+    save_embeddings(EmbeddingMatrix(data), tmp_path / "a.fssl")
+    tracemalloc.start()
+    try:
+        loaded = load_embeddings(tmp_path / "a.fssl", normalize=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * data.nbytes, peak / data.nbytes
+    assert loaded.data.tobytes() == whole_matrix_normalize(data).tobytes()
+
+
 def test_manifest_round_trip(tmp_path):
     manifest = DatasetManifest.from_columns(
         ["a", "b", "c"], ["curated", "retrieved", "uncurated"],
@@ -464,6 +498,66 @@ def test_read_jsonl_integer_range_edges(tmp_path):
     path.write_text(json.dumps({"a": 0, "b": 0, "q": big}) + "\n")
     with pytest.raises(FormatError, match="m.jsonl:1: 'q' is outside the float range"):
         read_jsonl(path, {"a": int, "b": int, "q": float})
+
+
+def test_read_jsonl_field_no_line_fills_holds_no_values(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(b"".join(b'{"id": "s%d", "row": %d, "source": "curated"}\n' % (i, i) for i in range(3000)))
+    manifest = DatasetManifest.load(path)
+    for values in (manifest.quality, manifest.has_quality, manifest.group, manifest.has_group):
+        assert values.shape == (3000,) and values.strides == (0,) and not values.flags.writeable
+    assert not manifest.group.any() and not manifest.has_group.any()
+    assert manifest.group.dtype == np.int64 and manifest.quality.dtype == np.float64
+
+
+@pytest.mark.parametrize("first", [0, 1, 5, 6])
+def test_read_jsonl_field_first_filled_in_a_later_block(tmp_path, first):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(b"".join(
+        b'{"id": "s%d"%s}\n' % (i, b', "g": %d' % i if i in (first, 6) else b"") for i in range(7)
+    ))
+    with mock.patch.object(store, "_LINE_BLOCK", 2):
+        ids, (group, has_group) = read_jsonl(path, {"id": str, "g": int}, optional=("g",))
+    assert ids == [f"s{i}" for i in range(7)]
+    assert group.tolist() == [i if i in (first, 6) else 0 for i in range(7)]
+    assert has_group.tolist() == [i in (first, 6) for i in range(7)]
+
+
+def _utf8_error(raw: bytes) -> str:
+    """The line and reason of the first bad UTF-8 sequence of ``raw``, as
+    decoding it whole finds them."""
+    try:
+        raw.decode()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        return f"{lineno}: not UTF-8: {exc.reason}"
+    return ""
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        GOOD_LINE + b'\n{"id": "\xe2\x82(", "row": 1, "source": "curated"}\n',  # bad continuation
+        GOOD_LINE + b'\n{"id": "\xf0\x9f\x98\x80", "row": 1, "source": "curated"}\n{"id": "\xe9"}\n',
+        GOOD_LINE + b'\n{"id": "b", "row": 1, "source": "curated", "n": "\xe2\x82',  # cut at the end
+        GOOD_LINE + b'\n{"id": "\xff", "row": 1, "source": "curated"}',  # no final newline
+        b'{"id": "\xc3\xa9", "row": 0, "source": "curated"}\n{"id": "\xc3\xa8", "row": 1, "source": "curated"}',
+    ],
+    ids=["straddling", "after-a-good-4-byte-char", "truncated-at-eof", "last-line-no-newline", "valid"],
+)
+def test_utf8_check_in_chunks_names_the_whole_file_line(tmp_path, raw):
+    # every chunk size, so each sequence straddles a boundary at every offset
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(raw)
+    problem = _utf8_error(raw)
+    for chunk in range(1, len(raw) + 2):
+        with mock.patch.object(store, "_UTF8_CHUNK", chunk):
+            if not problem:
+                assert [m[0] for m in manifest_entries(DatasetManifest.load(path))] == ["\xe9", "\xe8"]
+                continue
+            with pytest.raises(FormatError) as info:
+                DatasetManifest.load(path)
+        assert str(info.value) == f"{path}:{problem}", chunk
 
 
 def test_read_jsonl_missing_file_is_data_error(tmp_path):
