@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", help="output directory, a string resolved like paths.out_dir (overrides it)")
         p.add_argument("--seed", type=int, help="global seed (overrides the config)")
-        p.add_argument("--workers", type=int, help="worker count; never affects results")
         p.add_argument("--verbose", action="store_true", help="log progress at INFO level")
     return parser
 
@@ -64,8 +63,6 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    if args.workers is not None:
-        overrides.append(f"workers={args.workers}")
     return load_config(args.config, overrides, out_dir=args.out)
 
 

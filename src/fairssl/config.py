@@ -99,7 +99,6 @@ class ProbeConfig:
 @dataclass
 class PipelineConfig:
     seed: int
-    workers: int = 1
     val_attribute: str | None = None  # defaults to the first bank attribute
     paths: PathsConfig = field(default_factory=PathsConfig)
     curation: CurationConfig = field(default_factory=CurationConfig)
@@ -111,8 +110,6 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         self.trainer.seed = self.seed  # training draws from the run's one seed
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.loss.topk_enabled and self.trainer.objective == "contrastive":
             raise ConfigError("loss.topk_enabled needs trainer.objective: supcon; "
                               "the contrastive objective has no top-k wrapper")

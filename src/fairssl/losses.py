@@ -18,6 +18,10 @@ attribute. For any anchor weights w, the scalar is sum_i w_i * term_i and its
 gradient in Z is ((diag(w) R) + (diag(w) R)^T) Z / temperature. Positives
 P_a(i) are the other views sharing the anchor's label under attribute a; the
 denominator always ranges over every other view.
+
+Every loss computes in the dtype of its views, float32 in training and
+float64 in exact gradient checks; its terms, coefficient matrix and
+gradient come back in that dtype.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateBatchError
+from .errors import ConfigError, DataError, DegenerateBatchError, NumericError
 from .evaluation import logistic_loss, softmax
-from .network import GradientBundle, ModelParams, backward, forward_features, head_forward
+from .network import GradientBundle, ModelParams, backward, float_array, forward_features, head_forward
 
 _UNIT_TOL = 1e-5
 
@@ -52,10 +56,11 @@ class MultiviewedBatch:
 
     ``labels`` is per sample, (N,) or (N, A) with A >= 1; ``self.labels`` is
     per view, (2N, A). The label-aware losses average over all A columns.
+    Float32 views keep their dtype; any others become float64.
     """
 
     def __init__(self, views: np.ndarray, labels: np.ndarray):
-        self.views = np.asarray(views, dtype=np.float64)
+        self.views = float_array(views)
         if self.views.ndim != 2:
             raise DataError("views must be a 2-D array")
         m = self.views.shape[0]
@@ -85,7 +90,11 @@ class MultiviewedBatch:
 
 
 def _scaled_similarities(Z: np.ndarray, temperature: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (s, logsumexp over a != i, softmax q with zero diagonal)."""
+    """Return (s, logsumexp over a != i, softmax q with zero diagonal).
+    A temperature so small that 1 / temperature overflows Z's dtype is a
+    ``NumericError``: no similarity of unit vectors would be finite."""
+    if temperature * float(np.finfo(Z.dtype).max) < 1.0:
+        raise NumericError(f"temperature {temperature} overflows {Z.dtype} similarities")
     s = (Z @ Z.T) / temperature
     masked = s.copy()
     np.fill_diagonal(masked, -np.inf)
@@ -100,7 +109,7 @@ def _anchor_stats(
     docstring, for positives masks (2N, 2N) or one per attribute (A, 2N, 2N),
     each with a False diagonal and a positive per row."""
     pos = pos_mask.reshape(-1, *s.shape)
-    pbar = np.mean(pos / pos.sum(axis=2, keepdims=True), axis=0)
+    pbar = np.mean(np.divide(pos, pos.sum(axis=2, keepdims=True), dtype=s.dtype), axis=0)
     R = q - pbar
     np.fill_diagonal(R, 0.0)
     return lse - np.einsum("ij,ij->i", pbar, s), R
@@ -145,7 +154,7 @@ def weighted_grad_from_stats(
 ) -> np.ndarray:
     """Gradient in Z of sum_i anchor_weights[i] * term_i, for the (terms, R)
     of :func:`multi_attribute_anchor_stats`."""
-    w = np.asarray(anchor_weights, dtype=np.float64)[:, None]
+    w = np.asarray(anchor_weights, dtype=Z.dtype)[:, None]
     return _grad_from_coeffs(Z, w * R, temperature)
 
 
@@ -184,7 +193,7 @@ def validation_topk_loss(
         raise DataError("validation labels do not match the sample count")
     if not 1 <= k <= len(features):
         raise ConfigError(f"k={k} out of range for {len(features)} validation samples")
-    per_row, p = logistic_loss(head_forward(params, features)[:, 0], y)
+    per_row, p = logistic_loss(head_forward(params, features)[:, 0], y.astype(features.dtype))
     loss, mask = topk_average(per_row, k)
     d_logits = (p - y) * mask / k
     return loss, backward(params, tape, d_logits=d_logits[:, None])

@@ -10,8 +10,14 @@ meta-weighting stage uses to obtain all per-sample gradient inner products
 at the cost of roughly one extra forward pass. Every call takes a batch of
 rows, (n, d).
 
-Flat layout: ``ModelParams.flat`` is one float64 vector holding every
-parameter in checkpoint order ``[W0, b0, W1, b1, ...]``; each layer's
+A model has one dtype, float32 or float64, and every call computes in it:
+inputs and upstream gradients are cast to it, and tapes and gradients come
+back in it. ``ModelParams.create`` and ``load_checkpoint`` build float32
+models, the precision of the checkpoint; a model built from float64 layers
+stays float64, which finite-difference checks need.
+
+Flat layout: ``ModelParams.flat`` is one vector in the model's dtype holding
+every parameter in checkpoint order ``[W0, b0, W1, b1, ...]``; each layer's
 ``weight``/``bias`` is a view into it, so write values in place (rebinding
 the attribute detaches it from the vector). ``GradientBundle.flat`` has the
 same layout: ``backward`` writes trainable layers' gradients into their
@@ -48,16 +54,23 @@ _ACTIVATIONS = ("identity", "relu")
 _ZERO_NORM = 1e-30
 
 
+def float_array(x) -> np.ndarray:
+    """``x`` as an array, kept if it is float32 and otherwise cast to
+    float64: the two dtypes a model computes in."""
+    a = np.asarray(x)
+    return a if a.dtype == np.float32 else a.astype(np.float64)
+
+
 @dataclass
 class Layer:
-    weight: np.ndarray  # (out, in) float64
-    bias: np.ndarray  # (out,) float64
+    weight: np.ndarray  # (out, in) float32 or float64
+    bias: np.ndarray  # (out,) in the weight's dtype
     activation: str = "identity"
     frozen: bool = False
 
     def __post_init__(self) -> None:
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weight = float_array(self.weight)
+        self.bias = np.asarray(self.bias, dtype=self.weight.dtype)
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise DataError(f"inconsistent layer shapes {self.weight.shape} / {self.bias.shape}")
         if self.activation not in _ACTIVATIONS:
@@ -112,6 +125,9 @@ class ModelParams:
         layers = encoder + projection + [head]
         if len(set(map(id, layers))) != len(layers):
             raise DataError("a layer object appears more than once")
+        dtypes = {layer.weight.dtype for layer in layers}
+        if len(dtypes) != 1:
+            raise DataError(f"layers mix the dtypes {sorted(map(str, dtypes))}; a model has one")
         self.encoder = encoder
         self.projection = projection
         self.head = head
@@ -119,7 +135,7 @@ class ModelParams:
         names += [f"projection.{i}" for i in range(len(projection))] + ["head"]
         self._layers = dict(zip(names, layers))
         self.layout = _layout(names, [layer.weight.shape for layer in layers])
-        self.flat = np.empty(self.layout["head"].stop, dtype=np.float64)
+        self.flat = np.empty(self.layout["head"].stop, dtype=dtypes.pop())
         for span, layer in zip(self.layout.values(), layers):
             self.flat[span.start : span.split] = layer.weight.ravel()
             self.flat[span.split : span.stop] = layer.bias
@@ -134,8 +150,9 @@ class ModelParams:
         projection_dims: list[int],
         seed: int = 0,
     ) -> "ModelParams":
-        """Seeded uniform fan-in initialization, drawn from its own
-        ``SeedSequence([seed & 0xFFFFFFFF, 0x6E657477])``, not from a substream.
+        """Seeded uniform fan-in initialization, drawn in float64 from its
+        own ``SeedSequence([seed & 0xFFFFFFFF, 0x6E657477])``, not from a
+        substream, and rounded to a float32 model.
 
         Encoder: relu on hidden layers, linear final layer (the feature
         layer). Projection: exactly three affine layers with relu between
@@ -152,7 +169,7 @@ class ModelParams:
             bound = 1.0 / np.sqrt(n_in)
             w = rng.uniform(-bound, bound, size=(n_out, n_in))
             b = rng.uniform(-bound, bound, size=n_out)
-            return Layer(w, b, activation)
+            return Layer(w.astype(np.float32), b.astype(np.float32), activation)
 
         encoder = []
         dims = [input_dim] + list(encoder_dims)
@@ -244,7 +261,7 @@ def _run_chain(layers: list[Layer], h: np.ndarray, inputs: list, pres: list) -> 
 def forward_features(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Tape]:
     """Encoder-only forward of a batch of rows; the returned tape supports
     backward passes that do not touch the projection (head gradients)."""
-    X = np.asarray(x, dtype=np.float64)
+    X = np.asarray(x, dtype=params.flat.dtype)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DataError(f"input must be rows of {params.input_dim} values, got shape {X.shape}")
     tape = Tape(x=X)
@@ -274,7 +291,7 @@ def forward_embed(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def head_forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """The head logit of each row of a batch of encoder features, (n, 1)."""
-    F = np.asarray(features, dtype=np.float64)
+    F = np.asarray(features, dtype=params.flat.dtype)
     if F.ndim != 2 or F.shape[1] != params.head.in_dim:
         raise DataError(f"features must be rows of {params.head.in_dim} values, got shape {F.shape}")
     return F @ params.head.weight.T + params.head.bias
@@ -325,11 +342,11 @@ def backward(
     as zeros and cost no gradient GEMM.
     """
     bundle = GradientBundle.zeros_like(params)
-    n = tape.x.shape[0]
-    d_feat_total = np.zeros((n, params.feature_dim), dtype=np.float64)
+    n, dtype = tape.x.shape[0], params.flat.dtype
+    d_feat_total = np.zeros((n, params.feature_dim), dtype=dtype)
 
     if d_logits is not None:
-        d_logits = np.asarray(d_logits, dtype=np.float64)
+        d_logits = np.asarray(d_logits, dtype=dtype)
         if d_logits.shape != (n, params.head.out_dim):
             raise DataError(f"d_logits shape {d_logits.shape} does not match tape")
         if not params.head.frozen:
@@ -341,7 +358,7 @@ def backward(
     if d_projection is not None:
         if tape.z is None:
             raise DataError("d_projection needs a tape from forward_embed; this tape has no projection")
-        dz = np.asarray(d_projection, dtype=np.float64)
+        dz = np.asarray(d_projection, dtype=dtype)
         if dz.shape != tape.z.shape:
             raise DataError(f"d_projection shape {dz.shape} does not match tape")
         d_feat_total += _chain_backward(
@@ -403,7 +420,8 @@ _ACTIVATION_CODE = {name: i for i, name in enumerate(_ACTIVATIONS)}
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Serialize parameters as float32; loading restores the stored values exactly."""
+    """Serialize parameters as float32: a float32 model loads back bit for
+    bit, a float64 one as its float32 rounding."""
     chunks = [_FILE_HEADER.pack(MAGIC, FORMAT_VERSION, len(params.layout))]
     for name, layer in params.named_layers():
         section = _SECTION_CODE[name.partition(".")[0]]
@@ -429,9 +447,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         if offset + nbytes > len(raw):
             raise FileSizeError(f"{path}: truncated layer payload")
         payload = np.frombuffer(raw, dtype="<f4", count=nbytes // 4, offset=offset)
-        if not np.isfinite(payload).all():  # before the cast, which warns on a signaling NaN
+        if not np.isfinite(payload).all():
             raise FormatError(f"{path}: non-finite weights")
-        payload = payload.astype(np.float64)
         offset += nbytes
         w = payload[: in_dim * out_dim].reshape(out_dim, in_dim)
         try:

@@ -10,10 +10,10 @@ failure marker in its place. Stages communicate only through files, so
 ``pipeline`` is exactly the chain of the individual subcommands; when it
 fails, its own manifest, the failing stage's and those of every later stage
 are marked failed. Nothing here is time- or host-dependent: identical config
-and seed reproduce every artifact bit for bit, regardless of the workers
-setting or the BLAS thread count, on one numpy build (another may change
-the last bits of a float sum). The probe manifest's unhashed
-``probe_grad_norm`` is excepted: it may move with the thread count. The
+and seed reproduce every artifact bit for bit, regardless of the BLAS thread
+count, on one numpy build (another may change the last bits of a float sum).
+The probe manifest's unhashed ``probe_grad_norm`` is excepted: it may move
+with the thread count. The
 global seed is the only source of randomness; ``PipelineConfig`` hands it
 to the training stages.
 
@@ -107,7 +107,6 @@ def _write_manifest(cfg: PipelineConfig, command: str, status: str, fields: dict
         "command": command,
         "status": status,
         "seed": cfg.seed,
-        "workers": cfg.workers,
         "config_hash": cfg.config_hash(),
         "package_version": __version__,
         **fields,
@@ -238,7 +237,7 @@ def _probe(cfg: PipelineConfig, inputs: dict[str, Path], artifacts: dict[str, Pa
         raise DataError(f"sample {ids[bad[0]]!r} has no group label; probing needs groups")
     labels_arr = label_values[at]
 
-    features, _ = forward_features(params, embeddings.data.astype(np.float64))
+    features = forward_features(params, embeddings.data)[0]  # the tape is dropped here
     rng = substream(cfg.seed, "probe", "split")
     order = rng.permutation(len(ids))
     n_train = int(cfg.probe.train_fraction * len(ids))

@@ -14,6 +14,10 @@ the projection outputs in the parameters, <g_v, grad loss_i> equals
 <J g_v, d loss_i / dZ>, so one forward-mode pass along g_v prices every
 sample at once. A step therefore costs two forwards and roughly three
 backwards, not one backward per sample.
+
+Training computes in the dtype of the model's parameters, float32 for
+every model the pipeline builds: the augmented views, the losses, the
+gradients and the optimizer moments all follow it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .network import (
     GradientBundle,
     ModelParams,
     backward,
+    float_array,
     forward_embed,
     forward_features,
     forward_jvp,
@@ -125,13 +130,18 @@ class LrSchedule:
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay.
 
-    Moments and scratch space are flat vectors in the layout of
+    Moments and scratch space are flat vectors in the layout and dtype of
     ``ModelParams.flat``; a step updates each run of adjacent trainable
     layers in place, with the per-element operations of a per-tensor loop in
     the same order. The bias corrections fold into the step size and epsilon
     (the note after Algorithm 1 of Kingma & Ba, arXiv 1412.6980); the
     decoupled decay uses the scheduled rate. Frozen layers' parameters and
     moments never change.
+
+    A first moment below the dtype's smallest normal number is set to zero.
+    numpy cannot flush subnormals, and a unit whose gradient stops (a dead
+    relu) would keep its decaying moment in the float32 subnormal range for
+    about 150 steps, where every operation on it is many times slower.
     """
 
     def __init__(
@@ -150,6 +160,7 @@ class AdamW:
         self.eps = eps
         self.step_count = 0
         self.m, self.v, self._a, self._b = (np.zeros_like(params.flat) for _ in range(4))
+        self._tiny = np.finfo(params.flat.dtype).tiny
 
     def step(self, params: ModelParams, grads: GradientBundle) -> float:
         """Apply one update and return the gradient norm. A non-finite entry
@@ -173,11 +184,12 @@ class AdamW:
                 runs.append([span.start, span.stop])
         buffers = (params.flat, grads.flat, self.m, self.v, self._a, self._b)
         for start, stop in runs:
-            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;
+            # m = b1 m + (1 - b1) g, its subnormals zeroed;  v = b2 v + ((1 - b2) g) g;
             # p -= lr_t (m / (sqrt(v) + eps_t)), rounded as written
             p, g, m, v, a, b = (x[start:stop] for x in buffers)
             m *= self.beta1
             m += np.multiply(1.0 - self.beta1, g, out=a)
+            m *= np.greater_equal(np.abs(m, out=a), self._tiny, out=b)
             v *= self.beta2
             np.multiply(1.0 - self.beta2, g, out=a)
             v += np.multiply(a, g, out=a)
@@ -196,14 +208,16 @@ class AdamW:
 def make_views(
     x: np.ndarray, rng: np.random.Generator, *, noise_sigma: float, mask_prob: float, scale_jitter: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two independently augmented copies of each row of the batch ``x`` (n, d).
+    """Two independently augmented copies of each row of the batch ``x`` (n, d),
+    in the dtype of ``x`` if it is float32, else in float64.
 
     Each view applies, in order: coordinate masking with probability
     ``mask_prob``, additive Gaussian noise, and a single multiplicative
     jitter factor per row. Degenerate parameters (all zero) give identity
-    views.
+    views. The draws and the arithmetic are float64 whatever the dtype, so
+    a float32 view is the rounding of the float64 one.
     """
-    X = np.asarray(x, dtype=np.float64)
+    X = float_array(x)
     if X.ndim != 2:
         raise DataError(f"make_views takes a batch of rows, got shape {X.shape}")
 
@@ -211,7 +225,7 @@ def make_views(
         keep = rng.random(X.shape) >= mask_prob
         noise = rng.normal(0.0, noise_sigma, size=X.shape) if noise_sigma > 0 else 0.0
         scale = rng.uniform(1.0 - scale_jitter, 1.0 + scale_jitter, size=(X.shape[0], 1))
-        return (X * keep + noise) * scale
+        return ((X * keep + noise) * scale).astype(X.dtype, copy=False)
 
     return one_view(), one_view()
 
@@ -245,9 +259,11 @@ def _embed_views(
     params: ModelParams, X: np.ndarray, labels: np.ndarray, idx: np.ndarray,
     rng: np.random.Generator, cfg: TrainConfig,
 ) -> tuple[np.ndarray, object, MultiviewedBatch]:
-    """Two augmented views of the rows ``idx``, forwarded: (Z, tape, batch).
-    View ``i`` pairs with view ``i + idx.size``, the batch's layout."""
-    v1, v2 = make_views(X[idx], rng, noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob,
+    """Two augmented views of the rows ``idx`` in the model's dtype,
+    forwarded: (Z, tape, batch). View ``i`` pairs with view ``i + idx.size``,
+    the batch's layout."""
+    rows = X[idx].astype(params.flat.dtype, copy=False)
+    v1, v2 = make_views(rows, rng, noise_sigma=cfg.noise_sigma, mask_prob=cfg.mask_prob,
                         scale_jitter=cfg.scale_jitter)
     _, Z, tape = forward_embed(params, np.vstack([v1, v2]))
     return Z, tape, MultiviewedBatch(Z, labels[idx])
@@ -480,9 +496,8 @@ def meta_stage(
 
     # The validation head is meaningless until it is fit to the proxy task;
     # a convex fit on the frozen-stage features does that deterministically.
-    val_x = X[val_idx].astype(np.float64)
-    feats, _ = forward_features(params, val_x)
-    probe = train_probe(feats, val_y, l2=1e-3)
+    val_x = X[val_idx]
+    probe = train_probe(forward_features(params, val_x)[0], val_y, l2=1e-3)
     log.info(
         "validation head fit: probe_iterations=%d probe_grad_norm=%.3e probe_loss=%.6f",
         probe.iterations, probe.grad_norm, probe.final_loss,

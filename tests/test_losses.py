@@ -20,6 +20,7 @@ from oracles import (
     bruteforce_supcon,
     fd_gradient,
     fd_param_gradients,
+    float64_params,
     log_softmax,
     multi_attribute_supcon,
     sorted_topk_mean,
@@ -252,7 +253,7 @@ class TestTopK:
 
 class TestValidationTopK:
     def setup_method(self):
-        self.params = ModelParams.create(5, [6, 4], [4, 4, 3], seed=0)
+        self.params = float64_params(ModelParams.create(5, [6, 4], [4, 4, 3], seed=0))
 
     def oracle_losses(self, X, y):
         """Per-sample losses by the two-class log-softmax oracle: the head

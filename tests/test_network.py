@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairssl.errors import ConfigError, DataError, FileSizeError, FormatError, NumericError
-from fairssl.losses import validation_topk_loss
+from fairssl.losses import MultiviewedBatch, multi_attribute_anchor_stats, validation_topk_loss, weighted_grad_from_stats
 from fairssl.network import (
     GradientBundle,
     Layer,
@@ -20,7 +20,7 @@ from fairssl.network import (
 )
 from fairssl.trainer import AdamW, LrSchedule
 
-from oracles import assert_grad_close, copy_params, dense_jvp, fd_param_gradients
+from oracles import assert_grad_close, copy_params, dense_jvp, fd_param_gradients, float64_params
 
 
 def identity_params(d=4):
@@ -149,7 +149,7 @@ class TestBackward:
         assert bundle.norm() == 0.0
 
     def test_finite_differences_every_parameter(self, rng):
-        params = small_params(seed=5)
+        params = float64_params(small_params(seed=5))
         x = rng.standard_normal((4, 6))
         target = rng.standard_normal((4, 4))
         target /= np.linalg.norm(target, axis=1, keepdims=True)
@@ -166,7 +166,7 @@ class TestBackward:
             assert_grad_close(bundle[name][1], numeric[name][1], what=f"{name}.bias")
 
     def test_head_path_finite_differences(self, rng):
-        params = small_params(seed=11)
+        params = float64_params(small_params(seed=11))
         x = rng.standard_normal((3, 6))
         w = rng.standard_normal((3, 1))
 
@@ -230,11 +230,13 @@ class TestFlatLayout:
         dup.flat[:] = 0.0
         assert params.flat.any()
 
-    def test_checkpoint_round_trip_is_float32_rounding(self, tmp_path):
-        params = small_params(seed=5)
+    def test_checkpoint_round_trip_is_float32_rounding(self, tmp_path, rng):
+        params = float64_params(small_params(seed=5))
+        params.flat[:] = rng.standard_normal(params.flat.size)  # values float32 cannot hold
         save_checkpoint(params, tmp_path / "a.fsck")
         loaded = load_checkpoint(tmp_path / "a.fsck")
-        assert np.array_equal(loaded.flat, params.flat.astype(np.float32).astype(np.float64))
+        assert loaded.flat.dtype == np.float32
+        assert np.array_equal(loaded.flat, params.flat.astype(np.float32))
         assert loaded.layout == params.layout
 
     def test_gradient_layout_matches_params(self, rng):
@@ -255,9 +257,42 @@ class TestFlatLayout:
                         Layer(np.eye(d)[:1], np.zeros(1)))
 
 
+class TestDtype:
+    def test_float32_model_agrees_with_its_float64_copy(self, rng):
+        # One healthy model and batch. The anchor gradient and what follows
+        # from it are sums of terms larger than themselves, so their float32
+        # rounding reads a few dozen ulps of their own size.
+        eps = np.finfo(np.float32).eps
+        params = small_params(seed=4)
+        x = rng.standard_normal((8, 6))
+        labels = rng.integers(0, 2, (4, 2))
+        results = []
+        for p in (params, float64_params(params)):
+            features, z, tape = forward_embed(p, x)
+            terms, R = multi_attribute_anchor_stats(MultiviewedBatch(z, labels), 0.5)
+            dz = weighted_grad_from_stats(z, R, np.full(8, 1 / 8), 0.5)
+            bundle = backward(p, tape, d_projection=dz)
+            results.append({
+                "features": (features, 4), "z": (z, 4), "terms": (terms, 4), "R": (R, 4),
+                "anchor gradient": (dz, 64), "backward": (bundle.flat, 64),
+                "forward_jvp": (forward_jvp(p, tape, bundle), 64),
+            })
+        narrow, wide = results
+        for name, (a, ulps) in narrow.items():
+            b = wide[name][0]
+            assert a.dtype == np.float32 and b.dtype == np.float64, name
+            assert np.abs(a - b).max() <= ulps * eps * np.abs(b).max(), name
+
+    def test_layers_of_two_dtypes_are_data_error(self):
+        d = 3
+        with pytest.raises(DataError, match="mix the dtypes"):
+            ModelParams([Layer(np.eye(d, dtype=np.float32), np.zeros(d))],
+                        [Layer(np.eye(d), np.zeros(d)) for _ in range(3)], Layer(np.eye(d)[:1], np.zeros(1)))
+
+
 class TestJvp:
     def test_matches_directional_finite_difference(self, rng):
-        params = small_params(seed=2)
+        params = float64_params(small_params(seed=2))
         x = rng.standard_normal((4, 6))
         direction = GradientBundle(rng.standard_normal(params.flat.size), params.layout)
         _, _, tape = forward_embed(params, x)
@@ -386,17 +421,17 @@ class TestCheckpoint:
         assert loaded.encoder[0].frozen
         assert not loaded.encoder[1].frozen
 
-    def test_param_round_trip_on_float32_values(self, tmp_path):
+    def test_float32_checkpoint_loads_back_bit_exactly_and_stays_float32(self, tmp_path):
         params = small_params(seed=1)
-        for _, layer in params.named_layers():
-            layer.weight[...] = layer.weight.astype(np.float32)
-            layer.bias[...] = layer.bias.astype(np.float32)
+        set_frozen(params, ["encoder.0"])
         save_checkpoint(params, tmp_path / "a.fsck")
         loaded = load_checkpoint(tmp_path / "a.fsck")
+        assert params.flat.dtype == loaded.flat.dtype == np.float32
+        assert loaded.flat.tobytes() == params.flat.tobytes()
         for (_, a), (_, b) in zip(params.named_layers(), loaded.named_layers()):
-            assert np.array_equal(a.weight, b.weight)
-            assert np.array_equal(a.bias, b.bias)
-            assert a.activation == b.activation
+            assert b.weight.dtype == b.bias.dtype == np.float32
+            assert np.shares_memory(b.weight, loaded.flat) and np.shares_memory(b.bias, loaded.flat)
+            assert (a.activation, a.frozen) == (b.activation, b.frozen)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "a.fsck"

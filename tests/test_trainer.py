@@ -19,7 +19,7 @@ from fairssl.trainer import (
     stratified_batches,
 )
 
-from oracles import copy_params, layered_adamw, staged_train
+from oracles import copy_params, float64_params, layered_adamw, staged_train
 
 
 def tiny_params(seed=0, d=6):
@@ -127,7 +127,7 @@ class TestAdamW:
 
     def test_overflowing_gradient_norm_aborts(self):
         # every entry is finite, but the sum of their squares overflows
-        params = tiny_params()
+        params = float64_params(tiny_params())
         before = params.flat.copy()
         grads = GradientBundle.zeros_like(params)
         grads.flat[:] = 1e200
@@ -135,6 +135,25 @@ class TestAdamW:
         with pytest.raises(NumericError, match="gradient norm overflows to inf"):
             opt.step(params, grads)
         assert np.array_equal(params.flat, before) and opt.step_count == 0
+
+    def test_first_moment_of_a_dead_unit_skips_the_subnormals(self, rng):
+        # a gradient that stops, as a dead relu unit's does: its first moment decays
+        # by beta1 a step and would spend about 150 steps below float32's smallest
+        # normal number, where each operation on it is many times slower
+        params = tiny_params(seed=2)
+        reference = copy_params(params)
+        opt = AdamW(params, LrSchedule(1e-3))
+        moments: dict = {}
+        grads = GradientBundle(rng.standard_normal(params.flat.size).astype(np.float32), params.layout)
+        tiny = np.finfo(np.float32).tiny
+        for step in range(1000):
+            opt.step(params, grads)
+            layered_adamw(reference, grads, moments, step + 1, 1e-3)
+            if step == 0:
+                grads.flat[:] = 0.0
+            assert not np.any((opt.m != 0.0) & (np.abs(opt.m) < tiny)), f"step {step}"
+        assert np.array_equal(params.flat, reference.flat)
+        assert not opt.m.any()
 
     def test_flat_step_matches_layered_oracle_bit_for_bit(self, rng):
         params = tiny_params(seed=3)
@@ -253,7 +272,7 @@ class TestPretrain:
         cfg = TrainConfig(batch_size=16, epochs=1, base_lr=0.0, warmup_epochs=0, seed=0)
 
         def run(loss_cfg, labels=labels, objective="supcon"):
-            params = tiny_params(seed=3)
+            params = float64_params(tiny_params(seed=3))
             opt = AdamW(params, LrSchedule(0.0), weight_decay=0.0)
             run_cfg = TrainConfig(**{**vars(cfg), "objective": objective})
             return pretrain_epoch(params, X, labels, loss_cfg, run_cfg, opt,
@@ -335,6 +354,7 @@ class TestMetaStep:
     def test_alignments_match_per_sample_gradients(self, rng):
         # <g_v, g_i> via the forward-mode shortcut equals explicit per-sample backprop
         params, X, labels, idx, val_x, val_y = build_meta_inputs(rng)
+        params = float64_params(params)
         cfg = TrainConfig(batch_size=8, seed=0, noise_sigma=0.0, mask_prob=0.0, scale_jitter=0.0)
         tau = 0.4
         n = idx.size
@@ -391,6 +411,7 @@ class TestMetaStep:
     def test_grad_norm_is_the_applied_bundles(self, rng):
         # the norm covers the weighted backward pass and the head's validation gradient
         params, X, labels, idx, val_x, val_y = build_meta_inputs(rng, seed=4)
+        params = float64_params(params)
         applied = []
 
         class Recording(AdamW):
@@ -409,6 +430,7 @@ class TestMetaStep:
 
     def test_meta_gradient_matches_epsilon_finite_difference(self, rng):
         params, X, labels, idx, val_x, val_y = build_meta_inputs(rng, n=4, seed=7)
+        params = float64_params(params)
         tau, alpha, k = 0.5, 0.05, 3
         n = idx.size
         views = np.vstack([X[idx], X[idx]]).astype(np.float64)
