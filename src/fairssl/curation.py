@@ -203,6 +203,7 @@ def _exact_topm(
         order = np.lexsort((cols, -exact[rows, at], rows))
         first = np.searchsorted(rows, np.arange(sims.shape[0]))
         out[q0 : q0 + sims.shape[0]] = cols[order[first[:, None] + np.arange(m)]]
+        del sims  # so no two blocks' scores are alive at once
     return out
 
 

@@ -2,13 +2,16 @@
 projection network with unit-norm output, and a one-logit linear head.
 
 Gradients are exact reverse-mode, written specifically for this affine/relu
-chain (no general autodiff). The forward pass records a tape of activations;
-``backward`` consumes upstream gradients with respect to the normalized
-projection, the head logits, or both. ``forward_jvp`` provides the matching
-forward-mode directional derivative of the projection, which the
-meta-weighting stage uses to obtain all per-sample gradient inner products
-at the cost of roughly one extra forward pass. Every call takes a batch of
-rows, (n, d).
+chain (no general autodiff): the encoder and projection layers, every layer
+but the head. The forward pass records a tape of each chain layer's input,
+which is the previous layer's output; a relu layer's mask is where its
+output is positive, so no pre-activation is kept. ``backward`` walks the
+chain down in one loop, consuming upstream gradients with respect to the
+normalized projection, the head logits (which join at the features), or
+both. ``forward_jvp`` walks it up in one loop: the matching forward-mode
+directional derivative of the projection, which the meta-weighting stage
+uses to obtain all per-sample gradient inner products at the cost of
+roughly one extra forward pass. Every call takes a batch of rows, (n, d).
 
 A model has one dtype, float32 or float64, and every call computes in it:
 inputs and upstream gradients are cast to it, and tapes and gradients come
@@ -34,7 +37,7 @@ Checkpoint layout (little-endian)::
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -199,10 +202,6 @@ class ModelParams:
     def input_dim(self) -> int:
         return self.encoder[0].in_dim
 
-    @property
-    def feature_dim(self) -> int:
-        return self.encoder[-1].out_dim
-
 
 def set_frozen(params: ModelParams, names: list[str]) -> None:
     """Freeze the layers named exactly in ``names``; an unknown name is a
@@ -237,24 +236,28 @@ class GradientBundle:
 
 @dataclass
 class Tape:
-    """Activations recorded by a forward pass, consumed by backward/JVP."""
+    """Activations recorded by a forward pass, consumed by backward/JVP.
 
-    x: np.ndarray  # network input (n, d)
-    encoder_inputs: list[np.ndarray] = field(default_factory=list)
-    encoder_pre: list[np.ndarray] = field(default_factory=list)
-    projection_inputs: list[np.ndarray] = field(default_factory=list)
-    projection_pre: list[np.ndarray] = field(default_factory=list)
-    features: np.ndarray | None = None
+    ``acts[i]`` is the input of chain layer i, the chain being every layer
+    but the head: ``acts[0]`` is the network input, ``acts[len(encoder)]``
+    the features, and ``acts[i + 1]`` layer i's output, whose positive
+    entries are layer i's relu mask. A ``forward_embed`` tape also holds the
+    projection output last, and its row norms and normalized rows."""
+
+    acts: list[np.ndarray]
     norms: np.ndarray | None = None
     z: np.ndarray | None = None  # normalized projection
 
 
-def _run_chain(layers: list[Layer], h: np.ndarray, inputs: list, pres: list) -> np.ndarray:
+def _run_chain(layers: list[Layer], acts: list[np.ndarray]) -> np.ndarray:
+    """Run ``layers`` on ``acts[-1]``, appending each output to ``acts``."""
+    h = acts[-1]
     for layer in layers:
-        inputs.append(h)
-        pre = h @ layer.weight.T + layer.bias
-        pres.append(pre)
-        h = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        h = h @ layer.weight.T
+        h += layer.bias
+        if layer.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
     return h
 
 
@@ -264,9 +267,8 @@ def forward_features(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Ta
     X = np.asarray(x, dtype=params.flat.dtype)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise DataError(f"input must be rows of {params.input_dim} values, got shape {X.shape}")
-    tape = Tape(x=X)
-    tape.features = _run_chain(params.encoder, X, tape.encoder_inputs, tape.encoder_pre)
-    return tape.features, tape
+    tape = Tape(acts=[X])
+    return _run_chain(params.encoder, tape.acts), tape
 
 
 def forward_embed(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, Tape]:
@@ -277,7 +279,7 @@ def forward_embed(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.nd
     cannot be normalized.
     """
     features, tape = forward_features(params, x)
-    v = _run_chain(params.projection, features, tape.projection_inputs, tape.projection_pre)
+    v = _run_chain(params.projection, tape.acts)
     norms = np.linalg.norm(v, axis=1)
     bad = np.flatnonzero(norms < _ZERO_NORM)
     if bad.size:
@@ -304,31 +306,6 @@ def _unit_tangent(tape: Tape, d: np.ndarray) -> np.ndarray:
     return (d - tape.z * np.sum(tape.z * d, axis=1, keepdims=True)) / tape.norms[:, None]
 
 
-def _chain_backward(
-    layers: list[Layer],
-    inputs: list[np.ndarray],
-    pres: list[np.ndarray],
-    d_out: np.ndarray,
-    bundle: GradientBundle,
-    prefix: str,
-    input_grad: bool,
-) -> np.ndarray:
-    """Write each trainable layer's gradient into ``bundle``; return the
-    gradient at the chain input if ``input_grad``, else stop below the
-    lowest trainable layer."""
-    stop = 0 if input_grad else next((i for i, l in enumerate(layers) if not l.frozen), len(layers))
-    for i in reversed(range(stop, len(layers))):
-        layer = layers[i]
-        d_pre = d_out * (pres[i] > 0.0) if layer.activation == "relu" else d_out
-        if not layer.frozen:
-            dw, db = bundle[f"{prefix}.{i}"]
-            np.matmul(d_pre.T, inputs[i], out=dw)
-            np.sum(d_pre, axis=0, out=db)
-        if input_grad or i > stop:
-            d_out = d_pre @ layer.weight
-    return d_out
-
-
 def backward(
     params: ModelParams,
     tape: Tape,
@@ -339,21 +316,13 @@ def backward(
 
     Upstream gradients may arrive at the normalized projection output, the
     head logits, or both; contributions are summed. Frozen layers come back
-    as zeros and cost no gradient GEMM.
+    as zeros and cost no gradient GEMM, and the walk down the chain stops
+    at the lowest trainable layer.
     """
     bundle = GradientBundle.zeros_like(params)
-    n, dtype = tape.x.shape[0], params.flat.dtype
-    d_feat_total = np.zeros((n, params.feature_dim), dtype=dtype)
-
-    if d_logits is not None:
-        d_logits = np.asarray(d_logits, dtype=dtype)
-        if d_logits.shape != (n, params.head.out_dim):
-            raise DataError(f"d_logits shape {d_logits.shape} does not match tape")
-        if not params.head.frozen:
-            dw, db = bundle["head"]
-            np.matmul(d_logits.T, tape.features, out=dw)
-            np.sum(d_logits, axis=0, out=db)
-        d_feat_total += d_logits @ params.head.weight
+    chain, acts = params.named_layers()[:-1], tape.acts
+    n_enc, dtype = len(params.encoder), params.flat.dtype
+    d_out, top, d_head = None, n_enc, None  # d_out: gradient at acts[i + 1], None while zero
 
     if d_projection is not None:
         if tape.z is None:
@@ -361,41 +330,33 @@ def backward(
         dz = np.asarray(d_projection, dtype=dtype)
         if dz.shape != tape.z.shape:
             raise DataError(f"d_projection shape {dz.shape} does not match tape")
-        d_feat_total += _chain_backward(
-            params.projection, tape.projection_inputs, tape.projection_pre, _unit_tangent(tape, dz), bundle,
-            "projection", input_grad=True,
-        )
+        d_out, top = _unit_tangent(tape, dz), len(chain)
 
-    _chain_backward(
-        params.encoder, tape.encoder_inputs, tape.encoder_pre, d_feat_total, bundle,
-        "encoder", input_grad=False,
-    )
+    if d_logits is not None:
+        d_logits = np.asarray(d_logits, dtype=dtype)
+        if d_logits.shape != (acts[0].shape[0], params.head.out_dim):
+            raise DataError(f"d_logits shape {d_logits.shape} does not match tape")
+        if not params.head.frozen:
+            dw, db = bundle["head"]
+            np.matmul(d_logits.T, acts[n_enc], out=dw)
+            np.sum(d_logits, axis=0, out=db)
+        d_head = d_logits @ params.head.weight
+    elif d_projection is None:
+        return bundle
+
+    stop = next((i for i, (_, layer) in enumerate(chain) if not layer.frozen), len(chain))
+    for i in reversed(range(stop, top)):
+        name, layer = chain[i]
+        if i == n_enc - 1 and d_head is not None:
+            d_out = d_head if d_out is None else d_head + d_out
+        d_pre = d_out * (acts[i + 1] > 0.0) if layer.activation == "relu" else d_out
+        if not layer.frozen:
+            dw, db = bundle[name]
+            np.matmul(d_pre.T, acts[i], out=dw)
+            np.sum(d_pre, axis=0, out=db)
+        if i > stop:
+            d_out = d_pre @ layer.weight
     return bundle
-
-
-def _chain_jvp(
-    layers: list[Layer],
-    inputs: list[np.ndarray],
-    pres: list[np.ndarray],
-    u: np.ndarray | None,
-    direction: GradientBundle,
-    prefix: str,
-) -> np.ndarray | None:
-    """Push the tangent ``u`` through the chain; None stands for a zero
-    tangent. Frozen layers, and layers whose direction span is all zero
-    (such as the projection spans of a features-only ``backward``), move no
-    parameter, so they only carry ``u``."""
-    for i, layer in enumerate(layers):
-        dw, db = direction[f"{prefix}.{i}"]
-        if layer.frozen or not (dw.any() or db.any()):
-            if u is None:
-                continue
-            u_pre = u @ layer.weight.T
-        else:
-            move = inputs[i] @ dw.T
-            u_pre = (move if u is None else u @ layer.weight.T + move) + db
-        u = u_pre * (pres[i] > 0.0) if layer.activation == "relu" else u_pre
-    return u
 
 
 def forward_jvp(params: ModelParams, tape: Tape, direction: GradientBundle) -> np.ndarray:
@@ -405,14 +366,22 @@ def forward_jvp(params: ModelParams, tape: Tape, direction: GradientBundle) -> n
     The input itself is held fixed; only parameters move, and frozen
     layers not at all: the direction's frozen spans are taken as zero, as
     ``backward`` leaves them. Cost is at most one forward pass; layers
-    whose direction span is zero skip their parameter term, and layers
-    below the lowest moving one cost nothing.
+    whose direction span is zero (such as the projection spans of a
+    features-only ``backward``) skip their parameter term, and layers below
+    the lowest moving one cost nothing.
     """
-    d_feat = _chain_jvp(params.encoder, tape.encoder_inputs, tape.encoder_pre, None, direction, "encoder")
-    dv = _chain_jvp(
-        params.projection, tape.projection_inputs, tape.projection_pre, d_feat, direction, "projection"
-    )
-    return np.zeros_like(tape.z) if dv is None else _unit_tangent(tape, dv)
+    u = None  # the tangent at acts[i], None while zero
+    for i, (name, layer) in enumerate(params.named_layers()[:-1]):
+        dw, db = direction[name]
+        if layer.frozen or not (dw.any() or db.any()):
+            if u is None:
+                continue
+            u_pre = u @ layer.weight.T
+        else:
+            move = tape.acts[i] @ dw.T
+            u_pre = (move if u is None else u @ layer.weight.T + move) + db
+        u = u_pre * (tape.acts[i + 1] > 0.0) if layer.activation == "relu" else u_pre
+    return np.zeros_like(tape.z) if u is None else _unit_tangent(tape, u)
 
 
 _SECTION_CODE = {name: i for i, name in enumerate(_SECTIONS)}

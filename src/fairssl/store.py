@@ -308,8 +308,10 @@ class DatasetManifest:
 
 def check_unique_ids(ids: Sequence[str], where: str | Path) -> None:
     """Raise a DataError naming ``where`` and the first id of ``ids`` seen
-    twice. Distinct ids, the usual case, cost one set and no per-id dict."""
-    if len(set(ids)) < len(ids):
+    twice. Distinct ids, the usual case, cost one sorted list of references
+    and no hash table: a duplicate sits next to its twin once sorted."""
+    order = sorted(ids)
+    if any(map(operator.eq, order, itertools.islice(order, 1, None))):
         seen = set()
         for sid in ids:
             if sid in seen:

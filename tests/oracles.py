@@ -386,18 +386,13 @@ def manifest_entries(m: DatasetManifest) -> list[tuple]:
 def dense_jvp(params, tape, direction) -> np.ndarray:
     """``forward_jvp`` computing every term: the tangent starts as zeros at
     the input, and every layer, frozen or not, adds its direction term."""
-
-    def chain(layers, inputs, pres, u, prefix):
-        for i, layer in enumerate(layers):
-            dw, db = direction[f"{prefix}.{i}"]
-            u_pre = u @ layer.weight.T + inputs[i] @ dw.T + db
-            u = u_pre * (pres[i] > 0.0) if layer.activation == "relu" else u_pre
-        return u
-
-    d_feat = chain(params.encoder, tape.encoder_inputs, tape.encoder_pre, np.zeros_like(tape.x), "encoder")
-    dv = chain(params.projection, tape.projection_inputs, tape.projection_pre, d_feat, "projection")
-    radial = np.sum(tape.z * dv, axis=1, keepdims=True)
-    return (dv - tape.z * radial) / tape.norms[:, None]
+    u = np.zeros_like(tape.acts[0])
+    for i, (name, layer) in enumerate(params.named_layers()[:-1]):
+        dw, db = direction[name]
+        u_pre = u @ layer.weight.T + tape.acts[i] @ dw.T + db
+        u = u_pre * (tape.acts[i + 1] > 0.0) if layer.activation == "relu" else u_pre
+    radial = np.sum(tape.z * u, axis=1, keepdims=True)
+    return (u - tape.z * radial) / tape.norms[:, None]
 
 
 def staged_train(

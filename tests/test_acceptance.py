@@ -504,34 +504,28 @@ def test_c10_staged_training_cost(criterion):
         cfg = TrainConfig(batch_size=32, epochs=4, warmup_epochs=0, base_lr=1e-3, seed=0)
         loss_cfg = LossConfig(temperature=0.1)
 
-        params = ModelParams.create(d, [32, 16], [32, 32, 8], seed=0)
-        opt = AdamW(params, LrSchedule(1e-3))
+        # the stages take turns, one epoch each, so a slow phase of the
+        # machine falls on both; the first round is their warmup
+        params1 = ModelParams.create(d, [32, 16], [32, 32, 8], seed=0)
+        params2 = ModelParams.create(d, [32, 16], [32, 32, 8], seed=0)
+        set_frozen(params2, ["encoder.0"])
+        opt1, opt2 = AdamW(params1, LrSchedule(1e-3)), AdamW(params2, LrSchedule(1e-3))
         rng_s, rng_v = substream(1, "s"), substream(1, "v")
-
-        def time_stage1():
-            times = []
-            for _ in range(3):
-                batches = stratified_batches(n, 32, rng_s)
-                t0 = time.perf_counter()
-                pretrain_epoch(params, X, labels, loss_cfg, cfg, opt, rng_s, rng_v)
-                times.append((time.perf_counter() - t0) / len(batches))
-            return float(np.median(times))
-
-        stage1 = time_stage1()  # includes one warmup epoch inside the repeats
-
-        set_frozen(params, ["encoder.0"])
         val_idx = rng.choice(n, 64, replace=False)
         val_x = X[val_idx[:32]].astype(np.float64)
         val_y = labels[val_idx[:32], 0]
-        opt2 = AdamW(params, LrSchedule(1e-3))
-        times2 = []
-        for _ in range(3):
+        times1, times2 = [], []
+        for _ in range(5):
+            n_batches = len(stratified_batches(n, 32, rng_s))
+            t0 = time.perf_counter()
+            pretrain_epoch(params1, X, labels, loss_cfg, cfg, opt1, rng_s, rng_v)
+            times1.append((time.perf_counter() - t0) / n_batches)
             batches = stratified_batches(n, 32, rng_s)
             t0 = time.perf_counter()
             for idx in batches:
-                meta_step(params, X, labels, idx, val_x, val_y, loss_cfg, cfg, opt2, rng_v)
+                meta_step(params2, X, labels, idx, val_x, val_y, loss_cfg, cfg, opt2, rng_v)
             times2.append((time.perf_counter() - t0) / len(batches))
-        stage2 = float(np.median(times2))
+        stage1, stage2 = float(np.median(times1)), float(np.median(times2))
 
         ratio = stage2 / stage1
         print(f"  stage-1 step {stage1 * 1e3:.2f} ms, stage-2 step {stage2 * 1e3:.2f} ms, ratio {ratio:.2f}")

@@ -588,15 +588,16 @@ def test_dedup_memory_bounded(rng, make_unit_rows):
 
 
 def test_knn_retrieve_scratch_independent_of_query_count(rng, make_unit_rows):
-    # one block of scores is alive at a time: ten times the queries (3 and
-    # 24 blocks of 2 MiB here) may not add a block to the peak
+    # one block of scores is alive at a time: 3 and 24 blocks of queries
+    # (of 2 MiB here) peak within a quarter block of one block
     pool = EmbeddingMatrix(make_unit_rows(rng, 30000, 64).astype(np.float32), normalized=True)
+    block = curation._TOPM_BLOCK_BYTES // (4 * pool.n)
     queries = make_unit_rows(rng, 400, 64).astype(np.float32)
     peaks = [
         traced_peak(lambda: knn_retrieve(EmbeddingMatrix(queries[:n], normalized=True), pool, np.arange(pool.n), 4))
-        for n in (40, 400)
+        for n in (block, 3 * block, 400)
     ]
-    assert abs(peaks[1] - peaks[0]) < curation._TOPM_BLOCK_BYTES, peaks
+    assert max(peaks) - peaks[0] < block * pool.n, peaks  # a quarter of 4 * block * pool.n bytes
 
 
 def test_dedup_scratch_below_half_the_pool(rng, make_unit_rows, tmp_path):

@@ -148,6 +148,21 @@ class TestBackward:
         bundle = backward(params, tape, d_projection=rng.standard_normal(z.shape))
         assert bundle.norm() == 0.0
 
+    def test_head_only_upstreams(self, rng):
+        # no upstream at all is a zero bundle, and d_logits alone reaches
+        # the head when no encoder layer trains
+        params = small_params(seed=3)
+        _, tape = forward_features(params, rng.standard_normal((4, 6)))
+        assert not backward(params, tape).flat.any()
+        w = rng.standard_normal((4, 1))
+        full = backward(params, tape, d_logits=w)
+        set_frozen(params, ["encoder.0", "encoder.1"])
+        part = backward(params, tape, d_logits=w)
+        assert not part.flat[: params.layout["head"].start].any()
+        assert part["head"][0].any()
+        for a, b in zip(part["head"], full["head"]):
+            assert np.array_equal(a, b)
+
     def test_finite_differences_every_parameter(self, rng):
         params = float64_params(small_params(seed=5))
         x = rng.standard_normal((4, 6))

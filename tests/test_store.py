@@ -312,8 +312,9 @@ def test_manifest_rejects_duplicates():
     with pytest.raises(DataError, match="^manifest: sample id 'a' appears more than once$"):
         DatasetManifest.from_columns(["a", "a"], "curated")
     # the id whose second occurrence comes first names the error ('a' repeats too, later)
-    with pytest.raises(DataError, match="sample id 'b' appears"):
-        DatasetManifest.from_columns(["a", "b", "c", "b", "a"], "curated")
+    for ids in (["a", "b", "c", "b", "a"], ["b", "a", "b", "a"]):  # sorted, 'a' repeats first
+        with pytest.raises(DataError, match="sample id 'b' appears"):
+            DatasetManifest.from_columns(ids, "curated")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
