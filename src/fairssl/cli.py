@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: curate, pseudolabel, pretrain, train-meta, probe, evaluate,
+Commands: curate, pseudolabel, pretrain, train-meta, probe, evaluate,
 pipeline. Every run is driven by one YAML config plus repeatable dotted
 overrides; exit codes are 0 (ok), 2 (configuration error), 3 (data error),
 4 (numeric failure).
@@ -41,21 +41,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fairssl",
         description="Label-free fair representation pipeline over precomputed embeddings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGES:
-        p = sub.add_parser(name, help=name)
-        p.add_argument("--config", required=True, help="YAML pipeline configuration")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="dotted config override, repeatable (e.g. trainer.batch_size=32)",
-        )
-        p.add_argument("--out", help="output directory, a string resolved like paths.out_dir (overrides it)")
-        p.add_argument("--seed", type=int, help="global seed (overrides the config)")
-        p.add_argument("--verbose", action="store_true", help="log progress at INFO level")
+    parser.add_argument("command", choices=STAGES, help="the stage to run, or pipeline for all of them")
+    parser.add_argument("--config", required=True, help="YAML pipeline configuration")
+    parser.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                        help="dotted config override, repeatable (e.g. trainer.batch_size=32)")
+    parser.add_argument("--out", help="output directory, a string resolved like paths.out_dir (overrides it)")
+    parser.add_argument("--seed", type=int, help="global seed (overrides the config)")
+    parser.add_argument("--verbose", action="store_true", help="log progress at INFO level")
     return parser
 
 

@@ -7,7 +7,7 @@ the rest: it resolves the inputs (a missing artifact names the stage that
 makes it), calls the body, and writes the run manifest (config hash, seed,
 package version, input and artifact checksums), or on a ``PipelineError`` a
 failure marker in its place. Stages communicate only through files, so
-``pipeline`` is exactly the chain of the individual subcommands; when it
+``pipeline`` is exactly the chain of the individual commands; when it
 fails, its own manifest, the failing stage's and those of every later stage
 are marked failed. Nothing here is time- or host-dependent: identical config
 and seed reproduce every artifact bit for bit, regardless of the BLAS thread

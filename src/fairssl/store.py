@@ -30,8 +30,8 @@ becomes a DataError.
 from __future__ import annotations
 
 import array
-import codecs
 import contextlib
+import copy
 import io
 import itertools
 import json
@@ -101,13 +101,16 @@ def normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     zero row, since a zero embedding indicates upstream corruption rather
     than a valid sample.
     """
-    return _normalize_into(m.data, np.empty(m.data.shape, dtype=np.float32))
+    out = copy.copy(m)  # no second pass of the row checks
+    out.data = np.empty(m.data.shape, dtype=np.float32)
+    return _normalize_into(m.data, out)
 
 
-def _normalize_into(data: np.ndarray, out: np.ndarray) -> EmbeddingMatrix:
-    """The rows of ``data`` scaled as :func:`normalize_rows` describes,
-    written to ``out``, which may be ``data`` itself: each block is copied
-    to float64 before its rows are written."""
+def _normalize_into(data: np.ndarray, out: EmbeddingMatrix) -> EmbeddingMatrix:
+    """``out`` flagged normalized, its rows those of ``data`` scaled as
+    :func:`normalize_rows` describes (``out.data`` may be ``data``: each
+    block is copied to float64 first). ``data`` passed the checks of an
+    EmbeddingMatrix, so the rows written are unit to float32 rounding."""
     for start, rows in _row_blocks(data):
         block = rows.astype(np.float64)
         norms = np.linalg.norm(block, axis=1)
@@ -115,9 +118,10 @@ def _normalize_into(data: np.ndarray, out: np.ndarray) -> EmbeddingMatrix:
         if zero_rows.size:
             raise DegenerateInputError(f"cannot normalize zero row at index {start + zero_rows[0]}")
         block /= norms[:, None]
-        out[start : start + block.shape[0]] = block
+        out.data[start : start + block.shape[0]] = block
         del block  # so no two blocks are alive at once
-    return EmbeddingMatrix(out, normalized=True)
+    out.normalized = True
+    return out
 
 
 def _row_blocks(data: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -227,7 +231,7 @@ def load_embeddings(path: str | Path, normalize: bool = False) -> EmbeddingMatri
     with naming(path):
         m = EmbeddingMatrix(data, normalized=bool(flags & _FLAG_NORMALIZED))
         if normalize:
-            return _normalize_into(m.data, m.data)
+            return _normalize_into(m.data, m)
     m.data.flags.writeable = False
     return m
 
@@ -346,8 +350,9 @@ _INT_RANGE = {int: (-(2**63), 2**63 - 1), float: (1 - 2**1024 + 2**970, 2**1024 
 
 
 def read_jsonl(path: str | Path, fields: dict[str, type], optional: tuple[str, ...] = ()) -> list:
-    """Read a JSON-lines file into one typed column per field, decoding one
-    non-blank line at a time.
+    """Read a JSON-lines file into one typed column per field. The file is
+    opened once and never held whole: it is read, decoded and parsed a
+    line at a time.
 
     ``fields`` maps each key, in column order, to ``str``, ``int`` or
     ``float``, whose column is a list of str, an int64 array or a float64
@@ -356,17 +361,12 @@ def read_jsonl(path: str | Path, fields: dict[str, type], optional: tuple[str, .
     which absent values read 0 (or ""). An int or float column that no
     line fills is a read-only zero array that holds no per-row values,
     and its mask too. Other keys are ignored.
-    Undecodable bytes, invalid JSON, a line that is not an object, a
-    missing, null or wrong-typed field, and an integer outside int64 (or,
-    in a float field, outside the float range) and the non-standard
+    Bytes that are not UTF-8, invalid JSON, a line that is not an object,
+    a missing, null or wrong-typed field, and an integer outside int64
+    (or, in a float field, outside the float range) and the non-standard
     constants NaN, Infinity and -Infinity raise FormatError naming
-    ``path:line``.
-
-    The file is read twice and never held whole: once in chunks to check
-    that it is UTF-8, so a later line's bad byte wins over an earlier
-    line's bad JSON, then a line at a time to parse it.
+    ``path:line``, the first line that has any of these faults.
     """
-    _check_utf8(path)
     columns = [_Column(kind, key in optional) for key, kind in fields.items()]
     with _reading(path, "JSON-lines file") as fh:
         lines = _parse_lines(fh, path, fields, optional)
@@ -374,33 +374,6 @@ def read_jsonl(path: str | Path, fields: dict[str, type], optional: tuple[str, .
             for column, values in zip(columns, zip(*block)):
                 column.extend(values)
     return [column.finish() for column in columns]
-
-
-# Bytes per read of the UTF-8 check: they bound memory (a chunk and its
-# decoded text) and do not change any output.
-_UTF8_CHUNK = 2**20
-
-
-def _check_utf8(path: str | Path) -> None:
-    """Raise a FormatError naming ``path:line`` at the first sequence of
-    ``path`` that is not UTF-8. A chunk of ASCII is not decoded unless a
-    sequence begun in the chunk before it is still open."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    newlines = 0  # in the chunks read before this one
-    with _reading(path, "JSON-lines file") as fh:
-        while True:
-            chunk = fh.read(_UTF8_CHUNK)
-            try:
-                if decoder.getstate()[0] or not chunk.isascii():
-                    decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                # exc.object is the open sequence, which holds no newline,
-                # followed by this chunk
-                lineno = newlines + exc.object.count(b"\n", 0, exc.start) + 1
-                raise FormatError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
-            if not chunk:
-                return
-            newlines += chunk.count(b"\n")
 
 
 def write_jsonl(path: str | Path, columns: dict[str, Sequence]) -> None:
@@ -426,8 +399,8 @@ def _parse_lines(
     fh: io.BufferedReader, path: str | Path, fields: dict[str, type], optional: tuple[str, ...]
 ) -> Iterator[tuple]:
     """The tuple of ``fields`` values of each non-blank line of ``fh``,
-    which reads the UTF-8 file ``path``, None where an optional value is
-    absent, checked as :func:`read_jsonl` describes."""
+    which reads the file ``path``, None where an optional value is absent,
+    checked as :func:`read_jsonl` describes."""
     keys = tuple(fields)
     ranges = [_INT_RANGE.get(kind) for kind in fields.values()]
     # every accepted tuple of value types, mapped to the positions that
@@ -439,8 +412,13 @@ def _parse_lines(
     accepted = {
         types: tuple(i for i, t in enumerate(types) if t is int) for types in itertools.product(*choices)
     }
-    for lineno, line in enumerate(fh, start=1):
-        line = line.decode().strip(" \t\r\n")  # JSON whitespace
+    for lineno, raw in enumerate(fh, start=1):
+        # a UTF-8 sequence never spans a newline, so a line's error is the
+        # one decoding the whole file finds
+        try:
+            line = raw.decode().strip(" \t\r\n")  # JSON whitespace
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
         if not line:
             continue
         try:

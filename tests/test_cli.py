@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairssl import config as config_module
-from fairssl.cli import main
+from fairssl.cli import build_parser, main
 from fairssl.config import PipelineConfig, apply_overrides, config_from_dict, load_config
 from fairssl.errors import ConfigError, DataError, NumericError
 from fairssl.network import Layer, ModelParams, save_checkpoint
@@ -261,6 +261,32 @@ class TestCliExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["curate", "--config", "/definitely/not/here.yaml"]) == 2
         assert "not/here.yaml" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [(["bogus", "--config", "c.yaml"], "invalid choice: 'bogus'"),
+         ([], "required: command, --config"),
+         (["curate"], "required: --config"),
+         (["curate", "--config", "c.yaml", "--seed", "x"], "invalid int value: 'x'"),
+         (["curate", "pretrain", "--config", "c.yaml"], "unrecognized arguments: pretrain")],
+        ids=["unknown-command", "no-arguments", "no-config", "bad-seed", "two-commands"],
+    )
+    def test_usage_error_exits_2(self, capsys, argv, problem):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fairssl") and problem in err
+
+    @pytest.mark.parametrize("command", list(STAGES))
+    def test_every_command_takes_the_same_options(self, command):
+        assert vars(build_parser().parse_args([command, "--config", "c.yaml"])) == {
+            "command": command, "config": "c.yaml", "overrides": [], "out": None, "seed": None, "verbose": False}
+        args = build_parser().parse_args(
+            ["--seed", "5", command, "--config", "c.yaml", "--set", "a=1", "--out", "o", "--set", "b=2", "--verbose"])
+        assert vars(args) == {
+            "command": command, "config": "c.yaml", "overrides": ["a=1", "b=2"], "out": "o", "seed": 5,
+            "verbose": True}
 
     def test_config_directory_exits_2(self, tmp_path, capsys):
         assert main(["curate", "--config", str(tmp_path)]) == 2
