@@ -223,9 +223,9 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key=value")
         dotted, _, raw_value = item.partition("=")
-        keys = [k for k in dotted.strip().split(".") if k]
-        if not keys:
-            raise ConfigError(f"override {item!r} has an empty key path")
+        keys = dotted.strip().split(".")
+        if not all(keys):
+            raise ConfigError(f"override {item!r} has an empty key in its path")
         try:
             value = yaml.load(raw_value, Loader=_YAML_LOADER)
         except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int beyond Python's digit limit

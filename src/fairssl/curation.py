@@ -30,7 +30,9 @@ rows delta is about 8.1e-6.
 - Dedup: a row whose best float32 score against the kept rows of a chunk
   is above threshold + delta has a float64 score at or above the threshold
   (a duplicate); below threshold - delta, it has none (it survives). Rows
-  in between are rescored against that chunk in float64.
+  in between are rescored in float64 against the chunk's rows that score
+  at least threshold - delta, the only ones that can reach it. Pairs of
+  rows of one block are screened the same way.
 - Top-m: the m-th largest score moves by at most delta, so every float64
   pick scores at least t - 2*delta in float32, t being the m-th largest
   float32 score. Any lower bound on t keeps every pick too, so t is taken
@@ -46,11 +48,28 @@ normalized in, and gathers no candidate matrix. Each scores blocks of rows
 against the pool and sets the rows it must not match to -inf in each
 block of scores: dedup the earlier rows it has already dropped, top-m the
 rows left out of the kept set. Top-m copies no block of scores.
+
+Both searches share their blocks among worker threads, one per CPU the
+process may run on (``os.sched_getaffinity``, so ``taskset`` sets the
+count) over the BLAS thread count, and the calling thread is one of them;
+BLAS and numpy's passes over the scores release the interpreter lock. A
+BLAS whose thread count no variable sets runs a thread on every CPU, and
+then the calling thread works alone. The calling thread allocates one
+scratch buffer per search and gives each worker an equal share, so the
+scratch of a search does not grow with the worker count. Dedup meets once
+per ``_DEDUP_CHUNK`` of rows: the workers screen the blocks that start in
+it, and the calling thread then settles them in order. Top-m gives each
+worker whole blocks of queries. A search of fewer than ``_SPLIT_MACS``
+multiply-adds runs on the calling thread alone, and so does every search
+when one CPU is available; the outputs are the same at any worker count.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +91,16 @@ _TOPM_BLOCK_BYTES = 2 * 2**20
 # a quarter of the time a partition of its scores took (30k columns), and
 # the m best rows of a query seldom share a group, so the bound stays close.
 _TOPM_GROUP = 256
+# Multiply-adds below which a search runs on the calling thread alone; it
+# does not change any output. About 1 ms of float32 GEMM on one core: below
+# it a second worker saves a millisecond at most (a whole 4,000 x 12 curate
+# saved 1 ms), and a worker thread's heap adds about 0.3 MiB to the peak.
+_SPLIT_MACS = 2**26
+# The variables OpenBLAS and MKL take their thread count from, in the order
+# they read them. Worker threads whose GEMMs each start a full set of BLAS
+# threads oversubscribe the CPUs: on 2 cores with BLAS unpinned, 2 workers
+# took dedup of a 30k x 64 pool from 0.72-0.85 s to 0.95-1.20 s.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -114,47 +143,161 @@ def _max_norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0)))
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on (``taskset`` limits them) divided
+    by the BLAS thread count the first set of ``_BLAS_THREAD_VARIABLES``
+    gives; one when none is set, as BLAS then runs a thread on every CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    for name in _BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+def _split(workers: int, parts: int, macs: int) -> int:
+    """How many workers share ``parts`` pieces of work of ``macs``
+    multiply-adds in all: one, the calling thread, below ``_SPLIT_MACS``."""
+    return max(1, min(workers, parts)) if macs >= _SPLIT_MACS else 1
+
+
+def _share(task: Callable[[int], None], split: int) -> None:
+    """Call ``task(k)`` for every k < ``split``: ``task(0)`` on the calling
+    thread and each other on a thread of its own. Returns once every call
+    has ended, raising the calling thread's error, or else the first
+    worker's."""
+    errors = []
+
+    def work(k: int) -> None:
+        try:
+            task(k)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, split)]
+    for thread in threads:
+        thread.start()
+    try:
+        task(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _screen(
+    block: np.ndarray,
+    alive: np.ndarray,
+    data: np.ndarray,
+    kept: np.ndarray | None,
+    lo: int,
+    hi: int,
+    step: int,
+    scratch: np.ndarray,
+    threshold: float,
+    delta: float,
+) -> np.ndarray:
+    """The rows ``alive`` of ``block`` that no kept row of ``data[lo:hi]``
+    covers (every row counts as kept when ``kept`` is None). Scores ``step``
+    earlier rows at a time into ``scratch``, in which the rows already
+    dropped score -inf, and rescores in float64 the rows whose best float32
+    score lies within ``delta`` of ``threshold``."""
+    for c0 in range(lo, hi, step):
+        chunk = data[c0 : min(c0 + step, hi)]
+        rows = block[alive]
+        shape = (chunk.shape[0], alive.size)
+        scores = np.matmul(chunk, rows.T, out=scratch[: shape[0] * shape[1]].reshape(shape))
+        if kept is not None:
+            scores[~kept[c0 : c0 + chunk.shape[0]]] = -np.inf
+        best = scores.max(axis=0).astype(np.float64)
+        unsure = np.abs(best - threshold) <= delta
+        if unsure.any():
+            # an earlier row scoring below threshold - delta cannot reach it
+            # in float64; the dropped rows score -inf
+            near = scores[:, unsure].max(axis=1).astype(np.float64) >= threshold - delta
+            exact = rows[unsure].astype(np.float64) @ chunk[near].astype(np.float64).T
+            best[unsure] = exact.max(axis=1, initial=-np.inf)
+        alive = alive[~(best >= threshold)]
+    return alive
+
+
+def _clashes(rows: np.ndarray, scratch: np.ndarray, threshold: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (p, q), p < q, of ``rows`` whose float64 score reaches
+    ``threshold``, in ascending order. Scores the rows in float32 into
+    ``scratch`` and rescores in float64 the pairs within ``delta`` of it."""
+    n = rows.shape[0]
+    scores = np.matmul(rows, rows.T, out=scratch[: n * n].reshape(n, n))
+    floor = np.nextafter(np.float32(threshold - delta), np.float32(-np.inf))
+    p, q = np.nonzero(scores >= floor)
+    p, q = p[p < q], q[p < q]
+    score = scores[p, q].astype(np.float64)
+    clash = score >= threshold
+    unsure = np.flatnonzero(np.abs(score - threshold) <= delta)
+    if unsure.size:
+        ends, at = np.unique(np.concatenate((p[unsure], q[unsure])), return_inverse=True)
+        exact = rows[ends].astype(np.float64)
+        clash[unsure] = (exact @ exact.T)[at[: unsure.size], at[unsure.size :]] >= threshold
+    return p[clash], q[clash]
+
+
 def deduplicate(pool: EmbeddingMatrix, threshold: float) -> np.ndarray:
     """Greedy first-wins duplicate removal over a normalized pool.
 
     Keeps row i iff its cosine similarity to every lower-indexed kept row
-    stays below ``threshold``. Rows are taken ``_DEDUP_BLOCK`` at a time:
-    one float32 GEMM per ``_DEDUP_CHUNK`` earlier rows, in which the rows
-    already dropped score -inf, drops the block rows an earlier kept row
-    already covers, rescoring in float64 the rows whose best float32 score
-    lies within the screen margin of ``threshold``; the survivors' float64
-    Gram matrix settles first-wins inside the block. Deterministic by
-    construction; reads ``pool.data`` in place and never writes it. Returns
-    the kept indices sorted ascending.
+    stays below ``threshold``. Rows are taken ``_DEDUP_BLOCK`` at a time,
+    and the blocks that start in one ``_DEDUP_CHUNK`` of rows together.
+    First the workers take those blocks. For each, a worker drops the rows
+    that a kept row before the chunk covers, as those rows' kept flags are
+    final (see ``_screen``); marks the survivors that a row of the chunk
+    before the block may cover, kept or not; and finds the pairs of
+    survivors that clash (see ``_clashes``). Then the calling thread
+    settles the blocks in order: it drops the marked survivors that a kept
+    row of the chunk before the block covers, and keeps, in order, each
+    survivor that no kept survivor before it clashes with. The kept rows
+    do not depend on the number of workers. Reads ``pool.data`` in place
+    and never writes it. Returns the kept indices sorted ascending.
     """
     _require_normalized(pool, "dedup pool")
-    data = pool.data
+    data, n = pool.data, pool.n
     delta = _screen_margin(pool.d, _max_norm(data) ** 2)
-    kept = np.zeros(pool.n, dtype=bool)
-    for start in range(0, pool.n, _DEDUP_BLOCK):
-        block = data[start : start + _DEDUP_BLOCK]
-        block64 = block.astype(np.float64)
-        alive = np.arange(block.shape[0])
-        for c0 in range(0, start, _DEDUP_CHUNK):
-            chunk = data[c0 : min(c0 + _DEDUP_CHUNK, start)]
-            dropped = ~kept[c0 : c0 + chunk.shape[0]]
-            scores = chunk @ block[alive].T
-            scores[dropped] = -np.inf
-            best = scores.max(axis=0).astype(np.float64)
-            del scores  # so no two chunks' scores are alive at once
-            unsure = np.abs(best - threshold) <= delta
-            if unsure.any():
-                exact = block64[alive[unsure]] @ chunk.astype(np.float64).T
-                exact[:, dropped] = -np.inf
-                best[unsure] = exact.max(axis=1)
-            alive = alive[~(best >= threshold)]
-        rows = block64[alive]
-        clash = np.triu(rows @ rows.T >= threshold, k=1)
-        keep = np.ones(alive.size, dtype=bool)
-        for j in np.flatnonzero(clash.any(axis=1)):
-            if keep[j]:
-                keep[clash[j]] = False
-        kept[start + alive[keep]] = True
+    kept = np.zeros(n, dtype=bool)
+    workers = _worker_count()
+    width = min(_DEDUP_BLOCK, n)
+    scratch = np.empty(max(_DEDUP_CHUNK, width) * width, dtype=np.float32)
+    for s0 in range(0, n, _DEDUP_CHUNK):
+        starts = range(-(-s0 // _DEDUP_BLOCK) * _DEDUP_BLOCK, min(s0 + _DEDUP_CHUNK, n), _DEDUP_BLOCK)
+        alive = [np.arange(min(_DEDUP_BLOCK, n - start)) for start in starts]
+        marked = [None] * len(starts)
+        clashes = [None] * len(starts)
+        # each worker's share holds a block's scores against itself
+        split = _split(workers, min(len(starts), scratch.size // width**2), len(starts) * width * s0 * pool.d)
+        share = scratch.size // split
+        step = share // width
+
+        def screen(k: int) -> None:
+            part = scratch[k * share : (k + 1) * share]
+            for i in range(k, len(starts), split):
+                block = data[starts[i] : starts[i] + _DEDUP_BLOCK]
+                alive[i] = _screen(block, alive[i], data, kept, 0, s0, step, part, threshold, delta)
+                # no row of the chunk, kept or not, covers a row it scores below threshold - delta
+                clear = _screen(block, alive[i], data, None, s0, starts[i], step, part, threshold - delta, 0.0)
+                marked[i] = np.setdiff1d(alive[i], clear, assume_unique=True)
+                clashes[i] = _clashes(block[alive[i]], part, threshold, delta)
+
+        _share(screen, split)
+        for start, survivors, marks, (first, later) in zip(starts, alive, marked, clashes):
+            block = data[start : start + _DEDUP_BLOCK]
+            rest = _screen(block, marks, data, kept, s0, start, scratch.size // width, scratch, threshold, delta)
+            keep = ~np.isin(survivors, np.setdiff1d(marks, rest, assume_unique=True))
+            for p, q in zip(first.tolist(), later.tolist()):
+                if keep[p]:
+                    keep[q] = False
+            kept[start + survivors[keep]] = True
+    del scratch  # before the result is allocated, so that it can reuse the space
     return np.flatnonzero(kept)
 
 
@@ -164,15 +307,16 @@ def _exact_topm(
     """Indices (into ``candidates``) of the m highest-dot rows per query,
     never picking a row listed in ``excluded``.
 
-    Works on blocks of queries whose float32 scores fill
-    ``_TOPM_BLOCK_BYTES``; the excluded rows score -inf in every block.
-    Each query's threshold ``t`` is the m-th largest of the maxima of its
-    ``_TOPM_GROUP``-column groups, never above its m-th largest float32
-    score; if fewer than m groups hold a finite score, ``t`` is that score,
-    found by a partition. Every candidate scoring at least ``t - 2*delta``
-    is rescored in float64 and the shortlist is ordered by score
-    descending, then index ascending, so ties resolve to the lower index.
-    At least m rows must be left.
+    Works on blocks of queries whose float32 scores fill ``_TOPM_BLOCK_BYTES``
+    in all: each worker scans whole blocks into its share of one scratch
+    buffer and writes its own rows of the result. The excluded rows score
+    -inf in every block. Each query's threshold ``t`` is the m-th largest
+    of the maxima of its ``_TOPM_GROUP``-column groups, never above its
+    m-th largest float32 score; if fewer than m groups hold a finite score,
+    ``t`` is that score, found by a partition. Every candidate scoring at
+    least ``t - 2*delta`` is rescored in float64 and the shortlist is
+    ordered by score descending, then index ascending, so ties resolve to
+    the lower index. At least m rows must be left.
     """
     n_q, n_c = queries.shape[0], candidates.shape[0]
     q32 = np.asarray(queries, dtype=np.float32)
@@ -180,30 +324,37 @@ def _exact_topm(
     q64 = np.asarray(queries, dtype=np.float64)
     delta = _screen_margin(queries.shape[1], _max_norm(q32) * _max_norm(c32))
     out = np.empty((n_q, m), dtype=np.int64)
-    block = max(1, _TOPM_BLOCK_BYTES // (4 * n_c))
+    workers = _worker_count()
+    split = _split(workers, n_q, n_q * n_c * queries.shape[1])
+    block = max(1, _TOPM_BLOCK_BYTES // (4 * n_c * split))
+    scratch = np.empty((split, min(block, n_q) * n_c), dtype=np.float32)
     groups = np.arange(0, n_c, _TOPM_GROUP)
-    for q0 in range(0, n_q, block):
-        sims = q32[q0 : q0 + block] @ c32.T
-        if excluded is not None:
-            sims[:, excluded] = -np.inf
-        # m scores from m distinct columns are at least the m-th largest
-        # group maximum, so it is a lower bound on the m-th largest score
-        maxima = np.maximum.reduceat(sims, groups, axis=1)
-        if np.isfinite(maxima).sum(axis=1).min() >= m:
-            mth = np.partition(maxima, groups.size - m, axis=1)[:, groups.size - m]
-        else:  # a -inf bound would shortlist the excluded rows
-            mth = np.partition(sims, n_c - m, axis=1)[:, n_c - m]
-        # t - 2*delta, rounded down to float32 so the shortlist can only grow
-        floor = (mth.astype(np.float64) - 2.0 * delta).astype(np.float32)
-        floor = np.nextafter(floor, np.float32(-np.inf))
-        # flat indices: a 2-D nonzero is several times slower here
-        rows, cols = np.divmod(np.flatnonzero(sims >= floor[:, None]), n_c)
-        shortlist, at = np.unique(cols, return_inverse=True)
-        exact = q64[q0 : q0 + block] @ np.asarray(candidates[shortlist], dtype=np.float64).T
-        order = np.lexsort((cols, -exact[rows, at], rows))
-        first = np.searchsorted(rows, np.arange(sims.shape[0]))
-        out[q0 : q0 + sims.shape[0]] = cols[order[first[:, None] + np.arange(m)]]
-        del sims  # so no two blocks' scores are alive at once
+
+    def scan(k: int) -> None:
+        for q0 in range(k * block, n_q, split * block):
+            q = q32[q0 : q0 + block]
+            sims = np.matmul(q, c32.T, out=scratch[k, : q.shape[0] * n_c].reshape(q.shape[0], n_c))
+            if excluded is not None:
+                sims[:, excluded] = -np.inf
+            # m scores from m distinct columns are at least the m-th largest
+            # group maximum, so it is a lower bound on the m-th largest score
+            maxima = np.maximum.reduceat(sims, groups, axis=1)
+            if np.isfinite(maxima).sum(axis=1).min() >= m:
+                mth = np.partition(maxima, groups.size - m, axis=1)[:, groups.size - m]
+            else:  # a -inf bound would shortlist the excluded rows
+                mth = np.partition(sims, n_c - m, axis=1)[:, n_c - m]
+            # t - 2*delta, rounded down to float32 so the shortlist can only grow
+            floor = (mth.astype(np.float64) - 2.0 * delta).astype(np.float32)
+            floor = np.nextafter(floor, np.float32(-np.inf))
+            # flat indices: a 2-D nonzero is several times slower here
+            rows, cols = np.divmod(np.flatnonzero(sims >= floor[:, None]), n_c)
+            shortlist, at = np.unique(cols, return_inverse=True)
+            exact = q64[q0 : q0 + block] @ np.asarray(candidates[shortlist], dtype=np.float64).T
+            order = np.lexsort((cols, -exact[rows, at], rows))
+            first = np.searchsorted(rows, np.arange(q.shape[0]))
+            out[q0 : q0 + q.shape[0]] = cols[order[first[:, None] + np.arange(m)]]
+
+    _share(scan, split)
     return out
 
 

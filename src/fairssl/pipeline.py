@@ -11,7 +11,8 @@ failure marker in its place. Stages communicate only through files, so
 fails, its own manifest, the failing stage's and those of every later stage
 are marked failed. Nothing here is time- or host-dependent: identical config
 and seed reproduce every artifact bit for bit, regardless of the BLAS thread
-count, on one numpy build (another may change the last bits of a float sum).
+count and of the number of worker threads curation runs, on one numpy
+build (another may change the last bits of a float sum).
 The probe manifest's unhashed ``probe_grad_norm`` is excepted: it may move
 with the thread count. The
 global seed is the only source of randomness; ``PipelineConfig`` hands it

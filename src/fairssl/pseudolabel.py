@@ -112,6 +112,9 @@ class PseudoLabelTable:
             raise DataError("attribute name count does not match table width")
         if self.labels.shape[1] == 0:
             raise DataError("pseudo-label table needs at least one attribute column")
+        repeated = [name for i, name in enumerate(self.attribute_names) if name in self.attribute_names[:i]]
+        if repeated:
+            raise DataError(f"attribute name {repeated[0]!r} is repeated")
         if not np.all((self.confidences >= 0.5 - 1e-6) & (self.confidences <= 1 + 1e-6)):  # NaN fails
             raise DataError("confidences must lie in [0.5, 1]")
         if np.any(self.labels > 1):

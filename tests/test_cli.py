@@ -24,7 +24,7 @@ from fairssl.errors import ConfigError, DataError, NumericError
 from fairssl.network import Layer, ModelParams, save_checkpoint
 from fairssl.pipeline import ARTIFACTS, STAGES, run_stage
 from fairssl.store import DatasetManifest, EmbeddingMatrix, load_embeddings, save_embeddings
-from fairssl.synthetic import generate_world
+from fairssl.synthetic import WorldConfig, generate_world
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,12 @@ class TestConfig:
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError):
             apply_overrides({}, ["no_equals_sign"])
+
+    @pytest.mark.parametrize("override", ["trainer..epochs=3", ".seed=9", "trainer.=3", "=3"])
+    def test_override_key_path_with_an_empty_key(self, override):
+        # the empty key was dropped: "trainer..epochs=3" set trainer.epochs
+        with pytest.raises(ConfigError, match=f"override {override!r} has an empty key"):
+            apply_overrides({"seed": 1}, [override])
 
     def test_hash_stable_and_sensitive(self):
         a = config_from_dict({"seed": 1})
@@ -375,6 +381,8 @@ class TestCliExitCodes:
         pytest.param("model.encoder_dims=[1" + "0" * 400 + "]", id="model.encoder_dims=[1e400]"),
         pytest.param("probe.l2=-9223372036854775809", id="probe.l2=int64-min-minus-1"),
         pytest.param("trainer.epochs=1" + "0" * 5000, id="trainer.epochs=1e5000"),  # past Python's digit limit
+        # key paths with an empty key
+        "trainer..epochs=3", ".seed=9", "trainer.=3",
     ])
     def test_mistyped_config_value_exits_2_before_any_stage(self, tmp_path, world_dir, capsys, override):
         wdir, world = world_dir
@@ -660,6 +668,30 @@ class TestStages:
             hashes.append({p.name: json.loads(p.read_text())["artifacts"] for p in manifests})
         assert len(hashes[0]) == 7 and hashes[0] == hashes[1]
 
+    def test_artifacts_identical_on_one_cpu_and_on_all(self, tmp_path):
+        # curation shares its searches among one worker thread per CPU the
+        # process may run on; this world is large enough that both searches
+        # split (a 6,000 x 32 pool, 400 curated rows)
+        if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs CPU affinity and at least two CPUs")
+        world = generate_world(seed=5, out_dir=tmp_path / "world", config=WorldConfig(dim=32),
+                               n_pool=6000, n_curated=400, n_eval=300)
+        src = Path(__file__).resolve().parents[1] / "src"
+        # one BLAS thread, so that the unrestricted run has a worker per CPU
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        cpu = min(os.sched_getaffinity(0))
+        hashes = []
+        for name, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+            out = tmp_path / name
+            cfg_path = write_config(tmp_path / f"{name}.yaml", world.files, out)
+            result = subprocess.run([sys.executable, "-m", "fairssl.cli", "pipeline", "--config", str(cfg_path)],
+                                    env=env, capture_output=True, text=True, timeout=300, preexec_fn=pin)
+            assert result.returncode == 0, result.stderr[-2000:]
+            manifests = sorted(out.glob("run_manifest_*.json"))
+            hashes.append({p.name: json.loads(p.read_text())["artifacts"] for p in manifests})
+        assert len(hashes[0]) == 7 and hashes[0] == hashes[1]
+
     def test_probe_prints_only_from_the_cli(self, tmp_path, world_dir, capsys):
         wdir, world = world_dir
         out = tmp_path / "out"
@@ -726,6 +758,25 @@ class TestStages:
         capsys.readouterr()
         assert main(["pretrain", "--config", str(cfg_path), "--set", "val_attribute=attr_nope"]) == 3
         assert "data error: unknown attribute 'attr_nope'" in capsys.readouterr().err.splitlines()
+
+    def test_train_meta_on_a_table_with_a_repeated_attribute_exits_3(self, tmp_path, world_dir, capsys):
+        # attribute_index would pick the first of the two columns named alike
+        wdir, world = world_dir
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path / "cfg.yaml", world.files, out)
+        for stage in ("curate", "pseudolabel", "pretrain"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        table = out / "pseudolabels.fspl"
+        raw = table.read_bytes()
+        magic, version, n, a, k = struct.unpack_from("<4sIQII", raw)
+        names = json.loads(raw[24 : 24 + k])
+        assert a == len(names) == 2
+        repeated = json.dumps([names[0], names[0]]).encode()
+        table.write_bytes(struct.pack("<4sIQII", magic, version, n, a, len(repeated)) + repeated + raw[24 + k :])
+        capsys.readouterr()
+        assert main(["train-meta", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {table}: attribute name {names[0]!r} is repeated" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("stage, producer", STAGE_ORDER)
     def test_stage_order_enforced(self, tmp_path, world_dir, capsys, stage, producer):

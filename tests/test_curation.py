@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -343,16 +345,16 @@ class TestDedupLeavesPoolAsFound:
     def test_pool_restored_after_error_mid_scan(self, rng):
         pool = self.duplicate_heavy(rng)
         before = pool.data.tobytes()
-        triu, calls = np.triu, []
+        clashes, calls = curation._clashes, []
 
-        def failing_triu(*args, **kwargs):  # called once per block
+        def failing_clashes(*args, **kwargs):  # called once per block
             calls.append(None)
             if len(calls) == 30:
                 raise RuntimeError("injected")
-            return triu(*args, **kwargs)
+            return clashes(*args, **kwargs)
 
-        with mock.patch.multiple(curation, _DEDUP_BLOCK=4, _DEDUP_CHUNK=3), \
-                mock.patch.object(np, "triu", failing_triu), pytest.raises(RuntimeError, match="injected"):
+        with mock.patch.multiple(curation, _DEDUP_BLOCK=4, _DEDUP_CHUNK=3, _clashes=failing_clashes), \
+                pytest.raises(RuntimeError, match="injected"):
             deduplicate(pool, 0.9)
         assert len(calls) == 30
         assert pool.data.tobytes() == before
@@ -568,6 +570,144 @@ def test_knn_retrieve_matches_float64_oracle_across_column_groups(layout, group,
     assert np.array_equal(got, np.unique(expected))
 
 
+# --- worker threads: the same outputs at any worker count ----------------
+
+
+def workers(count):
+    """Run the searches with ``count`` workers, as on a process allowed
+    ``count`` CPUs."""
+    return mock.patch.object(curation, "_worker_count", return_value=count)
+
+
+def always_split():
+    """Split every search, however small."""
+    return mock.patch.object(curation, "_SPLIT_MACS", 0)
+
+
+def near_duplicates(rng, n, d=24):
+    """Unit rows; a fifth of them copy an earlier row or sit close to one,
+    some on each side of a 0.9 threshold."""
+    rows = unit_rows(rng, n, d)
+    src = rng.integers(0, n // 2, size=n // 5)
+    dst = rng.integers(n // 2, n, size=n // 5)
+    rows[dst] = rows[src] + rng.choice([0.0, 0.3, 0.5], size=(n // 5, 1)) * unit_rows(rng, n // 5, d)
+    return as_pool(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+def float64_topm(queries, pool, kept, m):
+    """Pool indices of each query's m best kept rows, by a float64 sort."""
+    return kept[stable_topm(queries.astype(np.float64), pool[kept].astype(np.float64), m)]
+
+
+def threads_calling(fn, calls):
+    """A stand-in for ``fn`` that records the thread of each call in ``calls``."""
+
+    def recording(*args, **kwargs):
+        calls.add(threading.get_ident())
+        return fn(*args, **kwargs)
+
+    return recording
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("variables, expected", [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 6),  # OpenBLAS reads its own first
+        ({"OMP_NUM_THREADS": "2"}, 3),
+        ({"MKL_NUM_THREADS": "4"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "12"}, 1),
+        ({"OMP_NUM_THREADS": "4,2"}, 1),  # a nested setting is not a count
+        ({}, 1),  # an unpinned BLAS takes every CPU itself
+    ])
+    def test_worker_count_leaves_blas_its_threads(self, monkeypatch, variables, expected):
+        for name in curation._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in variables.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(curation.os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        assert curation._worker_count() == expected
+
+    @pytest.mark.parametrize("block, chunk", [(64, 512), (7, 5), (3, 16), (1, 1)])
+    def test_dedup_same_at_any_worker_count(self, rng, block, chunk):
+        pool = near_duplicates(rng, 1500 if block == 64 else 300)
+        expected = greedy_dedup(pool.data, 0.9)
+        assert 0 < pool.n - expected.size
+        with mock.patch.multiple(curation, _DEDUP_BLOCK=block, _DEDUP_CHUNK=chunk), always_split():
+            for count in (1, 2, 3):
+                with workers(count):
+                    assert np.array_equal(deduplicate(pool, 0.9), expected), count
+
+    @pytest.mark.parametrize("rows", [1, 5, 64])
+    def test_topm_same_at_any_worker_count(self, rng, rows):
+        pool = near_duplicates(rng, 700)
+        kept = greedy_dedup(pool.data, 0.9)
+        queries = as_pool(unit_rows(rng, 41, 24))
+        expected = float64_topm(queries.data, pool.data, kept, 5)
+        excluded = np.setdiff1d(np.arange(pool.n), kept)
+        with topm_blocks_of(rows, pool.data), always_split():
+            for count in (1, 2, 3):
+                with workers(count):
+                    assert np.array_equal(_exact_topm(queries.data, pool.data, 5, excluded), expected), count
+                    got = knn_retrieve(queries, pool, kept, 5)
+                    assert np.array_equal(got, np.unique(expected)), count
+
+    def test_more_workers_than_cores_under_fast_switching(self, rng):
+        # workers write their own slots of shared lists and rows of the
+        # result; a lost or misplaced write would change the outputs
+        pool = near_duplicates(rng, 400)
+        kept = greedy_dedup(pool.data, 0.9)
+        queries = as_pool(unit_rows(rng, 30, 24))
+        expected = float64_topm(queries.data, pool.data, kept, 3)
+        excluded = np.setdiff1d(np.arange(pool.n), kept)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with workers(6), always_split(), mock.patch.multiple(curation, _DEDUP_BLOCK=8, _DEDUP_CHUNK=48), \
+                    topm_blocks_of(6, pool.data):
+                for _ in range(3):
+                    assert np.array_equal(deduplicate(pool, 0.9), kept)
+                    assert np.array_equal(_exact_topm(queries.data, pool.data, 3, excluded), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_second_thread_scans_blocks(self, rng, make_unit_rows):
+        # large enough to split at the shipped _SPLIT_MACS
+        pool = EmbeddingMatrix(make_unit_rows(rng, 4 * curation._DEDUP_CHUNK, 64).astype(np.float32), normalized=True)
+        curated = EmbeddingMatrix(make_unit_rows(rng, 400, 64).astype(np.float32), normalized=True)
+        for search in (lambda: deduplicate(pool, 0.95), lambda: knn_retrieve(curated, pool, np.arange(pool.n), 4)):
+            calls = set()
+            with workers(2), mock.patch.object(np, "matmul", threads_calling(np.matmul, calls)):
+                search()
+            assert threading.get_ident() in calls and len(calls) > 1  # a new worker for each chunk of rows
+
+    def test_a_small_search_runs_on_the_calling_thread(self, rng):
+        pool = near_duplicates(rng, 600, d=12)
+        queries = as_pool(unit_rows(rng, 200, 12))
+        calls = set()
+        with workers(2), mock.patch.object(np, "matmul", threads_calling(np.matmul, calls)):
+            knn_retrieve(queries, pool, deduplicate(pool, 0.9), 4)
+        assert calls == {threading.get_ident()}
+
+    @pytest.mark.parametrize("failing", ["worker", "calling"])
+    def test_an_error_reaches_the_caller_and_no_thread_outlives_it(self, rng, failing):
+        pool = near_duplicates(rng, 300)
+        queries = as_pool(unit_rows(rng, 20, 24))
+        caller = threading.get_ident()
+        matmul = np.matmul
+
+        def failing_matmul(*args, **kwargs):
+            if (threading.get_ident() == caller) == (failing == "calling"):
+                raise RuntimeError(f"{failing} thread failed")
+            return matmul(*args, **kwargs)
+
+        before = threading.active_count()
+        for search in (lambda: deduplicate(pool, 0.9), lambda: knn_retrieve(queries, pool, np.arange(pool.n), 3)):
+            with workers(2), always_split(), mock.patch.multiple(curation, _DEDUP_BLOCK=8, _DEDUP_CHUNK=32), \
+                    topm_blocks_of(4, pool.data), mock.patch.object(np, "matmul", failing_matmul), \
+                    pytest.raises(RuntimeError, match=f"{failing} thread failed"):
+                search()
+            assert threading.active_count() == before
+
+
 # --- memory: no query x pool or pool x pool float64 matrix at once --------
 
 MEMORY_LIMIT = 64 * 2**20
@@ -629,3 +769,17 @@ def test_knn_retrieve_memory_bounded(rng, make_unit_rows):
     pool = EmbeddingMatrix(make_unit_rows(rng, 20000, 64).astype(np.float32), normalized=True)
     curated = EmbeddingMatrix(make_unit_rows(rng, 400, 64).astype(np.float32), normalized=True)
     assert traced_peak(lambda: knn_retrieve(curated, pool, np.arange(pool.n), 4)) < MEMORY_LIMIT
+
+
+def test_scratch_peak_does_not_grow_with_workers(rng, make_unit_rows):
+    # the workers split one scratch buffer; each adds only its small temporaries
+    pool = EmbeddingMatrix(make_unit_rows(rng, 20000, 64).astype(np.float32), normalized=True)
+    curated = EmbeddingMatrix(make_unit_rows(rng, 400, 64).astype(np.float32), normalized=True)
+    kept = deduplicate(pool, 0.95)
+    peaks = {}
+    for count in (1, 2):
+        with workers(count):
+            peaks[count] = [traced_peak(lambda: deduplicate(pool, 0.95)),
+                            traced_peak(lambda: knn_retrieve(curated, pool, kept, 4))]
+    slack = curation._TOPM_BLOCK_BYTES // 8
+    assert all(two <= one + slack for one, two in zip(peaks[1], peaks[2])), peaks

@@ -217,6 +217,19 @@ class TestTableIO:
         with pytest.raises(FormatError, match="t.fspl: .*(JSON|attribute names)"):
             PseudoLabelTable.load(path)
 
+    def test_repeated_attribute_name(self, tmp_path):
+        labels, confs = np.zeros((2, 3), dtype=np.uint8), np.full((2, 3), 0.75, dtype=np.float32)
+        with pytest.raises(DataError, match="attribute name 'a' is repeated"):
+            PseudoLabelTable(labels, confs, ["a", "b", "a"])
+        path = tmp_path / "t.fspl"
+        PseudoLabelTable(labels, confs, ["a", "b", "c"]).save(path)
+        raw = path.read_bytes()
+        (k,) = struct.unpack_from("<I", raw, 20)  # the names follow the 24-byte header
+        names = b'["a", "b", "a"]'
+        path.write_bytes(raw[:20] + struct.pack("<I", len(names)) + names + raw[24 + k :])
+        with pytest.raises(DataError, match="t.fspl: attribute name 'a' is repeated"):
+            PseudoLabelTable.load(path)
+
     def test_one_file_holds_the_names(self, tmp_path):
         table = PseudoLabelTable(
             np.array([[0, 1]], dtype=np.uint8), np.array([[0.75, 1.0]], dtype=np.float32), ["b", "a"]
